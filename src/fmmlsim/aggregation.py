@@ -24,15 +24,10 @@ GRADIENT_ESTIMATES = ("descent_normalized", "raw_delta")
 
 @dataclass
 class CoefficientState:
-    """Raw weight matrices plus per-block structural participation masks."""
+    """Raw weight matrices, one per block, and their learning rate."""
 
-    raw: dict[int, np.ndarray]           # block -> (K, K) unconstrained weights
-    participants: dict[int, np.ndarray]  # block -> (K,) bool, owners of the block
+    raw: dict[int, np.ndarray]  # block -> (K, K) unconstrained weights
     lr: float
-
-    @property
-    def num_devices(self) -> int:
-        return next(iter(self.raw.values())).shape[0]
 
 
 @dataclass
@@ -48,20 +43,19 @@ class CacheEntry:
 GradCache = dict[tuple[int, int], CacheEntry]  # (device, block) -> entry
 
 
-def init_coeffs(owned_sets: Sequence[Sequence[int]], num_modalities: int,
-                lr: float) -> CoefficientState:
+def block_owners(owned_sets: Sequence[Sequence[int]],
+                 num_modalities: int) -> dict[int, np.ndarray]:
+    """(K,) bool owner mask per block: modality m's holders, and everyone for the head M+1."""
+    owners = {m: np.array([m in set(owned) for owned in owned_sets], dtype=bool)
+              for m in range(1, num_modalities + 1)}
+    owners[num_modalities + 1] = np.ones(len(owned_sets), dtype=bool)
+    return owners
+
+
+def init_coeffs(num_devices: int, block_ids: Sequence[int], lr: float) -> CoefficientState:
     """Uniform 1/K start for every raw entry; nothing is known about peers yet."""
-    num_devices = len(owned_sets)
-    if num_devices < 1:
-        raise AggregationError("need at least one device")
-    shared_id = num_modalities + 1
-    participants = {}
-    for m in range(1, num_modalities + 1):
-        participants[m] = np.array([m in set(owned) for owned in owned_sets], dtype=bool)
-    participants[shared_id] = np.ones(num_devices, dtype=bool)
-    raw = {b: np.full((num_devices, num_devices), 1.0 / num_devices)
-           for b in range(1, shared_id + 1)}
-    return CoefficientState(raw=raw, participants=participants, lr=lr)
+    raw = {b: np.full((num_devices, num_devices), 1.0 / num_devices) for b in block_ids}
+    return CoefficientState(raw=raw, lr=lr)
 
 
 def softmax_row(raw_row: np.ndarray, participants: np.ndarray) -> np.ndarray:
@@ -191,10 +185,9 @@ def coeff_update(state: CoefficientState,
     return state
 
 
-def effective_rows(state: CoefficientState, block: int) -> np.ndarray:
+def effective_rows(state: CoefficientState, block: int, owners: np.ndarray) -> np.ndarray:
     """Structural aggregation weights (full participation, no round mask)."""
-    p = state.participants[block]
     out = np.zeros_like(state.raw[block])
-    for k in np.flatnonzero(p):
-        out[k] = softmax_row(state.raw[block][k], p)
+    for k in np.flatnonzero(owners):
+        out[k] = softmax_row(state.raw[block][k], owners)
     return out

@@ -9,6 +9,7 @@ from pathlib import Path
 from .config import ALGORITHMS, config_from_dict, load_config, config_to_dict
 from .errors import ConfigError, FmmlError
 from .orchestrator import Simulation
+from .scheduler import METRIC_KINDS
 from . import reporting
 
 
@@ -23,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--algo", choices=ALGORITHMS, default=None)
     parser.add_argument("--khat", type=int, default=None,
                         help="per-block upload quota")
-    parser.add_argument("--metric", choices=("ratio", "linear"), default=None)
+    parser.add_argument("--metric", choices=METRIC_KINDS, default=None)
     parser.add_argument("--alpha", type=float, default=None,
                         help="latency weight of the linear metric")
     parser.add_argument("--ath", type=int, default=None,

@@ -7,11 +7,12 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
+from .aggregation import GRADIENT_ESTIMATES
 from .datagen import PartitionScheme
 from .errors import ConfigError
+from .scheduler import METRIC_KINDS
 
 ALGORITHMS = ("proposed", "fedavg", "local", "fedprox")
-GRADIENT_ESTIMATES = ("descent_normalized", "raw_delta")
 BASELINE_SCHEDULERS = ("channel_aware", "random")
 
 
@@ -100,10 +101,10 @@ def _build(cls, payload: dict, path: str):
         sub = _NESTED.get(name)
         if cls is RunConfig and sub is not None:
             kwargs[name] = _build(sub, value, name)
-        elif name in _TUPLE_FIELDS and value is not None:
+        elif name in _TUPLE_FIELDS and isinstance(value, list):
             kwargs[name] = tuple(value)
-        elif name == "modality_profile" and value is not None:
-            kwargs[name] = [tuple(int(v) for v in pair) for pair in value]
+        elif name == "modality_profile" and isinstance(value, list):
+            kwargs[name] = [tuple(p) if isinstance(p, list) else p for p in value]
         else:
             kwargs[name] = value
     return cls(**kwargs)
@@ -120,7 +121,42 @@ def _require(cond: bool, message: str):
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_sequence(value, length: int | None = None) -> bool:
+    return (isinstance(value, (list, tuple)) and length in (None, len(value))
+            and all(_is_int(v) for v in value))
+
+
+# What each field annotation of the config dataclasses accepts.
+_TYPE_CHECKS = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[int, ...]": (_int_sequence, "a list of integers"),
+    "list[tuple[int, int]]": (lambda v: isinstance(v, list) and all(_int_sequence(p, 2) for p in v),
+                              "a list of [count, modalities] integer pairs"),
+}
+
+
+def _check_types(obj, path: str = "") -> None:
+    """Every field must hold the JSON type its annotation names."""
+    for f in fields(obj):
+        value, name = getattr(obj, f.name), path + f.name
+        kind = f.type.removesuffix(" | None")
+        if f.name in _NESTED and not path:
+            _check_types(value, f"{f.name}.")
+        elif value is not None or kind == f.type:
+            accepts, what = _TYPE_CHECKS[kind]
+            _require(accepts(value), f"{name}: must be {what}, got {value!r}")
+
+
 def validate_config(cfg: RunConfig) -> None:
+    _check_types(cfg)
+    _require(cfg.seed >= 0, "seed: must be >= 0")
     _require(cfg.rounds >= 0, "rounds: must be >= 0")
     _require(cfg.num_devices >= 1, "num_devices: must be >= 1")
     _require(cfg.num_modalities >= 1, "num_modalities: must be >= 1")
@@ -152,7 +188,7 @@ def validate_config(cfg: RunConfig) -> None:
         _require(1 <= cfg.quota <= cfg.num_devices,
                  f"quota: must lie in 1..{cfg.num_devices}")
     _require(cfg.staleness_threshold >= 1, "staleness_threshold: must be >= 1")
-    _require(cfg.metric in ("ratio", "linear"), "metric: must be 'ratio' or 'linear'")
+    _require(cfg.metric in METRIC_KINDS, f"metric: must be one of {METRIC_KINDS}")
     _require(cfg.alpha >= 0, "alpha: must be >= 0")
     _require(cfg.gradient_estimate in GRADIENT_ESTIMATES,
              f"gradient_estimate: must be one of {GRADIENT_ESTIMATES}")

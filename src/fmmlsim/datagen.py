@@ -8,11 +8,9 @@ distribution its local data follows.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -173,58 +171,3 @@ def generate_device_data(spec: SyntheticSpec, labels: np.ndarray,
     test = SampleSet({m: x[n_train:] for m, x in features.items()}, labels[n_train:])
     return DeviceDataset(device_id, owned, train, test)
 
-
-# ------------------------- CSV dump / load -------------------------
-
-def dump_datasets_csv(datasets: Sequence[DeviceDataset], path: str | Path,
-                      input_dims: Sequence[int]) -> None:
-    """One row per sample; feature columns are empty for unowned modalities."""
-    header = ["device", "split", "label"]
-    for m, d in enumerate(input_dims, start=1):
-        header.extend(f"m{m}_f{i}" for i in range(d))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for ds in datasets:
-            for split_name, split in (("train", ds.train), ("test", ds.test)):
-                for i in range(len(split)):
-                    row = [ds.device_id, split_name, int(split.labels[i])]
-                    for m, d in enumerate(input_dims, start=1):
-                        if m in split.features:
-                            row.extend(repr(float(v)) for v in split.features[m][i])
-                        else:
-                            row.extend([""] * d)
-                    writer.writerow(row)
-
-
-def load_datasets_csv(path: str | Path) -> list[DeviceDataset]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        dims: dict[int, int] = {}
-        for col in header[3:]:
-            m, _ = col[1:].split("_f")
-            dims[int(m)] = dims.get(int(m), 0) + 1
-        rows: dict[tuple[int, str], list[tuple[int, dict[int, np.ndarray]]]] = {}
-        for row in reader:
-            dev, split, label = int(row[0]), row[1], int(row[2])
-            feats, off = {}, 3
-            for m in sorted(dims):
-                cell = row[off:off + dims[m]]
-                if cell[0] != "":
-                    feats[m] = np.array([float(v) for v in cell])
-                off += dims[m]
-            rows.setdefault((dev, split), []).append((label, feats))
-    devices = sorted({dev for dev, _ in rows})
-    out = []
-    for dev in devices:
-        sets = {}
-        owned: tuple[int, ...] = ()
-        for split in ("train", "test"):
-            items = rows.get((dev, split), [])
-            labels = np.array([lab for lab, _ in items], dtype=np.int64)
-            owned = tuple(sorted(items[0][1])) if items else owned
-            feats = {m: np.stack([f[m] for _, f in items]) for m in owned} if items else {}
-            sets[split] = SampleSet(feats, labels)
-        out.append(DeviceDataset(dev, owned, sets["train"], sets["test"]))
-    return out

@@ -133,10 +133,6 @@ class MultiModalParams:
             self.owned)
 
 
-# Gradients reuse the parameter container: same blocks, same shapes.
-Gradient = MultiModalParams
-
-
 def init_full_params(arch: ArchSpec, rng: np.random.Generator) -> dict[int, ParamBlock]:
     """One shared random init covering every block id (1..M+1).
 
@@ -216,20 +212,13 @@ def forward_batch(arch: ArchSpec, params: MultiModalParams,
     return scores
 
 
-def forward(arch: ArchSpec, params: MultiModalParams,
-            sample: Mapping[int, np.ndarray]) -> np.ndarray:
-    """Class scores for a single sample, shape (C,)."""
-    batched = {m: np.asarray(x, dtype=np.float64).reshape(1, -1) for m, x in sample.items()}
-    return forward_batch(arch, params, batched)[0]
-
-
 def loss_and_grad(arch: ArchSpec, params: MultiModalParams,
                   features: Mapping[int, np.ndarray],
-                  labels: np.ndarray) -> tuple[float, Gradient]:
+                  labels: np.ndarray) -> tuple[float, MultiModalParams]:
     """Mean softmax cross-entropy over the batch and its exact gradient.
 
     The log-sum-exp is computed with max subtraction, so large scores do not
-    overflow. Returns a Gradient with exactly the block structure of params.
+    overflow. The gradient has exactly the block structure of params.
     """
     labels = np.asarray(labels)
     if labels.size == 0:
@@ -279,7 +268,7 @@ def loss_and_grad(arch: ArchSpec, params: MultiModalParams,
     return loss, MultiModalParams(gblocks, params.owned)
 
 
-def sgd_step(params: MultiModalParams, grad: Gradient, eta: float) -> MultiModalParams:
+def sgd_step(params: MultiModalParams, grad: MultiModalParams, eta: float) -> MultiModalParams:
     """One plain gradient step; block structure is preserved exactly."""
     if eta <= 0:
         raise ValueError("learning rate must be positive")

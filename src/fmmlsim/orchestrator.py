@@ -10,9 +10,7 @@ wall time is the slowest device's download + compute + upload.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,18 +21,13 @@ from .config import RunConfig, config_to_dict
 from .errors import FmmlError
 from .nn_core import ArchSpec, MultiModalParams, ParamBlock
 
-THREADS_ENV = "FMML_SIM_THREADS"
-
 
 @dataclass
 class DeviceState:
     device_id: int
     params: MultiModalParams
     dataset: datagen.DeviceDataset
-    compute: wireless.ComputeParams
-    distance: float
     rng: np.random.Generator
-    flops: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -117,13 +110,6 @@ def simulated_training_time(logs: Sequence[RoundLog]) -> float:
     return float(sum(log.round_time for log in logs))
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 class Simulation:
     """Owns all run state; `step()` advances one global round."""
 
@@ -135,10 +121,7 @@ class Simulation:
             feature_len=cfg.arch.feature_len,
             classifier_hidden=tuple(cfg.arch.classifier_hidden),
             num_classes=cfg.data.num_classes)
-        self.link = wireless.LinkParams(
-            bandwidth_hz=cfg.link.bandwidth_hz, noise_density=cfg.link.noise_density,
-            device_power_w=cfg.link.device_power_w, server_power_w=cfg.link.server_power_w,
-            carrier_ghz=cfg.link.carrier_ghz)
+        self.link = cfg.link
         self.quota = cfg.effective_quota()
         self.metric = scheduler.MetricSpec(cfg.metric, cfg.alpha)
 
@@ -175,35 +158,32 @@ class Simulation:
         slowdown = np.exp(hw_rng.uniform(0.0, np.log(cfg.compute.heterogeneity),
                                          size=cfg.num_devices)) if cfg.compute.heterogeneity > 1 \
             else np.ones(cfg.num_devices)
+        # compute time does not depend on the round: fixed per device
+        self.t_compute = np.array([wireless.compute_latency(
+            cfg.local_iters,
+            sum(nn_core.flops_per_iteration(self.arch, owned_sets[k], cfg.batch_size).values()),
+            cfg.compute.cycles_per_s / float(slowdown[k]), cfg.compute.flops_per_cycle)
+            for k in range(cfg.num_devices)])
         dev_rngs = [np.random.default_rng(s) for s in dev_ss.spawn(cfg.num_devices)]
         self.devices = [DeviceState(
             device_id=k,
             params=nn_core.slice_device_params(full, owned_sets[k], shared),
             dataset=datasets[k],
-            compute=wireless.ComputeParams(
-                cycles_per_s=cfg.compute.cycles_per_s / float(slowdown[k]),
-                flops_per_cycle=cfg.compute.flops_per_cycle,
-                local_iters=cfg.local_iters),
-            distance=float(self.distances[k]),
             rng=dev_rngs[k],
-            flops=nn_core.flops_per_iteration(self.arch, owned_sets[k], cfg.batch_size),
         ) for k in range(cfg.num_devices)]
 
-        coeffs = None
-        if cfg.algorithm == "proposed":
-            coeffs = agg.init_coeffs(owned_sets, cfg.num_modalities, cfg.coeff_lr)
-        self.owners = {m: np.array([m in set(s) for s in owned_sets], dtype=bool)
-                       for m in range(1, cfg.num_modalities + 1)}
-        self.owners[shared] = np.ones(cfg.num_devices, dtype=bool)
+        self.owners = agg.block_owners(owned_sets, cfg.num_modalities)
         self.block_ids = sorted(self.owners)
         self.sizes_bits = {b: nn_core.param_size_bits(full[b]) for b in self.block_ids}
+        coeffs = None
+        if cfg.algorithm == "proposed":
+            coeffs = agg.init_coeffs(cfg.num_devices, self.block_ids, cfg.coeff_lr)
         self.server = ServerState(
             personalized={k: nn_core.slice_device_params(full, owned_sets[k], shared)
                           for k in range(cfg.num_devices)},
             coeffs=coeffs,
             cache={},
-            schedule=scheduler.new_schedule_state(
-                cfg.num_devices, self.block_ids, self.quota, cfg.staleness_threshold))
+            schedule=scheduler.new_schedule_state(cfg.num_devices, self.block_ids))
 
     # ----------------------------- one round -----------------------------
 
@@ -211,58 +191,45 @@ class Simulation:
         return (*self.devices[k].dataset.owned, self.arch.shared_block_id)
 
     def _self_weights(self) -> dict[int, np.ndarray]:
-        cfg, K = self.cfg, self.cfg.num_devices
         out = {}
         for b in self.block_ids:
-            row = np.zeros(K)
-            if cfg.algorithm == "proposed":
-                for k in np.flatnonzero(self.owners[b]):
-                    row[k] = agg.softmax_row(self.server.coeffs.raw[b][k], self.owners[b])[k]
+            if self.cfg.algorithm == "proposed":
+                out[b] = np.diag(agg.effective_rows(self.server.coeffs, b, self.owners[b]))
             else:
                 # neutral value: what a uniform weight row would give
-                row[self.owners[b]] = 1.0 / int(self.owners[b].sum())
-            out[b] = row
+                out[b] = np.zeros(self.cfg.num_devices)
+                out[b][self.owners[b]] = 1.0 / int(self.owners[b].sum())
         return out
 
     def step(self) -> RoundLog:
         cfg = self.cfg
         K = cfg.num_devices
         t = self.server.round + 1
-        channel = wireless.sample_round_gains(
-            self.rng_channel, self.distances, self.link.carrier_ghz, t)
+        gains = wireless.sample_round_gains(self.rng_channel, self.distances,
+                                            self.link.carrier_ghz)
 
-        # local updates (independent per device; optional thread pool)
-        def update(dev: DeviceState):
-            anchor = dev.params if cfg.algorithm == "fedprox" else None
-            mu = cfg.fedprox_mu if cfg.algorithm == "fedprox" else 0.0
-            return local_update_phase(self.arch, dev, cfg.lr, cfg.local_iters,
-                                      cfg.batch_size, prox_mu=mu, anchor=anchor)
-
-        workers = _worker_count()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(update, self.devices))
-        else:
-            results = [update(dev) for dev in self.devices]
+        # local updates
+        mu = cfg.fedprox_mu if cfg.algorithm == "fedprox" else 0.0
         train_loss = np.zeros(K)
-        for dev, (params, loss) in zip(self.devices, results):
-            dev.params = params
-            train_loss[dev.device_id] = loss
+        for dev in self.devices:
+            anchor = dev.params if cfg.algorithm == "fedprox" else None
+            dev.params, train_loss[dev.device_id] = local_update_phase(
+                self.arch, dev, cfg.lr, cfg.local_iters, cfg.batch_size,
+                prox_mu=mu, anchor=anchor)
 
         # latency inputs for this round
         down_rates = np.array([wireless.link_rate(
             self.link.server_power_w, g, self.link.bandwidth_hz, self.link.noise_density)
-            for g in channel.gains])
+            for g in gains])
         up_rates = np.array([wireless.link_rate(
             self.link.device_power_w, g, self.link.bandwidth_hz, self.link.noise_density)
-            for g in channel.gains])
+            for g in gains])
         t_down = np.zeros(K)
-        t_cmp = np.zeros(K)
+        t_cmp = self.t_compute.copy()
         for k in range(K):
             prev = {b: int(self.server.schedule.indicators[b][k])
                     for b in self._device_blocks(k)}
             t_down[k] = wireless.download_latency(prev, self.sizes_bits, float(down_rates[k]))
-            t_cmp[k] = wireless.compute_latency(self.devices[k].compute, self.devices[k].flops)
 
         # scheduling
         if cfg.algorithm == "local":
@@ -339,8 +306,8 @@ class Simulation:
         # realized upload time: all blocks the device shipped this round
         t_up = np.zeros(K)
         for k in range(K):
-            bits = sum(self.sizes_bits[b] for b in self.block_ids if indicators[b][k])
-            t_up[k] = bits / up_rates[k] if bits else 0.0
+            shipped = {b: int(indicators[b][k]) for b in self.block_ids}
+            t_up[k] = wireless.upload_latency(shipped, self.sizes_bits, float(up_rates[k]))
         round_time = float((t_down + t_cmp + t_up).max())
 
         self.server.schedule.indicators = indicators
@@ -351,10 +318,10 @@ class Simulation:
         snapshot = None
         if cfg.algorithm == "proposed":
             snapshot = {b: (self.server.coeffs.raw[b].copy(),
-                            agg.effective_rows(self.server.coeffs, b))
+                            agg.effective_rows(self.server.coeffs, b, self.owners[b]))
                         for b in self.block_ids}
         return RoundLog(
-            round=t, gains=channel.gains, t_download=t_down, t_compute=t_cmp,
+            round=t, gains=gains, t_download=t_down, t_compute=t_cmp,
             t_upload=t_up, round_time=round_time, scheduled=indicators,
             staleness=staleness, metric_values=metric_values, train_loss=train_loss,
             test_accuracy=accs, mean_accuracy=mean_acc,

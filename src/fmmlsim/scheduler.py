@@ -39,17 +39,12 @@ class ScheduleState:
 
     indicators: dict[int, np.ndarray]  # block -> (K,) int8
     staleness: dict[int, np.ndarray]   # block -> (K,) int64
-    quota: int
-    staleness_threshold: int
 
 
-def new_schedule_state(num_devices: int, block_ids, quota: int,
-                       staleness_threshold: int) -> ScheduleState:
+def new_schedule_state(num_devices: int, block_ids) -> ScheduleState:
     return ScheduleState(
         indicators={b: np.zeros(num_devices, dtype=np.int8) for b in block_ids},
-        staleness={b: np.zeros(num_devices, dtype=np.int64) for b in block_ids},
-        quota=quota,
-        staleness_threshold=staleness_threshold)
+        staleness={b: np.zeros(num_devices, dtype=np.int64) for b in block_ids})
 
 
 def scheduling_metric(metric: MetricSpec, self_weight: float, t_down: float,

@@ -9,43 +9,11 @@ Sizes are counted in bits, rates in bits/s, times in seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .errors import StalledLinkError
-
-
-@dataclass(frozen=True)
-class LinkParams:
-    bandwidth_hz: float = 1e6
-    noise_density: float = 1e-17       # W/Hz
-    device_power_w: float = 0.1
-    server_power_w: float = 1.0
-    carrier_ghz: float = 2.6
-
-    def __post_init__(self):
-        if min(self.bandwidth_hz, self.noise_density, self.device_power_w,
-               self.server_power_w, self.carrier_ghz) <= 0:
-            raise ValueError("link parameters must be strictly positive")
-
-
-@dataclass(frozen=True)
-class ComputeParams:
-    cycles_per_s: float = 1e8
-    flops_per_cycle: float = 2.0
-    local_iters: int = 8
-
-    def __post_init__(self):
-        if self.cycles_per_s <= 0 or self.flops_per_cycle <= 0 or self.local_iters < 0:
-            raise ValueError("compute parameters must be positive")
-
-
-@dataclass
-class ChannelRound:
-    round_index: int
-    gains: np.ndarray  # amplitude gain per device, >= 0
 
 
 def place_devices(rng: np.random.Generator, num_devices: int,
@@ -72,9 +40,9 @@ def sample_gain(rng: np.random.Generator, distance_m: float, carrier_ghz: float)
 
 
 def sample_round_gains(rng: np.random.Generator, distances: np.ndarray,
-                       carrier_ghz: float, round_index: int = 0) -> ChannelRound:
-    gains = np.array([sample_gain(rng, float(d), carrier_ghz) for d in distances])
-    return ChannelRound(round_index, gains)
+                       carrier_ghz: float) -> np.ndarray:
+    """One amplitude gain per device for one round, each >= 0."""
+    return np.array([sample_gain(rng, float(d), carrier_ghz) for d in distances])
 
 
 def link_rate(power_w: float, gain: float, bandwidth_hz: float,
@@ -86,20 +54,33 @@ def link_rate(power_w: float, gain: float, bandwidth_hz: float,
     return bandwidth_hz * math.log2(1.0 + snr)
 
 
+def _transfer_time(bits: int, rate: float, link: str) -> float:
+    """Seconds to move `bits` at `rate`; a positive payload on a zero rate stalls."""
+    if bits == 0:
+        return 0.0
+    if rate <= 0:
+        raise StalledLinkError(f"{bits} bits scheduled on a zero-rate {link}")
+    return bits / rate
+
+
 def download_latency(prev_schedule: Mapping[int, int], sizes_bits: Mapping[int, int],
                      rate_down: float) -> float:
     """Time to fetch every block scheduled for the device last round."""
     bits = sum(sizes_bits[b] for b, flag in prev_schedule.items() if flag)
-    if bits == 0:
-        return 0.0
-    if rate_down <= 0:
-        raise StalledLinkError(f"{bits} bits scheduled on a zero-rate downlink")
-    return bits / rate_down
+    return _transfer_time(bits, rate_down, "downlink")
 
 
-def compute_latency(params: ComputeParams, flops: Mapping[int, float]) -> float:
+def upload_latency(schedule: Mapping[int, int], sizes_bits: Mapping[int, int],
+                   rate_up: float) -> float:
+    """Time to ship every block scheduled for the device this round."""
+    bits = sum(sizes_bits[b] for b, flag in schedule.items() if flag)
+    return _transfer_time(bits, rate_up, "uplink")
+
+
+def compute_latency(local_iters: int, flops_per_iter: float, cycles_per_s: float,
+                    flops_per_cycle: float) -> float:
     """Local-update time: iterations times the per-iteration FLOPs budget."""
-    return params.local_iters * sum(flops.values()) / (params.cycles_per_s * params.flops_per_cycle)
+    return local_iters * flops_per_iter / (cycles_per_s * flops_per_cycle)
 
 
 def cumulative_upload_latency(schedule_so_far: Mapping[int, int], block: int,
@@ -107,6 +88,4 @@ def cumulative_upload_latency(schedule_so_far: Mapping[int, int], block: int,
     """Upload time if `block` joins the blocks already scheduled before it."""
     bits = sizes_bits[block] + sum(
         sizes_bits[b] for b, flag in schedule_so_far.items() if b < block and flag)
-    if rate_up <= 0:
-        raise StalledLinkError(f"{bits} bits scheduled on a zero-rate uplink")
-    return bits / rate_up
+    return _transfer_time(bits, rate_up, "uplink")

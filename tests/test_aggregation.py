@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fmmlsim import aggregation as agg
-from fmmlsim.aggregation import (CacheEntry, aggregate, build_round_mask,
-                                 coeff_grad, coeff_jacobian, coeff_update,
+from fmmlsim.aggregation import (CacheEntry, aggregate, block_owners,
+                                 build_round_mask, coeff_grad, coeff_jacobian,
+                                 coeff_update, effective_rows,
                                  estimate_block_gradient, init_coeffs,
                                  masked_renormalize, softmax_row)
 from fmmlsim.errors import AggregationError, ShapeMismatchError
@@ -22,28 +23,39 @@ def all_true(n):
 # ----------------------------- init -----------------------------
 
 def test_init_uniform():
-    state = init_coeffs([(1, 2)] * 9, 2, lr=0.01)
+    state = init_coeffs(9, (1, 2, 3), lr=0.01)
     for b in (1, 2, 3):
         assert np.allclose(state.raw[b], 1.0 / 9)
-    assert state.participants[3].all()
+    assert block_owners([(1, 2)] * 9, 2)[3].all()
 
 
 def test_init_single_device():
-    state = init_coeffs([(1,)], 1, lr=0.1)
+    state = init_coeffs(1, (1, 2), lr=0.1)
     assert state.raw[1].shape == (1, 1)
     assert state.raw[1][0, 0] == 1.0
     assert softmax_row(state.raw[1][0], all_true(1))[0] == 1.0
 
 
 def test_init_softmax_row_is_uniform():
-    state = init_coeffs([(1,)] * 5, 1, lr=0.01)
+    state = init_coeffs(5, (1, 2), lr=0.01)
     np.testing.assert_allclose(softmax_row(state.raw[1][0], all_true(5)), np.full(5, 0.2))
 
 
 def test_init_respects_ownership():
-    state = init_coeffs([(1,), (2,), (1, 2)], 2, lr=0.01)
-    np.testing.assert_array_equal(state.participants[1], [True, False, True])
-    np.testing.assert_array_equal(state.participants[2], [False, True, True])
+    owners = block_owners([(1,), (2,), (1, 2)], 2)
+    np.testing.assert_array_equal(owners[1], [True, False, True])
+    np.testing.assert_array_equal(owners[2], [False, True, True])
+    np.testing.assert_array_equal(owners[3], [True, True, True])
+
+
+def test_effective_rows_are_owner_softmax_rows():
+    state = init_coeffs(3, (1, 2), lr=0.01)
+    state.raw[1][0] = [0.5, -2.0, 1.0]
+    owners = np.array([True, False, True])
+    rows = effective_rows(state, 1, owners)
+    np.testing.assert_array_equal(rows[0], softmax_row(state.raw[1][0], owners))
+    np.testing.assert_array_equal(rows[1], np.zeros(3))
+    np.testing.assert_allclose(rows[2], [0.5, 0.0, 0.5])
 
 
 # ----------------------------- softmax -----------------------------
@@ -272,7 +284,7 @@ def test_coeff_grad_equal_inner_products_sum_zero():
 # ----------------------------- updates -----------------------------
 
 def test_coeff_update_no_eligible_rows_is_noop():
-    state = init_coeffs([(1,)] * 3, 1, lr=0.5)
+    state = init_coeffs(3, (1, 2), lr=0.5)
     before = {b: m.copy() for b, m in state.raw.items()}
     coeff_update(state, {})
     for b in before:
@@ -280,14 +292,14 @@ def test_coeff_update_no_eligible_rows_is_noop():
 
 
 def test_coeff_update_single_row_arithmetic():
-    state = init_coeffs([(1,)] * 2, 1, lr=0.01)
+    state = init_coeffs(2, (1, 2), lr=0.01)
     coeff_update(state, {(0, 1): np.array([1.0, -1.0])})
     np.testing.assert_allclose(state.raw[1][0], [0.5 - 0.01, 0.5 + 0.01])
     np.testing.assert_allclose(state.raw[1][1], [0.5, 0.5])
 
 
 def test_coeff_update_composes_additively():
-    state = init_coeffs([(1,)] * 2, 1, lr=0.1)
+    state = init_coeffs(2, (1, 2), lr=0.1)
     g = {(1, 1): np.array([0.2, -0.4])}
     coeff_update(state, g)
     coeff_update(state, g)
@@ -317,10 +329,11 @@ def test_rows_are_stochastic_and_masked_exactly():
 def test_fedavg_reduction_uniform_weights():
     rng = np.random.default_rng(8)
     n = 7
-    state = init_coeffs([(1,)] * n, 1, lr=0.0)
+    state = init_coeffs(n, (1, 2), lr=0.0)
+    owners = block_owners([(1,)] * n, 1)[1]
     uploads = {k: vec_block(rng.normal(size=10)) for k in range(n)}
-    mask = build_round_mask(np.ones(n, dtype=int), state.participants[1])
-    row = masked_renormalize(softmax_row(state.raw[1][0], state.participants[1]), mask[0])
+    mask = build_round_mask(np.ones(n, dtype=int), owners)
+    row = masked_renormalize(softmax_row(state.raw[1][0], owners), mask[0])
     out = aggregate(row, uploads)
     expected = np.mean([uploads[k].values for k in range(n)], axis=0)
     assert np.abs(out.values - expected).max() < 1e-9
@@ -330,7 +343,7 @@ def test_self_weight_rises_when_own_upload_helps():
     # device 0's loss decreases toward its own upload: gradient at the
     # aggregate points away from it, so the update must raise raw[0, 0]
     # relative to raw[0, 1]
-    state = init_coeffs([(1,)] * 2, 1, lr=0.1)
+    state = init_coeffs(2, (1, 2), lr=0.1)
     uploads = {0: np.array([0.0]), 1: np.array([2.0])}
     entry = entry_for(state.raw[1][0], np.ones(2), all_true(2), uploads)
     grad_at_aggregate = vec_block([1.0])  # d loss / d w > 0 at w=1, minimum at 0

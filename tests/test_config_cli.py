@@ -66,6 +66,37 @@ def test_validation_catches_inconsistencies():
         config_from_dict({"partition": "iid"})
     with pytest.raises(ConfigError, match="modality_profile"):
         config_from_dict({"modality_profile": [[4, 1]]})
+    with pytest.raises(ConfigError, match="link.bandwidth_hz"):
+        config_from_dict({"link": {"bandwidth_hz": 0.0}})
+    with pytest.raises(ConfigError, match="compute.cycles_per_s"):
+        config_from_dict({"compute": {"cycles_per_s": -1.0}})
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"rounds": "5"}, "rounds"),
+    ({"quota": 2.5}, "quota"),
+    ({"local_iters": 1.5}, "local_iters"),
+    ({"seed": -1}, "seed"),
+    ({"rounds": True}, "rounds"),
+])
+def test_cli_rejects_mistyped_values(tmp_path, capsys, payload, field):
+    write_cfg(tmp_path, payload, "base.json")
+    assert main(["--config", str(tmp_path / "base.json"), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"data": {"input_dims": [16, 24.0]}}, "data.input_dims"),
+    ({"arch": {"classifier_hidden": ["16"]}}, "arch.classifier_hidden"),
+    ({"modality_profile": [[6, 1], [3, 2.0]]}, "modality_profile"),
+    ({"modality_profile": [[9]]}, "modality_profile"),
+    ({"lr": True}, "lr"),
+    ({"link": {"carrier_ghz": "2.6"}}, "link.carrier_ghz"),
+])
+def test_typed_fields_reject_other_json_types(payload, field):
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict(payload)
 
 
 def run_cli(tmp_path, *extra):

@@ -3,8 +3,7 @@ import pytest
 
 from fmmlsim import datagen
 from fmmlsim.datagen import (PartitionScheme, SyntheticSpec, assign_modalities,
-                             default_modality_profile, dump_datasets_csv,
-                             generate_device_data, load_datasets_csv,
+                             default_modality_profile, generate_device_data,
                              make_class_means, partition_labels)
 from fmmlsim.errors import ConfigError
 
@@ -145,25 +144,6 @@ def test_seed_determinism_full_pipeline():
     for m in (1, 2):
         assert np.array_equal(a.train.features[m], b.train.features[m])
         assert np.array_equal(a.test.features[m], b.test.features[m])
-
-
-def test_csv_round_trip(tmp_path):
-    spec = small_spec(samples=20)
-    rng = np.random.default_rng(6)
-    datasets = []
-    for k, owned in enumerate([(1,), (1, 2), (2,)]):
-        labels = partition_labels(PartitionScheme.NONIID2, 3, 20, rng)
-        datasets.append(generate_device_data(spec, labels, owned, k, rng))
-    path = tmp_path / "data.csv"
-    dump_datasets_csv(datasets, path, spec.input_dims)
-    loaded = load_datasets_csv(path)
-    assert len(loaded) == 3
-    for orig, back in zip(datasets, loaded):
-        assert back.owned == orig.owned
-        assert np.array_equal(back.train.labels, orig.train.labels)
-        for m in orig.owned:
-            np.testing.assert_allclose(back.train.features[m], orig.train.features[m])
-            np.testing.assert_allclose(back.test.features[m], orig.test.features[m])
 
 
 def test_spec_validation():

@@ -3,7 +3,7 @@ import pytest
 
 from fmmlsim import nn_core
 from fmmlsim.errors import ModalityMismatchError, ShapeMismatchError
-from fmmlsim.nn_core import (ArchSpec, MultiModalParams, ParamBlock, forward,
+from fmmlsim.nn_core import (ArchSpec, MultiModalParams, ParamBlock,
                              forward_batch, loss_and_grad, sgd_step,
                              param_size_bits, flops_per_iteration,
                              init_full_params, slice_device_params)
@@ -28,6 +28,11 @@ def random_params(arch, owned, seed=0):
     return slice_device_params(full, owned, arch.shared_block_id)
 
 
+def one_row(sample):
+    """A single sample as a batch of one."""
+    return {m: np.asarray(x, dtype=float).reshape(1, -1) for m, x in sample.items()}
+
+
 def random_features(arch, owned, batch, rng):
     return {m: rng.normal(size=(batch, arch.input_dims[m - 1])) for m in owned}
 
@@ -36,7 +41,7 @@ def test_zero_params_give_zero_scores():
     arch = toy_arch()
     params = zero_params(arch, (1, 2))
     sample = {1: np.ones(3), 2: np.ones(4)}
-    assert np.array_equal(forward(arch, params, sample), np.zeros(6))
+    assert np.array_equal(forward_batch(arch, params, one_row(sample))[0], np.zeros(6))
 
 
 def test_near_identity_composition_returns_sample():
@@ -53,7 +58,8 @@ def test_near_identity_composition_returns_sample():
         {1: ParamBlock(1, enc, arch.block_shapes(1)),
          2: ParamBlock(2, head, arch.block_shapes(2))}, (1,))
     sample = np.array([0.37, -0.52])
-    np.testing.assert_allclose(forward(arch, params, {1: sample}), sample, atol=1e-6)
+    np.testing.assert_allclose(forward_batch(arch, params, one_row({1: sample}))[0], sample,
+                               atol=1e-6)
 
 
 def test_forward_matches_independent_dense_oracle():
@@ -79,18 +85,19 @@ def test_forward_matches_independent_dense_oracle():
     fused = np.concatenate(feats)
     v1, u1, v2, u2 = params.blocks[3].arrays()
     expected = dense(np.tanh(dense(fused, v1, u1)), v2, u2)
-    np.testing.assert_allclose(forward(arch, params, sample), expected, rtol=1e-12)
+    np.testing.assert_allclose(forward_batch(arch, params, one_row(sample))[0], expected,
+                               rtol=1e-12)
 
 
 def test_modality_mismatch_and_shape_errors():
     arch = toy_arch()
     params = zero_params(arch, (1,))
     with pytest.raises(ModalityMismatchError):
-        forward(arch, params, {1: np.zeros(3), 2: np.zeros(4)})
+        forward_batch(arch, params, one_row({1: np.zeros(3), 2: np.zeros(4)}))
     with pytest.raises(ModalityMismatchError):
-        forward(arch, params, {2: np.zeros(4)})
+        forward_batch(arch, params, one_row({2: np.zeros(4)}))
     with pytest.raises(ShapeMismatchError):
-        forward(arch, params, {1: np.zeros(5)})
+        forward_batch(arch, params, one_row({1: np.zeros(5)}))
 
 
 def test_uniform_scores_give_log_c_loss():
@@ -299,5 +306,5 @@ def test_forward_batch_agrees_with_single():
     feats = random_features(arch, (1, 2), 3, rng)
     batched = forward_batch(arch, params, feats)
     for i in range(3):
-        single = forward(arch, params, {m: feats[m][i] for m in feats})
-        np.testing.assert_allclose(batched[i], single, atol=1e-14)
+        single = forward_batch(arch, params, one_row({m: feats[m][i] for m in feats}))
+        np.testing.assert_allclose(batched[i], single[0], atol=1e-14)

@@ -1,9 +1,12 @@
 import copy
+import json
 
 import numpy as np
 import pytest
 
-from fmmlsim import desk_config, nn_core
+from fmmlsim import config_to_dict, desk_config, nn_core, wireless
+from fmmlsim.cli import main
+from fmmlsim.errors import StalledLinkError
 from fmmlsim.orchestrator import (RoundLog, Simulation, evaluate_personalized,
                                   local_update_phase, run_training,
                                   simulated_training_time)
@@ -171,13 +174,6 @@ def test_evaluate_personalized_chance_level_for_zero_model():
     assert mean_acc == pytest.approx(np.mean(accs))
 
 
-def test_thread_pool_gives_identical_results(monkeypatch):
-    a = run_training(quick_cfg(seed=12, rounds=2))
-    monkeypatch.setenv("FMML_SIM_THREADS", "4")
-    b = run_training(quick_cfg(seed=12, rounds=2))
-    assert a.summary == b.summary
-
-
 def test_random_baseline_scheduler_runs_and_differs():
     a = run_training(quick_cfg(seed=14, algorithm="fedavg", quota=2))
     b = run_training(quick_cfg(seed=14, algorithm="fedavg", quota=2,
@@ -213,3 +209,36 @@ def test_staleness_forces_every_device_in_eventually():
             seen[b] |= ind.astype(bool)
     for b, owners in sim.owners.items():
         assert seen[b][owners].all()
+
+
+@pytest.fixture
+def device_zero_gain(monkeypatch):
+    """Channel draws in which device 0's gain, and so both its link rates, are zero."""
+    draw = wireless.sample_round_gains
+
+    def stalled(*args, **kwargs):
+        gains = draw(*args, **kwargs)
+        gains[0] = 0.0
+        return gains
+
+    monkeypatch.setattr(wireless, "sample_round_gains", stalled)
+
+
+def stalled_upload_cfg():
+    # one round, random selection (no projected upload times) and quota K:
+    # only device 0's realized upload in round 1 meets the zero rate
+    return quick_cfg(seed=16, algorithm="fedavg", baseline_scheduler="random", quota=9,
+                     rounds=1)
+
+
+def test_realized_upload_on_a_stalled_link_raises(device_zero_gain):
+    sim = Simulation(stalled_upload_cfg())
+    with pytest.raises(StalledLinkError, match="uplink"):
+        sim.step()
+
+
+def test_cli_reports_a_stalled_link_as_a_run_failure(device_zero_gain, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_to_dict(stalled_upload_cfg())))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "run failed:" in capsys.readouterr().err

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from fmmlsim.config import LinkConfig
 from fmmlsim.errors import StalledLinkError
-from fmmlsim.wireless import (ComputeParams, LinkParams, compute_latency,
-                              cumulative_upload_latency, download_latency,
-                              link_rate, mean_gain, path_loss_db,
-                              place_devices, sample_gain, sample_round_gains)
+from fmmlsim.wireless import (compute_latency, cumulative_upload_latency,
+                              download_latency, link_rate, mean_gain,
+                              path_loss_db, place_devices, sample_gain,
+                              sample_round_gains, upload_latency)
 
 
 def test_path_loss_hand_values():
@@ -42,7 +43,7 @@ def test_gain_sampling_reproducible():
     assert a == b
     r1 = sample_round_gains(np.random.default_rng(7), np.array([10.0, 20.0]), 2.6)
     r2 = sample_round_gains(np.random.default_rng(7), np.array([10.0, 20.0]), 2.6)
-    assert np.array_equal(r1.gains, r2.gains)
+    assert np.array_equal(r1, r2)
 
 
 def test_placement_within_disc():
@@ -70,13 +71,19 @@ def test_download_latency():
     assert download_latency({1: 0}, sizes, 0.0) == 0.0
 
 
+def test_upload_latency():
+    sizes = {1: 3_200_000, 2: 1_000_000}
+    assert upload_latency({1: 0, 2: 0}, sizes, 1e6) == 0.0
+    assert upload_latency({1: 1, 2: 1}, sizes, 1e6) == pytest.approx(4.2)
+    with pytest.raises(StalledLinkError):
+        upload_latency({1: 0, 2: 1}, sizes, 0.0)
+    assert upload_latency({1: 0, 2: 0}, sizes, 0.0) == 0.0
+
+
 def test_compute_latency():
-    cp = ComputeParams(cycles_per_s=1e9, flops_per_cycle=2.0, local_iters=2)
-    assert compute_latency(cp, {1: 6e5, 2: 4e5}) == pytest.approx(1e-3)
-    idle = ComputeParams(cycles_per_s=1e9, flops_per_cycle=2.0, local_iters=0)
-    assert compute_latency(idle, {1: 6e5}) == 0.0
-    cp4 = ComputeParams(cycles_per_s=1e9, flops_per_cycle=2.0, local_iters=4)
-    assert compute_latency(cp4, {1: 6e5, 2: 4e5}) == pytest.approx(2e-3)
+    assert compute_latency(2, 6e5 + 4e5, 1e9, 2.0) == pytest.approx(1e-3)
+    assert compute_latency(0, 6e5, 1e9, 2.0) == 0.0
+    assert compute_latency(4, 6e5 + 4e5, 1e9, 2.0) == pytest.approx(2e-3)
 
 
 def test_cumulative_upload_latency():
@@ -94,25 +101,20 @@ def test_cumulative_upload_latency():
 
 def test_dimensional_walkthrough_full_round():
     # bits / (bits/s) + flops / (flops/s) + bits / (bits/s) must be seconds
-    link = LinkParams()
+    link = LinkConfig()
     rng = np.random.default_rng(3)
     d = place_devices(rng, 1)[0]
     g = sample_gain(rng, float(d), link.carrier_ghz)
     down = link_rate(link.server_power_w, g, link.bandwidth_hz, link.noise_density)
     up = link_rate(link.device_power_w, g, link.bandwidth_hz, link.noise_density)
     sizes = {1: 13_056, 2: 8_896}
-    cp = ComputeParams(cycles_per_s=1e7, flops_per_cycle=2.0, local_iters=5)
     total = (download_latency({1: 1, 2: 1}, sizes, down)
-             + compute_latency(cp, {1: 78_336, 2: 53_376})
+             + compute_latency(5, 78_336 + 53_376, 1e7, 2.0)
              + cumulative_upload_latency({1: 1}, 2, sizes, up))
     assert isinstance(total, float)
     assert 0.0 < total < 60.0
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        LinkParams(bandwidth_hz=0.0)
-    with pytest.raises(ValueError):
-        ComputeParams(cycles_per_s=-1.0)
     with pytest.raises(ValueError):
         link_rate(0.1, 1.0, -5.0, 1e-17)
