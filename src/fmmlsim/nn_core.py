@@ -12,6 +12,7 @@ structurally identical across devices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,6 +21,41 @@ from .errors import ModalityMismatchError, NumericOverflowError, ShapeMismatchEr
 
 BITS_PER_PARAM = 32   # single precision on the wire
 FLOPS_PER_PARAM = 6   # fwd + bwd multiply-accumulate budget per sample
+
+Layout = tuple[tuple[tuple[int, int, tuple[int, ...]], ...], int]
+
+
+@lru_cache(maxsize=256)
+def _layout(shapes) -> Layout:
+    spans, off = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        spans.append((off, off + size, shape))
+        off += size
+    return tuple(spans), off
+
+
+def _frozen(shapes):
+    """Nested lists or arrays as nested tuples, so they can key the cache."""
+    if isinstance(shapes, (list, tuple, np.ndarray)):
+        return tuple(_frozen(s) for s in shapes)
+    return shapes
+
+
+def block_layout(shapes) -> Layout:
+    """Where each layer of a flat block lives: ((start, stop, shape), ...), total.
+
+    Computed once per distinct shapes value; every block of one architecture
+    shares the answer.
+    """
+    try:
+        return _layout(shapes)
+    except TypeError:  # unhashable, e.g. shapes given as lists
+        return _layout(_frozen(shapes))
+
+
+def _layer_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    return [flat[start:stop].reshape(shape) for start, stop, shape in block_layout(shapes)[0]]
 
 
 @dataclass(frozen=True)
@@ -70,7 +106,7 @@ class ArchSpec:
         raise ShapeMismatchError(f"unknown block id {block_id}")
 
     def block_param_count(self, block_id: int) -> int:
-        return sum(int(np.prod(s)) for s in self.block_shapes(block_id))
+        return block_layout(self.block_shapes(block_id))[1]
 
 
 @dataclass
@@ -83,7 +119,7 @@ class ParamBlock:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        expected = sum(int(np.prod(s)) for s in self.shapes)
+        expected = block_layout(self.shapes)[1]
         if self.values.ndim != 1 or self.values.shape[0] != expected:
             raise ShapeMismatchError(
                 f"block {self.block_id}: {self.values.size} values, shapes imply {expected}")
@@ -95,13 +131,12 @@ class ParamBlock:
         return int(self.values.shape[0])
 
     def arrays(self) -> list[np.ndarray]:
-        """Read-only layer views into the flat vector."""
-        out, off = [], 0
-        for shape in self.shapes:
-            size = int(np.prod(shape))
-            out.append(self.values[off:off + size].reshape(shape))
-            off += size
-        return out
+        """Layer views into the flat vector.
+
+        The views share memory with `values` and are writable: writing to a
+        view changes `values`.
+        """
+        return _layer_views(self.values, self.shapes)
 
     def same_structure(self, other: "ParamBlock") -> bool:
         return self.shapes == other.shapes and self.param_count == other.param_count
@@ -239,32 +274,33 @@ def loss_and_grad(arch: ArchSpec, params: MultiModalParams,
     d /= batch
 
     head_id = params.head_id
-    grads_head: list[np.ndarray | None] = [None] * (2 * len(layers))
-    grads_head[-2] = d.T @ acts[-1]
-    grads_head[-1] = d.sum(axis=0)
+    head_shapes = params.blocks[head_id].shapes
+    head_grad = np.empty(block_layout(head_shapes)[1])
+    gviews = _layer_views(head_grad, head_shapes)
+    np.matmul(d.T, acts[-1], out=gviews[-2])
+    d.sum(axis=0, out=gviews[-1])
     d = d @ layers[-1][0]
     for i in range(len(layers) - 2, -1, -1):
         d = d * (1.0 - acts[i + 1] * acts[i + 1])
-        grads_head[2 * i] = d.T @ acts[i]
-        grads_head[2 * i + 1] = d.sum(axis=0)
+        np.matmul(d.T, acts[i], out=gviews[2 * i])
+        d.sum(axis=0, out=gviews[2 * i + 1])
         d = d @ layers[i][0]
 
     f = arch.feature_len
-    gblocks = {head_id: ParamBlock(
-        head_id, np.concatenate([g.ravel() for g in grads_head]),
-        params.blocks[head_id].shapes)}
+    gblocks = {head_id: ParamBlock(head_id, head_grad, head_shapes)}
     for m in params.owned:
-        _, _, w2, _ = params.blocks[m].arrays()
+        block = params.blocks[m]
+        _, _, w2, _ = block.arrays()
         x, h = enc_cache[m]
+        enc_grad = np.empty(block_layout(block.shapes)[1])
+        gw1, gb1, gw2, gb2 = _layer_views(enc_grad, block.shapes)
         dfeat = d[:, (m - 1) * f: m * f]
-        gw2 = dfeat.T @ h
-        gb2 = dfeat.sum(axis=0)
+        np.matmul(dfeat.T, h, out=gw2)
+        dfeat.sum(axis=0, out=gb2)
         dpre = (dfeat @ w2) * (1.0 - h * h)
-        gw1 = dpre.T @ x
-        gb1 = dpre.sum(axis=0)
-        gblocks[m] = ParamBlock(
-            m, np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2]),
-            params.blocks[m].shapes)
+        np.matmul(dpre.T, x, out=gw1)
+        dpre.sum(axis=0, out=gb1)
+        gblocks[m] = ParamBlock(m, enc_grad, block.shapes)
     return loss, MultiModalParams(gblocks, params.owned)
 
 

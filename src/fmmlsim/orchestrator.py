@@ -79,12 +79,16 @@ def local_update_phase(arch: ArchSpec, device: DeviceState, lr: float,
     train = device.dataset.train
     n = len(train)
     perm = device.rng.permutation(n)
+    # the whole round's batches in one gather; iteration i reads rows [i*B, (i+1)*B)
+    idx = perm[np.arange(local_iters * batch_size) % n]
+    round_feats = {m: train.features[m][idx] for m in device.dataset.owned}
+    round_labels = train.labels[idx]
     params = device.params
     losses = []
     for i in range(local_iters):
-        idx = perm[np.arange(i * batch_size, (i + 1) * batch_size) % n]
-        feats = {m: train.features[m][idx] for m in device.dataset.owned}
-        loss, grad = nn_core.loss_and_grad(arch, params, feats, train.labels[idx])
+        rows = slice(i * batch_size, (i + 1) * batch_size)
+        feats = {m: x[rows] for m, x in round_feats.items()}
+        loss, grad = nn_core.loss_and_grad(arch, params, feats, round_labels[rows])
         if prox_mu > 0.0 and anchor is not None:
             blocks = {b: ParamBlock(
                 b, grad.blocks[b].values + prox_mu * (params.blocks[b].values - anchor.blocks[b].values),

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fmmlsim import nn_core
-from fmmlsim.errors import ModalityMismatchError, ShapeMismatchError
-from fmmlsim.nn_core import (ArchSpec, MultiModalParams, ParamBlock,
+from fmmlsim.errors import ModalityMismatchError, NumericOverflowError, ShapeMismatchError
+from fmmlsim.nn_core import (ArchSpec, MultiModalParams, ParamBlock, block_layout,
                              forward_batch, loss_and_grad, sgd_step,
                              param_size_bits, flops_per_iteration,
                              init_full_params, slice_device_params)
@@ -18,8 +18,7 @@ def zero_params(arch, owned):
     blocks = {}
     for b in (*owned, arch.shared_block_id):
         shapes = arch.block_shapes(b)
-        n = sum(int(np.prod(s)) for s in shapes)
-        blocks[b] = ParamBlock(b, np.zeros(n), shapes)
+        blocks[b] = ParamBlock(b, np.zeros(block_layout(shapes)[1]), shapes)
     return MultiModalParams(blocks, tuple(owned))
 
 
@@ -308,3 +307,106 @@ def test_forward_batch_agrees_with_single():
     for i in range(3):
         single = forward_batch(arch, params, one_row({m: feats[m][i] for m in feats}))
         np.testing.assert_allclose(batched[i], single[0], atol=1e-14)
+
+
+def test_param_block_rejects_wrong_length_non_vector_and_non_finite_values():
+    shapes = ((2, 3), (2,))
+    ParamBlock(1, np.zeros(8), shapes)
+    for bad_len in (7, 9):
+        with pytest.raises(ShapeMismatchError):
+            ParamBlock(1, np.zeros(bad_len), shapes)
+    with pytest.raises(ShapeMismatchError):
+        ParamBlock(1, np.zeros((2, 4)), shapes)
+    for bad in (np.nan, np.inf, -np.inf):
+        vals = np.zeros(8)
+        vals[5] = bad
+        with pytest.raises(NumericOverflowError):
+            ParamBlock(1, vals, shapes)
+
+
+def test_block_layout_accepts_every_shapes_value_a_block_takes():
+    as_tuples = ((2, 3), (2,), ())
+    layout, total = block_layout(as_tuples)
+    assert layout == ((0, 6, (2, 3)), (6, 8, (2,)), (8, 9, ()))
+    assert total == 9
+    assert block_layout([[2, 3], [2], []]) == (layout, total)
+    assert block_layout(()) == ((), 0)
+    block = ParamBlock(1, np.arange(9.0), [[2, 3], [2], []])
+    assert [a.shape for a in block.arrays()] == [(2, 3), (2,), ()]
+
+
+@pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])
+def test_block_layout_partitions_every_block(hidden):
+    arch = ArchSpec(input_dims=(5, 7, 3), encoder_hidden=6, feature_len=4,
+                    classifier_hidden=hidden, num_classes=5)
+    full = init_full_params(arch, np.random.default_rng(0))
+    for b in range(1, arch.shared_block_id + 1):
+        layout, total = block_layout(arch.block_shapes(b))
+        assert total == sum(stop - start for start, stop, _ in layout)
+        assert total == arch.block_param_count(b)
+        arrays = full[b].arrays()
+        assert [a.shape for a in arrays] == list(arch.block_shapes(b))
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), full[b].values)
+
+
+def test_arrays_are_writable_views_of_values():
+    block = ParamBlock(1, np.zeros(8), ((2, 3), (2,)))
+    w, bias = block.arrays()
+    w[0, 0] = 5.0
+    bias[1] = -2.0
+    assert block.values[0] == 5.0
+    assert block.values[7] == -2.0
+
+
+def concatenated_loss_and_grad(arch, params, features, labels):
+    """Reference gradient assembly: each layer's gradient is computed on its
+    own and the block is packed with np.concatenate."""
+    labels = np.asarray(labels)
+    scores, enc_cache, layers, acts = nn_core._forward_cached(arch, params, features)
+    batch = scores.shape[0]
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    loss = float(-(shifted[np.arange(batch), labels] - log_norm).mean())
+    d = np.exp(shifted - log_norm[:, None])
+    d[np.arange(batch), labels] -= 1.0
+    d /= batch
+    grads_head = [None] * (2 * len(layers))
+    grads_head[-2] = d.T @ acts[-1]
+    grads_head[-1] = d.sum(axis=0)
+    d = d @ layers[-1][0]
+    for i in range(len(layers) - 2, -1, -1):
+        d = d * (1.0 - acts[i + 1] * acts[i + 1])
+        grads_head[2 * i] = d.T @ acts[i]
+        grads_head[2 * i + 1] = d.sum(axis=0)
+        d = d @ layers[i][0]
+    f = arch.feature_len
+    grads = {params.head_id: np.concatenate([g.ravel() for g in grads_head])}
+    for m in params.owned:
+        _, _, w2, _ = params.blocks[m].arrays()
+        x, h = enc_cache[m]
+        dfeat = d[:, (m - 1) * f: m * f]
+        gw2 = dfeat.T @ h
+        gb2 = dfeat.sum(axis=0)
+        dpre = (dfeat @ w2) * (1.0 - h * h)
+        gw1 = dpre.T @ x
+        gb1 = dpre.sum(axis=0)
+        grads[m] = np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+    return loss, grads
+
+
+@pytest.mark.parametrize("owned", [(2,), (1, 3), (1, 2, 3)])
+@pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])
+def test_loss_and_grad_is_bit_identical_to_concatenated_assembly(owned, hidden):
+    arch = ArchSpec(input_dims=(16, 24, 12), encoder_hidden=16, feature_len=8,
+                    classifier_hidden=hidden, num_classes=6)
+    params = random_params(arch, owned, seed=len(owned))
+    rng = np.random.default_rng(21)
+    for batch in (1, 32):
+        feats = random_features(arch, owned, batch, rng)
+        labels = rng.integers(0, arch.num_classes, size=batch)
+        loss, grad = loss_and_grad(arch, params, feats, labels)
+        ref_loss, ref_grad = concatenated_loss_and_grad(arch, params, feats, labels)
+        assert loss == ref_loss
+        assert set(grad.blocks) == set(ref_grad)
+        for b, g in ref_grad.items():
+            assert np.array_equal(grad.blocks[b].values, g)

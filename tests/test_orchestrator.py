@@ -44,6 +44,39 @@ def test_single_iteration_matches_one_sgd_step():
                                       expected.blocks[b].values)
 
 
+@pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+def test_multi_iteration_update_matches_per_iteration_gather(prox_mu):
+    sim = Simulation(quick_cfg(seed=3))
+    dev = sim.devices[4]
+    n = len(dev.dataset.train)
+    iters, batch = 5, 32
+    assert iters * batch > 2 * n  # batches wrap around the shuffle more than once
+    rng_copy = copy.deepcopy(dev.rng)
+    new_params, mean_loss = local_update_phase(
+        sim.arch, dev, lr=0.1, local_iters=iters, batch_size=batch,
+        prox_mu=prox_mu, anchor=dev.params)
+
+    # reference: gather each iteration's batch from the shuffle on its own
+    perm = rng_copy.permutation(n)
+    params, losses = dev.params, []
+    for i in range(iters):
+        idx = perm[np.arange(i * batch, (i + 1) * batch) % n]
+        feats = {m: dev.dataset.train.features[m][idx] for m in dev.dataset.owned}
+        loss, grad = nn_core.loss_and_grad(sim.arch, params, feats,
+                                           dev.dataset.train.labels[idx])
+        if prox_mu > 0.0:
+            grad = nn_core.MultiModalParams(
+                {b: nn_core.ParamBlock(
+                    b, g.values + prox_mu * (params.blocks[b].values - dev.params.blocks[b].values),
+                    g.shapes) for b, g in grad.blocks.items()}, grad.owned)
+        params = nn_core.sgd_step(params, grad, 0.1)
+        losses.append(loss)
+    assert mean_loss == float(np.mean(losses))
+    for b in params.blocks:
+        assert np.array_equal(new_params.blocks[b].values, params.blocks[b].values)
+    assert dev.rng.bit_generator.state == rng_copy.bit_generator.state
+
+
 def test_local_only_never_touches_server():
     sim = Simulation(quick_cfg(seed=2, algorithm="local"))
     before = {k: {b: p.values.copy() for b, p in mp.blocks.items()}
