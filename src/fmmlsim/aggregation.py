@@ -1,12 +1,19 @@
 """Learned per-device aggregation weights over uploaded parameter blocks.
 
 The server keeps one unconstrained K-by-K weight matrix per block. Row k is
-turned into aggregation weights for device k in two stages: a softmax over
-the devices that structurally own the block, then a renormalization over the
-devices whose upload actually arrived this round (masked entries become
-exactly zero). The raw matrices are trained by gradient descent through that
-transform; the loss gradient at the aggregated point is estimated from the
-parameter delta the device uploads one round later.
+turned into aggregation weights for device k by one softmax over the devices
+that both own the block and uploaded it this round; every other entry is
+exactly zero. This equals a softmax over the owners followed by a
+renormalization over the round's uploaders, but takes one pass per row and
+cannot lose the whole row to underflow. A block is aggregated for all its
+uploaders in one product, `rows[:, uploaders] @ U`, with `U` the stack of
+uploads. The raw matrices are trained by gradient descent through the
+softmax, using its closed-form vector-Jacobian product, O(K) per row; the
+loss gradient at the aggregated point is estimated from the parameter delta
+the device uploads one round later. `masked_renormalize` and
+`coeff_jacobian` spell out the two-stage transform and its full Jacobian;
+the round loop does not call them, and the tests check the one-stage path
+against them.
 """
 
 from __future__ import annotations
@@ -32,15 +39,18 @@ class CoefficientState:
 
 @dataclass
 class CacheEntry:
-    """Material retained from one aggregation for the next round's update."""
+    """One block's aggregation, retained for the next round's weight update.
 
-    weight_row: np.ndarray          # effective weights used, (K,)
-    jacobian: np.ndarray            # d(effective)/d(raw) for the row, (K, K)
-    uploads: dict[int, np.ndarray]  # contributing device -> flat block values
-    aggregated: np.ndarray          # the aggregated flat block values
+    Row i of `rows` and `aggregated` belongs to the device `uploaders[i]`.
+    """
+
+    uploaders: np.ndarray  # (n,) devices that uploaded the block, ascending
+    U: np.ndarray          # (n, P_b) their uploaded flat values, same order
+    rows: np.ndarray       # (n, K) effective weight rows used
+    aggregated: np.ndarray  # (n, P_b) rows[:, uploaders] @ U
 
 
-GradCache = dict[tuple[int, int], CacheEntry]  # (device, block) -> entry
+GradCache = dict[int, CacheEntry]  # block -> entry
 
 
 def block_owners(owned_sets: Sequence[Sequence[int]],
@@ -58,21 +68,22 @@ def init_coeffs(num_devices: int, block_ids: Sequence[int], lr: float) -> Coeffi
     return CoefficientState(raw=raw, lr=lr)
 
 
-def softmax_row(raw_row: np.ndarray, participants: np.ndarray) -> np.ndarray:
-    """Softmax restricted to participating devices; zero elsewhere.
+def softmax_row(raw_rows: np.ndarray, participants: np.ndarray) -> np.ndarray:
+    """Softmax of each row restricted to its participating devices; exactly zero elsewhere.
 
-    Max subtraction guards against overflow; the output sums to one over the
-    participants.
+    raw_rows is one (K,) row or an (n, K) stack; participants is a (K,) mask
+    shared by every row or one mask per row. Subtracting each row's largest
+    participating entry guards against overflow and leaves that entry at
+    exp(0) = 1, so no row can underflow to zero; each row sums to one over
+    its participants.
     """
-    raw_row = np.asarray(raw_row, dtype=np.float64)
-    p = np.asarray(participants, dtype=bool)
-    if not p.any():
+    raw = np.asarray(raw_rows, dtype=np.float64)
+    p = np.broadcast_to(np.asarray(participants, dtype=bool), raw.shape)
+    if not p.any(axis=-1).all():
         raise AggregationError("no participating devices in row")
-    out = np.zeros_like(raw_row)
-    z = raw_row[p]
-    e = np.exp(z - z.max())
-    out[p] = e / e.sum()
-    return out
+    z = np.where(p, raw, -np.inf)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def masked_renormalize(soft_row: np.ndarray, mask_row: np.ndarray) -> np.ndarray:
@@ -98,21 +109,28 @@ def build_round_mask(indicators: np.ndarray, participants: np.ndarray) -> np.nda
     return mask
 
 
-def aggregate(weight_row: np.ndarray, uploads: Mapping[int, ParamBlock]) -> ParamBlock:
-    """Convex combination of uploaded blocks with the given weights."""
-    weight_row = np.asarray(weight_row, dtype=np.float64)
-    contributing = [int(k) for k in np.flatnonzero(weight_row > 0.0)]
-    missing = [k for k in contributing if k not in uploads]
-    if missing:
-        raise AggregationError(f"positive weight but no upload from devices {missing}")
-    ref = uploads[contributing[0]]
-    total = np.zeros_like(ref.values)
-    for k in contributing:
+def aggregate(rows: np.ndarray, uploads: Mapping[int, ParamBlock]) -> CacheEntry:
+    """Convex combination of the uploaded blocks for every weight row at once.
+
+    rows is one (K,) weight row or an (n, K) stack. The uploads are stacked
+    in ascending device order into U, and row i of the result's `aggregated`
+    is rows[i, uploaders] @ U.
+    """
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    ks = sorted(uploads)
+    uploaders = np.array(ks, dtype=np.intp)
+    silent = np.ones(rows.shape[1], dtype=bool)
+    silent[uploaders] = False
+    missing = np.flatnonzero(silent & (rows > 0.0).any(axis=0))
+    if missing.size:
+        raise AggregationError(f"positive weight but no upload from devices {missing.tolist()}")
+    ref = uploads[ks[0]]
+    for k in ks:
         blk = uploads[k]
         if not blk.same_structure(ref) or blk.block_id != ref.block_id:
             raise AggregationError(f"upload from device {k} has mismatched structure")
-        total += weight_row[k] * blk.values
-    return ParamBlock(ref.block_id, total, ref.shapes)
+    U = np.stack([uploads[k].values for k in ks])
+    return CacheEntry(uploaders=uploaders, U=U, rows=rows, aggregated=rows[:, uploaders] @ U)
 
 
 def coeff_jacobian(raw_row: np.ndarray, mask_row: np.ndarray,
@@ -158,19 +176,21 @@ def estimate_block_gradient(w_prev: ParamBlock, w_new: ParamBlock, eta: float,
     return ParamBlock(w_prev.block_id, vals, w_prev.shapes)
 
 
-def coeff_grad(entry: CacheEntry, grad_block: ParamBlock) -> np.ndarray:
-    """Gradient of the device loss w.r.t. one raw weight row.
+def coeff_grad(entry: CacheEntry, i: int, grad_block: ParamBlock) -> np.ndarray:
+    """Gradient of device `entry.uploaders[i]`'s loss w.r.t. its raw weight row.
 
-    Chains the retained Jacobian with the inner products between each cached
-    upload and the estimated loss gradient at the aggregated block. Inner
-    products run in float64.
+    The loss sees the raw row only through the aggregated block
+    sum_k row_k U_k, so with inner_k = U_k . g (g the estimated loss
+    gradient at the aggregate, zero for devices that did not upload) the
+    chain rule through the masked softmax gives the closed-form
+    vector-Jacobian product row * (inner - row . inner). It equals
+    coeff_jacobian(...).T @ inner in O(K) instead of O(K^3).
     """
     g = grad_block.values if isinstance(grad_block, ParamBlock) else np.asarray(grad_block)
-    num_devices = entry.jacobian.shape[0]
-    inner = np.zeros(num_devices)
-    for k in sorted(entry.uploads):
-        inner[k] = float(np.dot(entry.uploads[k], g))
-    return entry.jacobian.T @ inner
+    row = entry.rows[i]
+    inner = np.zeros_like(row)
+    inner[entry.uploaders] = entry.U @ g
+    return row * (inner - row @ inner)
 
 
 def coeff_update(state: CoefficientState,
@@ -186,8 +206,10 @@ def coeff_update(state: CoefficientState,
 
 
 def effective_rows(state: CoefficientState, block: int, owners: np.ndarray) -> np.ndarray:
-    """Structural aggregation weights (full participation, no round mask)."""
+    """Structural aggregation weights (full participation, no round mask).
+
+    Owners' rows are softmaxes over the owners; other devices' rows are zero.
+    """
     out = np.zeros_like(state.raw[block])
-    for k in np.flatnonzero(owners):
-        out[k] = softmax_row(state.raw[block][k], owners)
+    out[owners] = softmax_row(state.raw[block][owners], owners)
     return out

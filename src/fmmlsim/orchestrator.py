@@ -264,18 +264,15 @@ class Simulation:
                 continue
             mask = agg.build_round_mask(indicators[b], self.owners[b])
             if cfg.algorithm == "proposed":
-                for k in sorted(uploads[b]):
-                    soft = agg.softmax_row(self.server.coeffs.raw[b][k], self.owners[b])
-                    row = agg.masked_renormalize(soft, mask[k])
-                    block = agg.aggregate(row, uploads[b])
-                    jac = agg.coeff_jacobian(self.server.coeffs.raw[b][k], mask[k], self.owners[b])
-                    new_cache[(k, b)] = agg.CacheEntry(
-                        weight_row=row, jacobian=jac,
-                        uploads={k2: uploads[b][k2].values
-                                 for k2 in sorted(uploads[b]) if mask[k][k2]},
-                        aggregated=block.values)
-                    rows_used.append((b, k, row, mask[k].astype(np.int8)))
-                    new_blocks[(k, b)] = block
+                # every uploader's row is a softmax over this round's uploading owners
+                ks = sorted(uploads[b])
+                rows = agg.softmax_row(self.server.coeffs.raw[b][ks], mask[ks])
+                entry = agg.aggregate(rows, uploads[b])
+                new_cache[b] = entry
+                shapes = uploads[b][ks[0]].shapes
+                for i, k in enumerate(ks):
+                    rows_used.append((b, k, entry.rows[i], mask[k].astype(np.int8)))
+                    new_blocks[(k, b)] = ParamBlock(b, entry.aggregated[i], shapes)
             else:
                 # plain unweighted mean over this round's uploaders
                 ks = sorted(uploads[b])
@@ -289,14 +286,15 @@ class Simulation:
         # aggregation-weight update from the previous round's retained material
         if cfg.algorithm == "proposed" and cfg.coeff_lr > 0.0:
             grads: dict[tuple[int, int], np.ndarray] = {}
-            for (k, b), entry in self.server.cache.items():
-                if not indicators[b][k]:
-                    continue  # no fresh upload, no delta to learn from
-                w_prev = ParamBlock(b, entry.aggregated, uploads[b][k].shapes)
-                est = agg.estimate_block_gradient(
-                    w_prev, uploads[b][k], cfg.lr, cfg.local_iters,
-                    mode=cfg.gradient_estimate)
-                grads[(k, b)] = agg.coeff_grad(entry, est)
+            for b, entry in self.server.cache.items():
+                for i, k in enumerate(entry.uploaders.tolist()):
+                    if not indicators[b][k]:
+                        continue  # no fresh upload, no delta to learn from
+                    w_prev = ParamBlock(b, entry.aggregated[i], uploads[b][k].shapes)
+                    est = agg.estimate_block_gradient(
+                        w_prev, uploads[b][k], cfg.lr, cfg.local_iters,
+                        mode=cfg.gradient_estimate)
+                    grads[(k, b)] = agg.coeff_grad(entry, i, est)
             if grads:
                 agg.coeff_update(self.server.coeffs, grads)
         if cfg.algorithm == "proposed":

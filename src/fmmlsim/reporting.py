@@ -53,20 +53,25 @@ def write_schedule_csv(path: str | Path, logs: Sequence[RoundLog],
 
 def write_coefficients_csv(path: str | Path, logs: Sequence[RoundLog],
                            owners: dict[int, np.ndarray]) -> None:
-    """Raw and structural (full-participation) weights per participant pair."""
+    """Raw and structural (full-participation) weights per participant pair.
+
+    Rows are formatted directly, in the bytes `csv.writer` would emit: no
+    field can need quoting, and every line ends in "\\r\\n".
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COEFFS_HEADER)
+        csv.writer(fh).writerow(COEFFS_HEADER)
         for log in logs:
             if log.coeff_snapshot is None:
                 continue
             for b in sorted(log.coeff_snapshot):
                 raw, eff = log.coeff_snapshot[b]
                 idx = np.flatnonzero(owners[b])
-                for k in idx:
-                    for kp in idx:
-                        writer.writerow([log.round, b, int(k), int(kp),
-                                         _fmt(raw[k, kp]), _fmt(eff[k, kp])])
+                cells = np.ix_(idx, idx)
+                ids, head = idx.tolist(), f"{log.round},{b},"
+                fh.writelines(f"{head}{k},{kp},{r!r},{e!r}\r\n"
+                              for k, raw_row, eff_row in zip(ids, raw[cells].tolist(),
+                                                             eff[cells].tolist())
+                              for kp, r, e in zip(ids, raw_row, eff_row))
 
 
 def write_gains_csv(path: str | Path, logs: Sequence[RoundLog], num_devices: int) -> None:

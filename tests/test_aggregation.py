@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fmmlsim import aggregation as agg
-from fmmlsim.aggregation import (CacheEntry, aggregate, block_owners,
+from fmmlsim.aggregation import (aggregate, block_owners,
                                  build_round_mask, coeff_grad, coeff_jacobian,
                                  coeff_update, effective_rows,
                                  estimate_block_gradient, init_coeffs,
@@ -86,6 +89,53 @@ def test_softmax_nonparticipants_zero_and_sum_one():
     assert out.sum() == pytest.approx(1.0)
 
 
+def test_softmax_no_underflow_when_uploaders_sit_far_below_a_non_uploader():
+    # the owner softmax puts exp(-1e6) = 0 on every uploader, so softmax over
+    # owners then renormalization over uploaders loses the whole row; the
+    # one-stage softmax over the uploaders does not
+    raw = np.array([0.0, -1e6, -1e6, -1e6])
+    uploaders = np.array([False, True, False, True])
+    with pytest.raises(AggregationError):
+        masked_renormalize(softmax_row(raw, all_true(4)), uploaders)
+    out = softmax_row(raw, uploaders)
+    assert np.isfinite(out).all()
+    np.testing.assert_array_equal(out, [0.0, 0.5, 0.0, 0.5])
+
+
+def test_batched_softmax_matches_owner_softmax_then_mask_renormalization():
+    rng = np.random.default_rng(9)
+    worst = 0.0
+    for _ in range(50):
+        n_rows, k = int(rng.integers(1, 10)), int(rng.integers(1, 96))
+        raw = rng.normal(scale=3.0, size=(n_rows, k))
+        owners = rng.uniform(size=k) < 0.7
+        owners[int(rng.integers(k))] = True
+        masks = (rng.uniform(size=(n_rows, k)) < 0.6) & owners
+        for i in range(n_rows):
+            masks[i, rng.choice(np.flatnonzero(owners))] = True
+        batched = softmax_row(raw, masks)
+        for i in range(n_rows):
+            ref = masked_renormalize(softmax_row(raw[i], owners), masks[i])
+            assert (batched[i][ref == 0.0] == 0.0).all()
+            worst = max(worst, np.abs(batched[i] - ref).max())
+    assert worst <= 1e-15
+
+
+def test_batched_softmax_rows_equal_single_row_calls():
+    rng = np.random.default_rng(10)
+    raw = rng.normal(scale=3.0, size=(7, 40))
+    owners = rng.uniform(size=40) < 0.5
+    batched = softmax_row(raw, owners)
+    for i in range(7):
+        np.testing.assert_array_equal(batched[i], softmax_row(raw[i], owners))
+
+
+def test_softmax_row_rejects_a_row_without_participants():
+    masks = np.array([[True, False], [False, False]])
+    with pytest.raises(AggregationError):
+        softmax_row(np.zeros((2, 2)), masks)
+
+
 # ----------------------------- masking -----------------------------
 
 def test_masked_renormalize_hand_value():
@@ -115,10 +165,19 @@ def test_round_mask_structure():
 
 # ----------------------------- aggregate -----------------------------
 
+def aggregate_loop(weight_row, uploads):
+    """Reference: one weight row at a time, accumulated in ascending device order."""
+    total = None
+    for k in np.flatnonzero(weight_row > 0.0):
+        term = weight_row[k] * uploads[int(k)].values
+        total = term if total is None else total + term
+    return total
+
+
 def test_aggregate_one_hot_returns_own_upload():
     uploads = {0: vec_block([1.0, 2.0]), 1: vec_block([5.0, -5.0])}
     out = aggregate(np.array([0.0, 1.0]), uploads)
-    np.testing.assert_array_equal(out.values, [5.0, -5.0])
+    np.testing.assert_array_equal(out.aggregated[0], [5.0, -5.0])
 
 
 def test_aggregate_uniform_equals_mean():
@@ -126,18 +185,46 @@ def test_aggregate_uniform_equals_mean():
     uploads = {k: vec_block(rng.normal(size=4)) for k in range(5)}
     out = aggregate(np.full(5, 0.2), uploads)
     expected = np.mean([uploads[k].values for k in range(5)], axis=0)
-    np.testing.assert_allclose(out.values, expected, atol=1e-12)
+    np.testing.assert_allclose(out.aggregated[0], expected, atol=1e-12)
 
 
 def test_aggregate_hand_value():
     uploads = {0: vec_block([1.0, 1.0]), 1: vec_block([3.0, -1.0])}
     out = aggregate(np.array([0.625, 0.375]), uploads)
-    np.testing.assert_allclose(out.values, [1.75, 0.25], atol=1e-12)
+    np.testing.assert_allclose(out.aggregated[0], [1.75, 0.25], atol=1e-12)
+
+
+def test_aggregate_keeps_the_stack_of_uploads_in_device_order():
+    uploads = {3: vec_block([3.0, 3.5]), 1: vec_block([1.0, 1.5])}
+    out = aggregate(np.array([[0.0, 0.25, 0.0, 0.75], [0.0, 1.0, 0.0, 0.0]]), uploads)
+    np.testing.assert_array_equal(out.uploaders, [1, 3])
+    np.testing.assert_array_equal(out.U, [[1.0, 1.5], [3.0, 3.5]])
+    np.testing.assert_allclose(out.aggregated, [[2.5, 3.0], [1.0, 1.5]], atol=1e-15)
+
+
+def test_batched_aggregate_matches_the_per_row_loop():
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for _ in range(30):
+        k, p = int(rng.integers(2, 96)), int(rng.integers(1, 300))
+        active = rng.uniform(size=k) < 0.4
+        active[int(rng.integers(k))] = True
+        uploads = {int(j): vec_block(rng.normal(size=p)) for j in np.flatnonzero(active)}
+        ks = sorted(uploads)
+        rows = softmax_row(rng.normal(scale=2.0, size=(len(ks), k)), active)
+        out = aggregate(rows, uploads)
+        for i in range(len(ks)):
+            ref = aggregate_loop(rows[i], uploads)
+            worst = max(worst, np.abs(out.aggregated[i] - ref).max() / np.abs(ref).max())
+    assert worst <= 1e-14
 
 
 def test_aggregate_missing_upload_raises():
     with pytest.raises(AggregationError):
         aggregate(np.array([0.5, 0.5]), {0: vec_block([1.0, 2.0])})
+    rows = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5]])
+    with pytest.raises(AggregationError, match=r"devices \[2\]"):
+        aggregate(rows, {0: vec_block([1.0]), 1: vec_block([2.0])})
 
 
 def test_aggregate_structure_mismatch_raises():
@@ -244,19 +331,16 @@ def test_estimate_structure_mismatch_raises():
 # ----------------------------- weight-row gradient -----------------------------
 
 def entry_for(raw_row, mask_row, participants, uploads):
-    soft = softmax_row(raw_row, participants)
-    row = masked_renormalize(soft, mask_row)
-    agg_vals = sum(row[k] * v for k, v in uploads.items())
-    return CacheEntry(
-        weight_row=row,
-        jacobian=coeff_jacobian(raw_row, mask_row, participants),
-        uploads=uploads, aggregated=agg_vals)
+    """One device's cached aggregation: its row is the softmax over participants and mask."""
+    allowed = np.asarray(participants, dtype=bool) & (np.asarray(mask_row) > 0)
+    return aggregate(softmax_row(raw_row, allowed),
+                     {k: vec_block(v) for k, v in uploads.items()})
 
 
 def test_coeff_grad_zero_gradient():
     entry = entry_for(np.zeros(2), np.ones(2), all_true(2),
                       {0: np.array([1.0]), 1: np.array([2.0])})
-    np.testing.assert_array_equal(coeff_grad(entry, vec_block([0.0])), np.zeros(2))
+    np.testing.assert_array_equal(coeff_grad(entry, 0, vec_block([0.0])), np.zeros(2))
 
 
 def test_coeff_grad_scalar_hand_value():
@@ -266,7 +350,7 @@ def test_coeff_grad_scalar_hand_value():
     entry = entry_for(np.zeros(2), np.ones(2), all_true(2),
                       {0: np.array([0.0]), 1: np.array([2.0])})
     g = 0.7
-    row = coeff_grad(entry, vec_block([g]))
+    row = coeff_grad(entry, 0, vec_block([g]))
     # jacobian [[.25,-.25],[-.25,.25]], inner products [0, 2g]
     np.testing.assert_allclose(row, [-0.5 * g, 0.5 * g], atol=1e-12)
 
@@ -276,9 +360,48 @@ def test_coeff_grad_equal_inner_products_sum_zero():
     upload = rng.normal(size=4)
     entry = entry_for(rng.normal(size=3), np.ones(3), all_true(3),
                       {k: upload.copy() for k in range(3)})
-    row = coeff_grad(entry, vec_block(rng.normal(size=4)))
+    row = coeff_grad(entry, 0, vec_block(rng.normal(size=4)))
     assert abs(row.sum()) < 1e-12
     assert np.abs(row).max() < 1e-12  # equal inner products cancel entirely
+
+
+def test_coeff_grad_matches_the_full_jacobian_product():
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    for k in (2, 3, 5, 9, 17, 30, 64, 90, 95):
+        for _ in range(6):
+            raw = rng.normal(scale=2.0, size=k)
+            parts = rng.uniform(size=k) < 0.8
+            parts[int(rng.integers(k))] = True
+            mask = (rng.uniform(size=k) < 0.6).astype(int)
+            mask[rng.choice(np.flatnonzero(parts))] = 1
+            # uploads from every allowed device and from some masked-out or non-owning ones
+            senders = np.flatnonzero((mask > 0) & parts | (rng.uniform(size=k) < 0.3))
+            p = int(rng.integers(1, 50))
+            uploads = {int(j): rng.normal(size=p) for j in senders}
+            g = rng.normal(size=p)
+            inner = np.zeros(k)
+            for j, v in uploads.items():
+                inner[j] = float(np.dot(v, g))
+            ref = coeff_jacobian(raw, mask, parts).T @ inner
+            got = coeff_grad(entry_for(raw, mask, parts, uploads), 0, vec_block(g))
+            assert (got[(mask == 0) | ~parts] == 0.0).all()
+            scale = np.abs(ref).max()
+            if scale == 0.0:  # a single allowed device: the row cannot move
+                assert (got == 0.0).all()
+            else:
+                worst = max(worst, np.abs(got - ref).max() / scale)
+    assert worst <= 1e-10
+
+
+def test_coeff_grad_picks_the_entry_row():
+    uploads = {0: vec_block([0.0]), 1: vec_block([2.0])}
+    rows = np.array([[0.5, 0.5], [0.25, 0.75]])
+    entry = aggregate(rows, uploads)
+    for i in range(2):
+        single = aggregate(rows[i], uploads)
+        np.testing.assert_array_equal(coeff_grad(entry, i, vec_block([0.7])),
+                                      coeff_grad(single, 0, vec_block([0.7])))
 
 
 # ----------------------------- updates -----------------------------
@@ -326,6 +449,29 @@ def test_rows_are_stochastic_and_masked_exactly():
         assert (weights[~participants] == 0.0).all()
 
 
+@st.composite
+def raw_rows_and_masks(draw):
+    n_rows = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 12))
+    raw = draw(hnp.arrays(np.float64, (n_rows, k),
+                          elements=st.floats(-1e6, 1e6, allow_nan=False)))
+    allowed = draw(hnp.arrays(np.bool_, (n_rows, k)))
+    keep = draw(st.lists(st.integers(0, k - 1), min_size=n_rows, max_size=n_rows))
+    allowed[np.arange(n_rows), keep] = True  # every row has someone to weight
+    return raw, allowed
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_rows_and_masks())
+def test_rows_lie_on_the_simplex_with_exact_zeros_outside_the_allowed_set(case):
+    raw, allowed = case
+    rows = softmax_row(raw, allowed)
+    assert np.isfinite(rows).all()
+    assert (rows >= 0.0).all()
+    assert (rows[~allowed] == 0.0).all()
+    assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-12
+
+
 def test_fedavg_reduction_uniform_weights():
     rng = np.random.default_rng(8)
     n = 7
@@ -336,7 +482,7 @@ def test_fedavg_reduction_uniform_weights():
     row = masked_renormalize(softmax_row(state.raw[1][0], owners), mask[0])
     out = aggregate(row, uploads)
     expected = np.mean([uploads[k].values for k in range(n)], axis=0)
-    assert np.abs(out.values - expected).max() < 1e-9
+    assert np.abs(out.aggregated[0] - expected).max() < 1e-9
 
 
 def test_self_weight_rises_when_own_upload_helps():
@@ -347,7 +493,7 @@ def test_self_weight_rises_when_own_upload_helps():
     uploads = {0: np.array([0.0]), 1: np.array([2.0])}
     entry = entry_for(state.raw[1][0], np.ones(2), all_true(2), uploads)
     grad_at_aggregate = vec_block([1.0])  # d loss / d w > 0 at w=1, minimum at 0
-    row = coeff_grad(entry, grad_at_aggregate)
+    row = coeff_grad(entry, 0, grad_at_aggregate)
     before = state.raw[1][0].copy()
     coeff_update(state, {(0, 1): row})
     after = state.raw[1][0]

@@ -1,15 +1,19 @@
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fmmlsim import recipe_suite
+from fmmlsim import desk_config, recipe_suite
 from fmmlsim.cli import main
 from fmmlsim.config import (config_from_dict, config_to_dict, load_config,
                             validate_config)
 from fmmlsim.errors import ConfigError
 from fmmlsim.recipes import RECIPE_NAMES
-from fmmlsim.reporting import COEFFS_HEADER, ROUNDS_HEADER, SCHEDULE_HEADER
+from fmmlsim.orchestrator import Simulation
+from fmmlsim.reporting import (COEFFS_HEADER, ROUNDS_HEADER, SCHEDULE_HEADER,
+                               write_coefficients_csv)
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -187,6 +191,34 @@ def test_csv_headers_are_stable(tmp_path):
         "round,block,k,k_prime,raw,effective"
     assert ROUNDS_HEADER[0] == "round" and SCHEDULE_HEADER[1] == "block"
     assert COEFFS_HEADER[-1] == "effective"
+
+
+def coefficients_csv_reference(path, logs, owners):
+    """The coefficient writer as one `csv.writer` row per participant pair."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(COEFFS_HEADER)
+        for log in logs:
+            if log.coeff_snapshot is None:
+                continue
+            for b in sorted(log.coeff_snapshot):
+                raw, eff = log.coeff_snapshot[b]
+                idx = np.flatnonzero(owners[b])
+                for k in idx:
+                    for kp in idx:
+                        writer.writerow([log.round, b, int(k), int(kp),
+                                         repr(float(raw[k, kp])), repr(float(eff[k, kp]))])
+
+
+def test_coefficients_csv_bytes_match_the_csv_writer_reference(tmp_path):
+    sim = Simulation(desk_config(seed=2, rounds=3, local_iters=2, record_coefficients=True))
+    result = sim.run()
+    assert any(not owners.all() for owners in sim.owners.values())
+    write_coefficients_csv(tmp_path / "fast.csv", result.logs, sim.owners)
+    coefficients_csv_reference(tmp_path / "ref.csv", result.logs, sim.owners)
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "ref.csv").read_bytes()
+    assert fast.count(b"\r\n") == 1 + 3 * sum(int(o.sum()) ** 2 for o in sim.owners.values())
 
 
 def test_recipe_suites_validate_and_count():

@@ -225,6 +225,19 @@ def test_random_baseline_scheduler_runs_and_differs():
                     assert blk in owned or blk == res.config.num_modalities + 1
 
 
+def test_huge_step_size_keeps_every_weight_row_finite():
+    # raw weights reach about 6e5 in magnitude; a softmax over the owners
+    # followed by renormalization over the uploaders underflowed to an
+    # all-zero row at round 4
+    sim = Simulation(desk_config(0, lr=1e6, rounds=6))
+    logs = [sim.step() for _ in range(6)]
+    assert max(np.abs(r).max() for r in sim.server.coeffs.raw.values()) > 1e5
+    for log in logs:
+        for _, _, row, mask in log.weight_rows_used:
+            assert np.isfinite(row).all() and abs(row.sum() - 1.0) < 1e-12
+            assert (row[mask == 0] == 0.0).all()
+
+
 def test_round_log_carries_channel_gains():
     sim = Simulation(quick_cfg(seed=15))
     log = sim.step()
