@@ -7,10 +7,11 @@ exactly zero. This equals a softmax over the owners followed by a
 renormalization over the round's uploaders, but takes one pass per row and
 cannot lose the whole row to underflow. A block is aggregated for all its
 uploaders in one product, `rows[:, uploaders] @ U`, with `U` the stack of
-uploads. The raw matrices are trained by gradient descent through the
-softmax, using its closed-form vector-Jacobian product, O(K) per row; the
-loss gradient at the aggregated point is estimated from the parameter delta
-the device uploads one round later. `masked_renormalize` and
+uploaded flat block vectors; uploads, aggregates and gradient estimates are
+plain float64 arrays. The raw matrices are trained by gradient descent
+through the softmax, using its closed-form vector-Jacobian product, O(K) per
+row; the loss gradient at the aggregated point is estimated from the
+parameter delta the device uploads one round later. `masked_renormalize` and
 `coeff_jacobian` spell out the two-stage transform and its full Jacobian;
 the round loop does not call them, and the tests check the one-stage path
 against them.
@@ -24,7 +25,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import AggregationError, ShapeMismatchError
-from .nn_core import ParamBlock
 
 GRADIENT_ESTIMATES = ("descent_normalized", "raw_delta")
 
@@ -109,12 +109,12 @@ def build_round_mask(indicators: np.ndarray, participants: np.ndarray) -> np.nda
     return mask
 
 
-def aggregate(rows: np.ndarray, uploads: Mapping[int, ParamBlock]) -> CacheEntry:
+def aggregate(rows: np.ndarray, uploads: Mapping[int, np.ndarray]) -> CacheEntry:
     """Convex combination of the uploaded blocks for every weight row at once.
 
-    rows is one (K,) weight row or an (n, K) stack. The uploads are stacked
-    in ascending device order into U, and row i of the result's `aggregated`
-    is rows[i, uploaders] @ U.
+    rows is one (K,) weight row or an (n, K) stack; uploads maps a device to
+    its flat block vector. The uploads are copied, in ascending device order,
+    into U, and row i of the result's `aggregated` is rows[i, uploaders] @ U.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     ks = sorted(uploads)
@@ -124,12 +124,11 @@ def aggregate(rows: np.ndarray, uploads: Mapping[int, ParamBlock]) -> CacheEntry
     missing = np.flatnonzero(silent & (rows > 0.0).any(axis=0))
     if missing.size:
         raise AggregationError(f"positive weight but no upload from devices {missing.tolist()}")
-    ref = uploads[ks[0]]
+    ref = np.shape(uploads[ks[0]])
     for k in ks:
-        blk = uploads[k]
-        if not blk.same_structure(ref) or blk.block_id != ref.block_id:
-            raise AggregationError(f"upload from device {k} has mismatched structure")
-    U = np.stack([uploads[k].values for k in ks])
+        if np.shape(uploads[k]) != ref:
+            raise AggregationError(f"upload from device {k} has mismatched length")
+    U = np.stack([uploads[k] for k in ks])
     return CacheEntry(uploaders=uploaders, U=U, rows=rows, aggregated=rows[:, uploaders] @ U)
 
 
@@ -153,8 +152,8 @@ def coeff_jacobian(raw_row: np.ndarray, mask_row: np.ndarray,
     return j_renorm @ j_soft
 
 
-def estimate_block_gradient(w_prev: ParamBlock, w_new: ParamBlock, eta: float,
-                            num_iters: int, mode: str = "descent_normalized") -> ParamBlock:
+def estimate_block_gradient(w_prev: np.ndarray, w_new: np.ndarray, eta: float,
+                            num_iters: int, mode: str = "descent_normalized") -> np.ndarray:
     """Loss-gradient proxy at the previously aggregated block.
 
     A device that starts from w_prev and runs num_iters steps of step size
@@ -165,18 +164,16 @@ def estimate_block_gradient(w_prev: ParamBlock, w_new: ParamBlock, eta: float,
     """
     if mode not in GRADIENT_ESTIMATES:
         raise ValueError(f"unknown gradient estimate mode {mode!r}")
-    if not w_prev.same_structure(w_new):
-        raise ShapeMismatchError("block structures differ")
+    if np.shape(w_prev) != np.shape(w_new):
+        raise ShapeMismatchError("block lengths differ")
     if eta * num_iters <= 0:
         raise ValueError("eta * num_iters must be positive")
     if mode == "raw_delta":
-        vals = w_new.values - w_prev.values
-    else:
-        vals = (w_prev.values - w_new.values) / (eta * num_iters)
-    return ParamBlock(w_prev.block_id, vals, w_prev.shapes)
+        return w_new - w_prev
+    return (w_prev - w_new) / (eta * num_iters)
 
 
-def coeff_grad(entry: CacheEntry, i: int, grad_block: ParamBlock) -> np.ndarray:
+def coeff_grad(entry: CacheEntry, i: int, grad_block: np.ndarray) -> np.ndarray:
     """Gradient of device `entry.uploaders[i]`'s loss w.r.t. its raw weight row.
 
     The loss sees the raw row only through the aggregated block
@@ -186,10 +183,9 @@ def coeff_grad(entry: CacheEntry, i: int, grad_block: ParamBlock) -> np.ndarray:
     vector-Jacobian product row * (inner - row . inner). It equals
     coeff_jacobian(...).T @ inner in O(K) instead of O(K^3).
     """
-    g = grad_block.values if isinstance(grad_block, ParamBlock) else np.asarray(grad_block)
     row = entry.rows[i]
     inner = np.zeros_like(row)
-    inner[entry.uploaders] = entry.U @ g
+    inner[entry.uploaders] = entry.U @ grad_block
     return row * (inner - row @ inner)
 
 

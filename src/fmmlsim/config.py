@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Any
 
 from .aggregation import GRADIENT_ESTIMATES
-from .datagen import PartitionScheme
+from .datagen import PartitionScheme, assign_modalities
 from .errors import ConfigError
 from .scheduler import METRIC_KINDS
 
@@ -205,11 +205,10 @@ def validate_config(cfg: RunConfig) -> None:
     _require(cfg.compute.flops_per_cycle > 0, "compute.flops_per_cycle: must be positive")
     _require(cfg.compute.heterogeneity >= 1.0, "compute.heterogeneity: must be >= 1")
     if cfg.modality_profile is not None:
-        total = sum(c for c, _ in cfg.modality_profile)
-        _require(total == cfg.num_devices,
-                 f"modality_profile: group sizes sum to {total}, expected {cfg.num_devices}")
-        _require(all(1 <= s <= cfg.num_modalities for _, s in cfg.modality_profile),
-                 "modality_profile: modality counts must lie in 1..num_modalities")
+        try:
+            assign_modalities(cfg.num_devices, cfg.num_modalities, cfg.modality_profile)
+        except ConfigError as exc:
+            raise ConfigError(f"modality_profile: {exc}") from None
 
 
 def config_to_dict(cfg: RunConfig) -> dict[str, Any]:

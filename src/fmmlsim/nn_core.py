@@ -3,7 +3,9 @@
 Each device trains one encoder per modality it owns plus a classifier head
 shared by every device. Parameters live in flat per-block vectors (one block
 per modality encoder, one block for the head) so that blocks can be shipped,
-averaged and diffed without caring about layer layout. The classifier always
+averaged and diffed without caring about layer layout. A `ParamBlock` checks
+its vector once, when it is built; gradients are plain flat arrays keyed by
+block, and `sgd_step` updates the block vectors in place. The classifier always
 consumes a fixed-width concatenation of all modality feature slots; slots for
 modalities a device does not own stay zero, which keeps the head block
 structurally identical across devices.
@@ -138,9 +140,6 @@ class ParamBlock:
         """
         return _layer_views(self.values, self.shapes)
 
-    def same_structure(self, other: "ParamBlock") -> bool:
-        return self.shapes == other.shapes and self.param_count == other.param_count
-
 
 @dataclass
 class MultiModalParams:
@@ -162,18 +161,13 @@ class MultiModalParams:
     def head_id(self) -> int:
         return max(self.blocks)
 
-    def copy(self) -> "MultiModalParams":
-        return MultiModalParams(
-            {b: ParamBlock(p.block_id, p.values.copy(), p.shapes) for b, p in self.blocks.items()},
-            self.owned)
-
 
 def init_full_params(arch: ArchSpec, rng: np.random.Generator) -> dict[int, ParamBlock]:
     """One shared random init covering every block id (1..M+1).
 
-    Weights are drawn N(0, 1/fan_in); biases start at zero. Devices and the
-    server slice their copies out of this single draw so that block m is
-    identical everywhere at round zero.
+    Weights are drawn N(0, 1/fan_in); biases start at zero. Devices slice
+    their copies out of this single draw so that block m is identical
+    everywhere at round zero.
     """
     blocks = {}
     for block_id in range(1, arch.shared_block_id + 1):
@@ -249,11 +243,12 @@ def forward_batch(arch: ArchSpec, params: MultiModalParams,
 
 def loss_and_grad(arch: ArchSpec, params: MultiModalParams,
                   features: Mapping[int, np.ndarray],
-                  labels: np.ndarray) -> tuple[float, MultiModalParams]:
+                  labels: np.ndarray) -> tuple[float, dict[int, np.ndarray]]:
     """Mean softmax cross-entropy over the batch and its exact gradient.
 
     The log-sum-exp is computed with max subtraction, so large scores do not
-    overflow. The gradient has exactly the block structure of params.
+    overflow. The gradient maps each block of params to one flat array laid
+    out like that block's values.
     """
     labels = np.asarray(labels)
     if labels.size == 0:
@@ -287,7 +282,7 @@ def loss_and_grad(arch: ArchSpec, params: MultiModalParams,
         d = d @ layers[i][0]
 
     f = arch.feature_len
-    gblocks = {head_id: ParamBlock(head_id, head_grad, head_shapes)}
+    grads = {head_id: head_grad}
     for m in params.owned:
         block = params.blocks[m]
         _, _, w2, _ = block.arrays()
@@ -300,23 +295,27 @@ def loss_and_grad(arch: ArchSpec, params: MultiModalParams,
         dpre = (dfeat @ w2) * (1.0 - h * h)
         np.matmul(dpre.T, x, out=gw1)
         dpre.sum(axis=0, out=gb1)
-        gblocks[m] = ParamBlock(m, enc_grad, block.shapes)
-    return loss, MultiModalParams(gblocks, params.owned)
+        grads[m] = enc_grad
+    return loss, grads
 
 
-def sgd_step(params: MultiModalParams, grad: MultiModalParams, eta: float) -> MultiModalParams:
-    """One plain gradient step; block structure is preserved exactly."""
+def sgd_step(params: MultiModalParams, grad: Mapping[int, np.ndarray], eta: float) -> None:
+    """One plain gradient step, in place: each block's values -= eta * grad[block].
+
+    Every block's gradient length is checked before any value changes; a step
+    that leaves a block non-finite raises NumericOverflowError.
+    """
     if eta <= 0:
         raise ValueError("learning rate must be positive")
-    if set(params.blocks) != set(grad.blocks):
+    if set(params.blocks) != set(grad):
         raise ShapeMismatchError("gradient blocks do not match parameter blocks")
-    new_blocks = {}
     for b, p in params.blocks.items():
-        g = grad.blocks[b]
-        if not p.same_structure(g):
+        if np.shape(grad[b]) != p.values.shape:
             raise ShapeMismatchError(f"block {b}: gradient structure differs")
-        new_blocks[b] = ParamBlock(b, p.values - eta * g.values, p.shapes)
-    return MultiModalParams(new_blocks, params.owned)
+    for b, p in params.blocks.items():
+        p.values -= eta * grad[b]
+        if not np.isfinite(p.values).all():
+            raise NumericOverflowError(f"block {b} holds non-finite values")
 
 
 def param_size_bits(block: ParamBlock) -> int:

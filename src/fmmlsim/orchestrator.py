@@ -1,11 +1,15 @@
 """Round loop: local updates, scheduling, aggregation, weight learning, timing.
 
 One round runs, in order: channel realization, local SGD on every device,
-download/compute latency accounting, per-block upload scheduling, uploads,
-weighted aggregation into per-device server-side models, aggregation-weight
-updates from the previous round's retained material, cache refresh, and
-downloads back to the scheduled devices. Rounds are synchronous: the round
-wall time is the slowest device's download + compute + upload.
+download/compute latency accounting, per-block upload scheduling, weighted
+aggregation of each block over its uploaders, aggregation-weight updates
+from the previous round's retained material, cache refresh, and downloads
+back to the scheduled devices. Each device's parameter blocks are the only
+copy of its model: SGD updates them in place, an upload reads them, and a
+download overwrites them with the device's aggregate. The server keeps the
+aggregation weights and the last round's aggregation, not the models.
+Rounds are synchronous: the round wall time is the slowest device's
+download + compute + upload.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from . import aggregation as agg
 from . import datagen, nn_core, scheduler, wireless
 from .config import RunConfig, config_to_dict
 from .errors import FmmlError
-from .nn_core import ArchSpec, MultiModalParams, ParamBlock
+from .nn_core import ArchSpec, MultiModalParams
 
 
 @dataclass
@@ -32,7 +36,6 @@ class DeviceState:
 
 @dataclass
 class ServerState:
-    personalized: dict[int, MultiModalParams]
     coeffs: agg.CoefficientState | None
     cache: agg.GradCache
     schedule: scheduler.ScheduleState
@@ -68,13 +71,12 @@ class RunResult:
 
 def local_update_phase(arch: ArchSpec, device: DeviceState, lr: float,
                        local_iters: int, batch_size: int,
-                       prox_mu: float = 0.0,
-                       anchor: MultiModalParams | None = None) -> tuple[MultiModalParams, float]:
-    """Run the device's local SGD steps for one round.
+                       prox_mu: float = 0.0) -> float:
+    """Run the device's local SGD steps for one round, in place on device.params.
 
     Batches cycle through a fresh shuffle of the train split. With a positive
     prox_mu the gradient gains mu * (w - anchor), pulling the iterates back
-    toward the round-start parameters.
+    toward the round-start parameters (the anchor). Returns the mean loss.
     """
     train = device.dataset.train
     n = len(train)
@@ -84,19 +86,18 @@ def local_update_phase(arch: ArchSpec, device: DeviceState, lr: float,
     round_feats = {m: train.features[m][idx] for m in device.dataset.owned}
     round_labels = train.labels[idx]
     params = device.params
+    anchor = {b: p.values.copy() for b, p in params.blocks.items()} if prox_mu > 0.0 else None
     losses = []
     for i in range(local_iters):
         rows = slice(i * batch_size, (i + 1) * batch_size)
         feats = {m: x[rows] for m, x in round_feats.items()}
         loss, grad = nn_core.loss_and_grad(arch, params, feats, round_labels[rows])
-        if prox_mu > 0.0 and anchor is not None:
-            blocks = {b: ParamBlock(
-                b, grad.blocks[b].values + prox_mu * (params.blocks[b].values - anchor.blocks[b].values),
-                grad.blocks[b].shapes) for b in grad.blocks}
-            grad = MultiModalParams(blocks, grad.owned)
-        params = nn_core.sgd_step(params, grad, lr)
+        if anchor is not None:
+            for b, g in grad.items():
+                g += prox_mu * (params.blocks[b].values - anchor[b])
+        nn_core.sgd_step(params, grad, lr)
         losses.append(loss)
-    return params, float(np.mean(losses))
+    return float(np.mean(losses))
 
 
 def evaluate_personalized(arch: ArchSpec, devices: Sequence[DeviceState]) -> tuple[np.ndarray, float]:
@@ -183,8 +184,6 @@ class Simulation:
         if cfg.algorithm == "proposed":
             coeffs = agg.init_coeffs(cfg.num_devices, self.block_ids, cfg.coeff_lr)
         self.server = ServerState(
-            personalized={k: nn_core.slice_device_params(full, owned_sets[k], shared)
-                          for k in range(cfg.num_devices)},
             coeffs=coeffs,
             cache={},
             schedule=scheduler.new_schedule_state(cfg.num_devices, self.block_ids))
@@ -216,10 +215,8 @@ class Simulation:
         mu = cfg.fedprox_mu if cfg.algorithm == "fedprox" else 0.0
         train_loss = np.zeros(K)
         for dev in self.devices:
-            anchor = dev.params if cfg.algorithm == "fedprox" else None
-            dev.params, train_loss[dev.device_id] = local_update_phase(
-                self.arch, dev, cfg.lr, cfg.local_iters, cfg.batch_size,
-                prox_mu=mu, anchor=anchor)
+            train_loss[dev.device_id] = local_update_phase(
+                self.arch, dev, cfg.lr, cfg.local_iters, cfg.batch_size, prox_mu=mu)
 
         # latency inputs for this round
         down_rates = np.array([wireless.link_rate(
@@ -249,61 +246,53 @@ class Simulation:
                 self.owners, self.metric, self.server.schedule.staleness, self.quota,
                 cfg.staleness_threshold, selection=selection, rng=self.rng_sched)
 
-        # uploads of scheduled blocks (post-local-update values)
-        uploads: dict[int, dict[int, ParamBlock]] = {}
-        for b in self.block_ids:
-            uploads[b] = {int(k): self.devices[int(k)].params.blocks[b]
-                          for k in np.flatnonzero(indicators[b])}
-
-        # aggregation into per-device server models
-        new_blocks: dict[tuple[int, int], ParamBlock] = {}
+        # aggregation: each block over this round's uploads, read from the
+        # uploaders' post-local-update blocks
+        merged: dict[int, tuple[list[int], Sequence[np.ndarray]]] = {}
         new_cache: agg.GradCache = {}
         rows_used: list[tuple[int, int, np.ndarray, np.ndarray]] = []
         for b in self.block_ids:
-            if not uploads[b]:
+            ks = np.flatnonzero(indicators[b]).tolist()
+            if not ks:
                 continue
             mask = agg.build_round_mask(indicators[b], self.owners[b])
+            uploads = {k: self.devices[k].params.blocks[b].values for k in ks}
             if cfg.algorithm == "proposed":
                 # every uploader's row is a softmax over this round's uploading owners
-                ks = sorted(uploads[b])
                 rows = agg.softmax_row(self.server.coeffs.raw[b][ks], mask[ks])
-                entry = agg.aggregate(rows, uploads[b])
+                entry = agg.aggregate(rows, uploads)
                 new_cache[b] = entry
-                shapes = uploads[b][ks[0]].shapes
                 for i, k in enumerate(ks):
                     rows_used.append((b, k, entry.rows[i], mask[k].astype(np.int8)))
-                    new_blocks[(k, b)] = ParamBlock(b, entry.aggregated[i], shapes)
+                merged[b] = (ks, entry.aggregated)
             else:
                 # plain unweighted mean over this round's uploaders
-                ks = sorted(uploads[b])
-                total = np.zeros_like(uploads[b][ks[0]].values)
-                for k2 in ks:
-                    total += uploads[b][k2].values
-                mean_block = ParamBlock(b, total / len(ks), uploads[b][ks[0]].shapes)
+                total = np.zeros_like(uploads[ks[0]])
                 for k in ks:
-                    new_blocks[(k, b)] = mean_block
+                    total += uploads[k]
+                merged[b] = (ks, [total / len(ks)] * len(ks))
 
-        # aggregation-weight update from the previous round's retained material
+        # aggregation-weight update from the previous round's retained material;
+        # a device's block still holds this round's fresh upload
         if cfg.algorithm == "proposed" and cfg.coeff_lr > 0.0:
             grads: dict[tuple[int, int], np.ndarray] = {}
             for b, entry in self.server.cache.items():
                 for i, k in enumerate(entry.uploaders.tolist()):
                     if not indicators[b][k]:
                         continue  # no fresh upload, no delta to learn from
-                    w_prev = ParamBlock(b, entry.aggregated[i], uploads[b][k].shapes)
                     est = agg.estimate_block_gradient(
-                        w_prev, uploads[b][k], cfg.lr, cfg.local_iters,
-                        mode=cfg.gradient_estimate)
+                        entry.aggregated[i], self.devices[k].params.blocks[b].values,
+                        cfg.lr, cfg.local_iters, mode=cfg.gradient_estimate)
                     grads[(k, b)] = agg.coeff_grad(entry, i, est)
             if grads:
                 agg.coeff_update(self.server.coeffs, grads)
         if cfg.algorithm == "proposed":
             self.server.cache = new_cache
 
-        # install aggregated blocks and push them back to scheduled devices
-        for (k, b), block in new_blocks.items():
-            self.server.personalized[k].blocks[b] = block
-            self.devices[k].params.blocks[b] = ParamBlock(b, block.values.copy(), block.shapes)
+        # push each aggregate back into its uploader's block
+        for b, (ks, values) in merged.items():
+            for k, row in zip(ks, values):
+                self.devices[k].params.blocks[b].values[:] = row
 
         # realized upload time: all blocks the device shipped this round
         t_up = np.zeros(K)

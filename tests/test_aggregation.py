@@ -11,12 +11,11 @@ from fmmlsim.aggregation import (aggregate, block_owners,
                                  estimate_block_gradient, init_coeffs,
                                  masked_renormalize, softmax_row)
 from fmmlsim.errors import AggregationError, ShapeMismatchError
-from fmmlsim.nn_core import ParamBlock
 
 
-def vec_block(values, block_id=1):
-    values = np.asarray(values, dtype=float)
-    return ParamBlock(block_id, values, ((values.shape[0],),))
+def vec_block(values):
+    """One flat float64 block vector, as devices upload them."""
+    return np.asarray(values, dtype=float)
 
 
 def all_true(n):
@@ -169,7 +168,7 @@ def aggregate_loop(weight_row, uploads):
     """Reference: one weight row at a time, accumulated in ascending device order."""
     total = None
     for k in np.flatnonzero(weight_row > 0.0):
-        term = weight_row[k] * uploads[int(k)].values
+        term = weight_row[k] * uploads[int(k)]
         total = term if total is None else total + term
     return total
 
@@ -184,7 +183,7 @@ def test_aggregate_uniform_equals_mean():
     rng = np.random.default_rng(1)
     uploads = {k: vec_block(rng.normal(size=4)) for k in range(5)}
     out = aggregate(np.full(5, 0.2), uploads)
-    expected = np.mean([uploads[k].values for k in range(5)], axis=0)
+    expected = np.mean([uploads[k] for k in range(5)], axis=0)
     np.testing.assert_allclose(out.aggregated[0], expected, atol=1e-12)
 
 
@@ -295,12 +294,12 @@ def test_jacobian_matches_finite_differences():
 def test_estimate_identities():
     w = vec_block([1.0, 2.0, 3.0])
     same = estimate_block_gradient(w, w, 0.1, 4)
-    np.testing.assert_array_equal(same.values, np.zeros(3))
+    np.testing.assert_array_equal(same, np.zeros(3))
     # one exact step recovers the gradient
     g = np.array([0.5, -0.25, 1.0])
-    w_new = vec_block(w.values - 0.1 * g)
+    w_new = vec_block(w - 0.1 * g)
     est = estimate_block_gradient(w, w_new, 0.1, 1)
-    np.testing.assert_allclose(est.values, g, atol=1e-12)
+    np.testing.assert_allclose(est, g, atol=1e-12)
 
 
 def test_estimate_quadratic_model():
@@ -314,13 +313,13 @@ def test_estimate_quadratic_model():
         w = w - eta * (w - a)
     est = estimate_block_gradient(vec_block(w0), vec_block(w), eta, iters)
     true = w0 - a
-    assert np.abs(est.values - true).max() / np.abs(true).max() < 0.10
+    assert np.abs(est - true).max() / np.abs(true).max() < 0.10
 
 
 def test_estimate_raw_delta_mode():
     w0, w1 = vec_block([1.0, 1.0]), vec_block([0.0, 3.0])
     est = estimate_block_gradient(w0, w1, 0.1, 2, mode="raw_delta")
-    np.testing.assert_array_equal(est.values, [-1.0, 2.0])
+    np.testing.assert_array_equal(est, [-1.0, 2.0])
 
 
 def test_estimate_structure_mismatch_raises():
@@ -481,7 +480,7 @@ def test_fedavg_reduction_uniform_weights():
     mask = build_round_mask(np.ones(n, dtype=int), owners)
     row = masked_renormalize(softmax_row(state.raw[1][0], owners), mask[0])
     out = aggregate(row, uploads)
-    expected = np.mean([uploads[k].values for k in range(n)], axis=0)
+    expected = np.mean([uploads[k] for k in range(n)], axis=0)
     assert np.abs(out.aggregated[0] - expected).max() < 1e-9
 
 

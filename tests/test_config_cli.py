@@ -82,6 +82,8 @@ def test_validation_catches_inconsistencies():
     ({"local_iters": 1.5}, "local_iters"),
     ({"seed": -1}, "seed"),
     ({"rounds": True}, "rounds"),
+    ({"modality_profile": [[-1, 1], [10, 1]]}, "modality_profile"),
+    ({"num_devices": 1, "modality_profile": [[1, 1]]}, "modality_profile"),
 ])
 def test_cli_rejects_mistyped_values(tmp_path, capsys, payload, field):
     write_cfg(tmp_path, payload, "base.json")

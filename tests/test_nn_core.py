@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -136,7 +138,7 @@ def test_gradient_matches_finite_differences():
     _, grad = loss_and_grad(arch, params, feats, labels)
     fd = central_difference_grad(arch, params, feats, labels)
     for b in params.blocks:
-        an = grad.blocks[b].values
+        an = grad[b]
         keep = np.abs(an) > 1e-6
         rel = np.abs(fd[b][keep] - an[keep]) / np.abs(an[keep])
         assert rel.max() < 1e-4
@@ -157,7 +159,7 @@ def test_gradient_check_random_small_nets():
         _, grad = loss_and_grad(arch, params, feats, labels)
         fd = central_difference_grad(arch, params, feats, labels)
         for b in params.blocks:
-            an = grad.blocks[b].values
+            an = grad[b]
             keep = np.abs(an) > 1e-6
             if keep.any():
                 rel = np.abs(fd[b][keep] - an[keep]) / np.abs(an[keep])
@@ -174,8 +176,8 @@ def test_duplicated_batch_leaves_loss_and_grad_unchanged():
     doubled = {m: np.concatenate([x, x]) for m, x in feats.items()}
     loss2, grad2 = loss_and_grad(arch, params, doubled, np.concatenate([labels, labels]))
     assert loss1 == pytest.approx(loss2, rel=1e-12)
-    for b in grad1.blocks:
-        np.testing.assert_allclose(grad1.blocks[b].values, grad2.blocks[b].values, atol=1e-14)
+    for b in grad1:
+        np.testing.assert_allclose(grad1[b], grad2[b], atol=1e-14)
 
 
 def test_loss_nonnegative_and_deterministic():
@@ -188,8 +190,8 @@ def test_loss_nonnegative_and_deterministic():
     loss2, grad2 = loss_and_grad(arch, params, feats, labels)
     assert loss1 >= 0.0
     assert loss1 == loss2
-    for b in grad1.blocks:
-        assert np.array_equal(grad1.blocks[b].values, grad2.blocks[b].values)
+    for b in grad1:
+        assert np.array_equal(grad1[b], grad2[b])
 
 
 def test_empty_batch_and_bad_labels_raise():
@@ -209,35 +211,29 @@ def test_sgd_step_arithmetic():
     shapes = ((2,),)
     p = MultiModalParams({1: ParamBlock(1, np.array([1.0, 2.0]), shapes),
                           2: ParamBlock(2, np.zeros(2), shapes)}, (1,))
-    g = MultiModalParams({1: ParamBlock(1, np.array([0.5, -1.0]), shapes),
-                          2: ParamBlock(2, np.zeros(2), shapes)}, (1,))
-    out = sgd_step(p, g, 0.1)
-    np.testing.assert_allclose(out.blocks[1].values, [0.95, 2.1])
+    g = {1: np.array([0.5, -1.0]), 2: np.zeros(2)}
+    sgd_step(p, g, 0.1)
+    np.testing.assert_allclose(p.blocks[1].values, [0.95, 2.1])
     assert arch.num_classes == 2  # keep arch referenced
 
 
 def test_sgd_zero_grad_and_two_step_linearity():
     arch = toy_arch()
     params = random_params(arch, (1,), seed=9)
-    zero = MultiModalParams(
-        {b: ParamBlock(b, np.zeros_like(p.values), p.shapes) for b, p in params.blocks.items()},
-        params.owned)
-    unchanged = sgd_step(params, zero, 0.3)
+    zero = {b: np.zeros_like(p.values) for b, p in params.blocks.items()}
+    unchanged = copy.deepcopy(params)
+    sgd_step(unchanged, zero, 0.3)
     for b in params.blocks:
         np.testing.assert_array_equal(unchanged.blocks[b].values, params.blocks[b].values)
 
     rng = np.random.default_rng(10)
-    g1 = MultiModalParams(
-        {b: ParamBlock(b, rng.normal(size=p.values.shape), p.shapes)
-         for b, p in params.blocks.items()}, params.owned)
-    g2 = MultiModalParams(
-        {b: ParamBlock(b, rng.normal(size=p.values.shape), p.shapes)
-         for b, p in params.blocks.items()}, params.owned)
-    gsum = MultiModalParams(
-        {b: ParamBlock(b, g1.blocks[b].values + g2.blocks[b].values, g1.blocks[b].shapes)
-         for b in g1.blocks}, params.owned)
-    two = sgd_step(sgd_step(params, g1, 0.05), g2, 0.05)
-    one = sgd_step(params, gsum, 0.05)
+    g1 = {b: rng.normal(size=p.values.shape) for b, p in params.blocks.items()}
+    g2 = {b: rng.normal(size=p.values.shape) for b, p in params.blocks.items()}
+    gsum = {b: g1[b] + g2[b] for b in g1}
+    two, one = copy.deepcopy(params), copy.deepcopy(params)
+    sgd_step(two, g1, 0.05)
+    sgd_step(two, g2, 0.05)
+    sgd_step(one, gsum, 0.05)
     for b in params.blocks:
         np.testing.assert_allclose(two.blocks[b].values, one.blocks[b].values, atol=1e-15)
 
@@ -245,11 +241,38 @@ def test_sgd_zero_grad_and_two_step_linearity():
 def test_sgd_structure_mismatch_raises():
     arch = toy_arch()
     params = random_params(arch, (1,), seed=11)
-    bad = MultiModalParams(
-        {1: ParamBlock(1, np.zeros(3), ((3,),)),
-         arch.shared_block_id: params.blocks[arch.shared_block_id]}, (1,))
+    bad = {1: np.zeros(3),
+           arch.shared_block_id: params.blocks[arch.shared_block_id].values}
     with pytest.raises(ShapeMismatchError):
         sgd_step(params, bad, 0.1)
+
+
+def test_sgd_step_checks_block_set_and_lengths_before_changing_anything():
+    arch = toy_arch()
+    params = random_params(arch, (1,), seed=11)
+    before = {b: p.values.copy() for b, p in params.blocks.items()}
+    head = arch.shared_block_id
+    ok = {b: np.ones_like(p.values) for b, p in params.blocks.items()}
+    for bad in ({head: ok[head]},                              # a block missing
+                {**ok, 2: np.ones(arch.block_param_count(2))},  # a block not owned
+                {**ok, head: ok[head][:-1]},                    # short gradient
+                {**ok, head: np.ones((1, ok[head].size))}):     # not flat
+        with pytest.raises(ShapeMismatchError):
+            sgd_step(params, bad, 0.1)
+    with pytest.raises(ValueError, match="learning rate"):
+        sgd_step(params, ok, 0.0)
+    for b, p in params.blocks.items():
+        np.testing.assert_array_equal(p.values, before[b])
+
+
+@pytest.mark.parametrize("value, step", [(1e308, -1e308), (0.0, np.inf), (0.0, np.nan)])
+def test_sgd_step_raises_when_a_step_leaves_a_value_non_finite(value, step):
+    shapes = ((2,),)
+    params = MultiModalParams({1: ParamBlock(1, np.array([value, 1.0]), shapes),
+                               2: ParamBlock(2, np.zeros(2), shapes)}, (1,))
+    grad = {1: np.array([step, 0.0]), 2: np.zeros(2)}
+    with np.errstate(over="ignore"), pytest.raises(NumericOverflowError, match="block 1"):
+        sgd_step(params, grad, 10.0)
 
 
 def test_param_size_bits():
@@ -291,7 +314,8 @@ def test_structure_preserved_by_sgd():
     rng = np.random.default_rng(13)
     feats = random_features(arch, (1, 2), 4, rng)
     _, grad = loss_and_grad(arch, params, feats, rng.integers(0, 6, size=4))
-    out = sgd_step(params, grad, 0.01)
+    out = copy.deepcopy(params)
+    sgd_step(out, grad, 0.01)
     assert set(out.blocks) == set(params.blocks)
     for b in out.blocks:
         assert out.blocks[b].shapes == params.blocks[b].shapes
@@ -407,6 +431,6 @@ def test_loss_and_grad_is_bit_identical_to_concatenated_assembly(owned, hidden):
         loss, grad = loss_and_grad(arch, params, feats, labels)
         ref_loss, ref_grad = concatenated_loss_and_grad(arch, params, feats, labels)
         assert loss == ref_loss
-        assert set(grad.blocks) == set(ref_grad)
+        assert set(grad) == set(ref_grad)
         for b, g in ref_grad.items():
-            assert np.array_equal(grad.blocks[b].values, g)
+            assert np.array_equal(grad[b], g)

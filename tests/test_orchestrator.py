@@ -3,9 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fmmlsim import config_to_dict, desk_config, nn_core, wireless
+from fmmlsim import config_to_dict, desk_config, nn_core, orchestrator, wireless
 from fmmlsim.cli import main
+from fmmlsim.config import ALGORITHMS, config_from_dict
 from fmmlsim.errors import StalledLinkError
 from fmmlsim.orchestrator import (RoundLog, Simulation, evaluate_personalized,
                                   local_update_phase, run_training,
@@ -31,16 +34,17 @@ def test_single_iteration_matches_one_sgd_step():
     n = len(dev.dataset.train)
     # duplicate the rng so both paths see the same permutation
     rng_copy = copy.deepcopy(dev.rng)
-    new_params, mean_loss = local_update_phase(
+    expected = copy.deepcopy(dev.params)
+    mean_loss = local_update_phase(
         sim.arch, dev, lr=0.1, local_iters=1, batch_size=n)
     perm = rng_copy.permutation(n)
     feats = {m: dev.dataset.train.features[m][perm] for m in dev.dataset.owned}
-    loss, grad = nn_core.loss_and_grad(sim.arch, dev.params, feats,
+    loss, grad = nn_core.loss_and_grad(sim.arch, expected, feats,
                                        dev.dataset.train.labels[perm])
-    expected = nn_core.sgd_step(dev.params, grad, 0.1)
+    nn_core.sgd_step(expected, grad, 0.1)
     assert mean_loss == pytest.approx(loss)
     for b in expected.blocks:
-        np.testing.assert_array_equal(new_params.blocks[b].values,
+        np.testing.assert_array_equal(dev.params.blocks[b].values,
                                       expected.blocks[b].values)
 
 
@@ -52,43 +56,72 @@ def test_multi_iteration_update_matches_per_iteration_gather(prox_mu):
     iters, batch = 5, 32
     assert iters * batch > 2 * n  # batches wrap around the shuffle more than once
     rng_copy = copy.deepcopy(dev.rng)
-    new_params, mean_loss = local_update_phase(
-        sim.arch, dev, lr=0.1, local_iters=iters, batch_size=batch,
-        prox_mu=prox_mu, anchor=dev.params)
+    anchor = copy.deepcopy(dev.params)
+    mean_loss = local_update_phase(
+        sim.arch, dev, lr=0.1, local_iters=iters, batch_size=batch, prox_mu=prox_mu)
 
     # reference: gather each iteration's batch from the shuffle on its own
     perm = rng_copy.permutation(n)
-    params, losses = dev.params, []
+    params, losses = copy.deepcopy(anchor), []
     for i in range(iters):
         idx = perm[np.arange(i * batch, (i + 1) * batch) % n]
         feats = {m: dev.dataset.train.features[m][idx] for m in dev.dataset.owned}
         loss, grad = nn_core.loss_and_grad(sim.arch, params, feats,
                                            dev.dataset.train.labels[idx])
         if prox_mu > 0.0:
-            grad = nn_core.MultiModalParams(
-                {b: nn_core.ParamBlock(
-                    b, g.values + prox_mu * (params.blocks[b].values - dev.params.blocks[b].values),
-                    g.shapes) for b, g in grad.blocks.items()}, grad.owned)
-        params = nn_core.sgd_step(params, grad, 0.1)
+            grad = {b: g + prox_mu * (params.blocks[b].values - anchor.blocks[b].values)
+                    for b, g in grad.items()}
+        nn_core.sgd_step(params, grad, 0.1)
         losses.append(loss)
     assert mean_loss == float(np.mean(losses))
     for b in params.blocks:
-        assert np.array_equal(new_params.blocks[b].values, params.blocks[b].values)
+        assert np.array_equal(dev.params.blocks[b].values, params.blocks[b].values)
     assert dev.rng.bit_generator.state == rng_copy.bit_generator.state
 
 
-def test_local_only_never_touches_server():
+@pytest.fixture
+def post_sgd(monkeypatch):
+    """Each device's blocks right after its local SGD in the latest round."""
+    record = {}
+    update = orchestrator.local_update_phase
+
+    def recording(arch, device, *args, **kwargs):
+        loss = update(arch, device, *args, **kwargs)
+        record[device.device_id] = {b: p.values.copy() for b, p in device.params.blocks.items()}
+        return loss
+
+    monkeypatch.setattr(orchestrator, "local_update_phase", recording)
+    return record
+
+
+def check_round_installs(sim, log, post_sgd):
+    """Scheduled blocks hold the device's aggregate; every other block its post-SGD value."""
+    for b, ind in log.scheduled.items():
+        ks = np.flatnonzero(ind).tolist()
+        expected = {}
+        if ks and sim.cfg.algorithm == "proposed":
+            entry = sim.server.cache[b]
+            np.testing.assert_array_equal(entry.uploaders, ks)
+            expected = dict(zip(ks, entry.aggregated))
+        elif ks:
+            # a sequential sum of the uploads, as the plain mean is formed
+            mean = sum(post_sgd[k][b] for k in ks) / len(ks)
+            expected = {k: mean for k in ks}
+        for k in np.flatnonzero(sim.owners[b]).tolist():
+            want = expected.get(k, post_sgd[k][b])
+            np.testing.assert_array_equal(sim.devices[k].params.blocks[b].values, want)
+
+
+def test_local_only_never_touches_server(post_sgd):
     sim = Simulation(quick_cfg(seed=2, algorithm="local"))
-    before = {k: {b: p.values.copy() for b, p in mp.blocks.items()}
-              for k, mp in sim.server.personalized.items()}
     for _ in range(3):
         log = sim.step()
         assert all(ind.sum() == 0 for ind in log.scheduled.values())
         assert log.t_download.max() == 0.0
         assert log.t_upload.max() == 0.0
-    for k, mp in sim.server.personalized.items():
-        for b, p in mp.blocks.items():
-            np.testing.assert_array_equal(p.values, before[k][b])
+        assert set(post_sgd) == set(range(sim.cfg.num_devices))
+        check_round_installs(sim, log, post_sgd)
+    assert sim.server.cache == {}
 
 
 def test_local_update_descends_on_average():
@@ -98,9 +131,8 @@ def test_local_update_descends_on_average():
         dev = sim.devices[0]
         train = dev.dataset.train
         loss0, _ = nn_core.loss_and_grad(sim.arch, dev.params, train.features, train.labels)
-        new_params, _ = local_update_phase(sim.arch, dev, lr=0.02, local_iters=10,
-                                           batch_size=32)
-        loss1, _ = nn_core.loss_and_grad(sim.arch, new_params, train.features, train.labels)
+        local_update_phase(sim.arch, dev, lr=0.02, local_iters=10, batch_size=32)
+        loss1, _ = nn_core.loss_and_grad(sim.arch, dev.params, train.features, train.labels)
         drops.append(loss0 - loss1)
     assert np.mean(drops) > 0
 
@@ -114,30 +146,20 @@ def test_fedavg_full_quota_unifies_shared_block():
         np.testing.assert_array_equal(dev.params.blocks[shared].values, ref)
 
 
-def test_downloads_match_server_blocks():
-    sim = Simulation(quick_cfg(seed=4, algorithm="proposed", quota=3))
-    for _ in range(3):
-        log = sim.step()
-        for b, ind in log.scheduled.items():
-            for k in np.flatnonzero(ind):
-                np.testing.assert_array_equal(
-                    sim.devices[k].params.blocks[b].values,
-                    sim.server.personalized[k].blocks[b].values)
+def test_downloads_match_server_blocks(post_sgd):
+    for algorithm in ("proposed", "fedavg"):
+        sim = Simulation(quick_cfg(seed=4, algorithm=algorithm, quota=3))
+        for _ in range(3):
+            log = sim.step()
+            check_round_installs(sim, log, post_sgd)
 
 
-def test_unscheduled_server_blocks_frozen():
+def test_unscheduled_server_blocks_frozen(post_sgd):
     sim = Simulation(quick_cfg(seed=5, algorithm="proposed", quota=2, rounds=5))
-    snapshots = []
     for _ in range(5):
         log = sim.step()
-        snapshots.append((log.scheduled,
-                          {k: {b: p.values.copy() for b, p in mp.blocks.items()}
-                           for k, mp in sim.server.personalized.items()}))
-    for (sched_prev, prev), (sched_now, now) in zip(snapshots, snapshots[1:]):
-        for b, ind in sched_now.items():
-            for k in range(sim.cfg.num_devices):
-                if b in prev[k] and not ind[k]:
-                    np.testing.assert_array_equal(now[k][b], prev[k][b])
+        assert any((sim.owners[b] & (ind == 0)).any() for b, ind in log.scheduled.items())
+        check_round_installs(sim, log, post_sgd)
 
 
 def test_zero_rounds_returns_initial_state():
@@ -288,3 +310,56 @@ def test_cli_reports_a_stalled_link_as_a_run_failure(device_zero_gain, tmp_path,
     path.write_text(json.dumps(config_to_dict(stalled_upload_cfg())))
     assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "run failed:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm", ["proposed", "fedavg", "fedprox", "local"])
+def test_step_builds_no_param_blocks(monkeypatch, algorithm):
+    sim = Simulation(quick_cfg(seed=17, algorithm=algorithm))
+    builds = []
+    post_init = nn_core.ParamBlock.__post_init__
+
+    def counted(block):
+        builds.append(block.block_id)
+        post_init(block)
+
+    monkeypatch.setattr(nn_core.ParamBlock, "__post_init__", counted)
+    for _ in range(3):
+        sim.step()
+    assert builds == []
+    nn_core.ParamBlock(1, np.zeros(1), ((1,),))
+    assert builds == [1]  # the counter sees a build
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), num_devices=st.integers(2, 5),
+       num_modalities=st.integers(1, 3), algorithm=st.sampled_from(ALGORITHMS),
+       quota=st.integers(1, 5), threshold=st.integers(1, 3),
+       baseline_scheduler=st.sampled_from(["channel_aware", "random"]))
+def test_round_latency_follows_the_schedule(seed, num_devices, num_modalities, algorithm,
+                                            quota, threshold, baseline_scheduler):
+    cfg = config_from_dict({
+        "seed": seed, "rounds": 3, "num_devices": num_devices,
+        "num_modalities": num_modalities, "algorithm": algorithm,
+        "quota": min(quota, num_devices), "staleness_threshold": threshold,
+        "baseline_scheduler": baseline_scheduler, "local_iters": 1, "batch_size": 4,
+        "data": {"input_dims": [3] * num_modalities, "samples_per_device": 12},
+        "arch": {"encoder_hidden": 2, "feature_len": 2, "classifier_hidden": [2]}})
+    sim = Simulation(cfg)
+    link = cfg.link
+    previous = {b: np.zeros(num_devices, dtype=np.int8) for b in sim.block_ids}
+    for _ in range(cfg.rounds):
+        log = sim.step()
+        assert log.round_time == float(np.max(log.t_download + log.t_compute + log.t_upload))
+        for k, gain in enumerate(log.gains):
+            up = wireless.link_rate(link.device_power_w, gain, link.bandwidth_hz,
+                                    link.noise_density)
+            down = wireless.link_rate(link.server_power_w, gain, link.bandwidth_hz,
+                                      link.noise_density)
+            shipped = sum(sim.sizes_bits[b] for b in sim.block_ids if log.scheduled[b][k])
+            fetched = sum(sim.sizes_bits[b] for b in sim.block_ids if previous[b][k])
+            # bits conserved: what the schedule ships is what the latency carries
+            assert log.t_upload[k] * up == pytest.approx(shipped, rel=1e-12, abs=0.0)
+            assert log.t_download[k] * down == pytest.approx(fetched, rel=1e-12, abs=0.0)
+        for b in sim.block_ids:
+            assert (log.staleness[b] < threshold).all()
+        previous = log.scheduled

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmmlsim.errors import SchedulingError
 from fmmlsim.scheduler import (MetricSpec, schedule_block, schedule_round,
@@ -197,3 +199,28 @@ def test_schedule_round_matches_brute_force_small_case():
     for b in owners:
         np.testing.assert_array_equal(ind[b], bf_ind[b])
         np.testing.assert_array_equal(stale[b], bf_stale[b])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), num_devices=st.integers(1, 8), threshold=st.integers(1, 5))
+def test_schedule_block_keeps_staleness_below_the_threshold(data, num_devices, threshold):
+    owners = data.draw(st.lists(st.booleans(), min_size=num_devices, max_size=num_devices)
+                       .filter(any))
+    eligible = [k for k in range(num_devices) if owners[k]]
+    metrics = {k: data.draw(st.floats(-10.0, 10.0)) for k in eligible}
+    quota = data.draw(st.integers(1, num_devices))
+    # the invariant holds on entry: every counter sits below the threshold
+    before = np.array(data.draw(st.lists(st.integers(0, threshold - 1),
+                                         min_size=num_devices, max_size=num_devices)),
+                      dtype=np.int64)
+    ind, stale = schedule_block(metrics, before, quota, threshold)
+    top = set(sorted(eligible, key=lambda k: (-metrics[k], k))[:quota])
+    for k in range(num_devices):
+        if k not in metrics:
+            assert ind[k] == 0 and stale[k] == before[k]
+        elif k in top or before[k] + 1 >= threshold:
+            # chosen by metric, or forced in because skipping would reach the threshold
+            assert ind[k] == 1 and stale[k] == 0
+        else:
+            assert ind[k] == 0 and stale[k] == before[k] + 1
+    assert (stale < threshold).all()
