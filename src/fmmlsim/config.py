@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
@@ -125,6 +126,17 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite_number(value) -> bool:
+    """An int or float that is a finite float. json.loads also yields Infinity,
+    NaN and integers too large for a float."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _int_sequence(value, length: int | None = None) -> bool:
     return (isinstance(value, (list, tuple)) and length in (None, len(value))
             and all(_is_int(v) for v in value))
@@ -133,7 +145,7 @@ def _int_sequence(value, length: int | None = None) -> bool:
 # What each field annotation of the config dataclasses accepts.
 _TYPE_CHECKS = {
     "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "float": (_is_finite_number, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "tuple[int, ...]": (_int_sequence, "a list of integers"),

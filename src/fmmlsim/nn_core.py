@@ -4,16 +4,18 @@ Each device trains one encoder per modality it owns plus a classifier head
 shared by every device. Parameters live in flat per-block vectors (one block
 per modality encoder, one block for the head) so that blocks can be shipped,
 averaged and diffed without caring about layer layout. A `ParamBlock` checks
-its vector once, when it is built; gradients are plain flat arrays keyed by
-block, and `sgd_step` updates the block vectors in place. The classifier always
-consumes a fixed-width concatenation of all modality feature slots; slots for
-modalities a device does not own stay zero, which keeps the head block
-structurally identical across devices.
+its vector and builds its layer views once, when it is built at set-up; the
+views are rebuilt only if `values` is rebound or stops sharing memory with them
+(as after a deep copy). Gradients are fresh flat arrays keyed by block, and
+`sgd_step` updates the block vectors in place, so the views stay valid. The
+classifier always consumes a fixed-width concatenation of all modality feature
+slots; slots for modalities a device does not own stay zero, which keeps the
+head block structurally identical across devices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -118,6 +120,8 @@ class ParamBlock:
     block_id: int
     values: np.ndarray
     shapes: tuple[tuple[int, ...], ...]
+    _views: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _views_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -127,18 +131,27 @@ class ParamBlock:
                 f"block {self.block_id}: {self.values.size} values, shapes imply {expected}")
         if not np.isfinite(self.values).all():
             raise NumericOverflowError(f"block {self.block_id} holds non-finite values")
+        self._views = tuple(_layer_views(self.values, self.shapes))
+        self._views_of = self.values
 
     @property
     def param_count(self) -> int:
         return int(self.values.shape[0])
 
-    def arrays(self) -> list[np.ndarray]:
-        """Layer views into the flat vector.
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """Layer views into the flat vector, built once when the block is built.
 
         The views share memory with `values` and are writable: writing to a
-        view changes `values`.
+        view changes `values`, and in-place updates of `values` show in the
+        views. They are rebuilt when `values` is rebound to another array, or
+        when they no longer share its memory (a deep copy copies them apart).
         """
-        return _layer_views(self.values, self.shapes)
+        values, views = self.values, self._views
+        owner = values if values.base is None else values.base
+        if self._views_of is not values or (views and views[0].base is not owner):
+            self._views = views = tuple(_layer_views(values, self.shapes))
+            self._views_of = values
+        return views
 
 
 @dataclass
@@ -191,11 +204,13 @@ def slice_device_params(full: Mapping[int, ParamBlock], owned: Sequence[int],
 
 
 def _check_features(arch: ArchSpec, params: MultiModalParams,
-                    features: Mapping[int, np.ndarray]) -> int:
+                    features: Mapping[int, np.ndarray]) -> tuple[int, dict[int, np.ndarray]]:
+    """The batch size and each owned modality's features as float64 (B, d_m)."""
     got, want = set(features), set(params.owned)
     if got != want:
         raise ModalityMismatchError(f"sample modalities {sorted(got)} != owned {sorted(want)}")
     batch = None
+    xs = {}
     for m in params.owned:
         x = np.asarray(features[m], dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != arch.input_dims[m - 1]:
@@ -205,31 +220,38 @@ def _check_features(arch: ArchSpec, params: MultiModalParams,
             batch = x.shape[0]
         elif x.shape[0] != batch:
             raise ShapeMismatchError("modalities disagree on batch size")
-    return int(batch)
+        xs[m] = x
+    return int(batch), xs
 
 
 def _forward_cached(arch: ArchSpec, params: MultiModalParams,
                     features: Mapping[int, np.ndarray]):
-    batch = _check_features(arch, params, features)
+    batch, xs = _check_features(arch, params, features)
     f = arch.feature_len
     fused = np.zeros((batch, arch.fusion_width))
     enc_cache = {}
-    for m in params.owned:
+    for m, x in xs.items():
         w1, b1, w2, b2 = params.blocks[m].arrays()
-        x = np.asarray(features[m], dtype=np.float64)
-        h = np.tanh(x @ w1.T + b1)
-        fused[:, (m - 1) * f: m * f] = h @ w2.T + b2
+        h = x @ w1.T
+        h += b1
+        np.tanh(h, out=h)
+        feat = fused[:, (m - 1) * f: m * f]
+        np.matmul(h, w2.T, out=feat)
+        feat += b2
         enc_cache[m] = (x, h)
     arrs = params.blocks[params.head_id].arrays()
-    layers = [(arrs[i], arrs[i + 1]) for i in range(0, len(arrs), 2)]
+    layers = list(zip(arrs[0::2], arrs[1::2]))
     acts = [fused]
     a = fused
     for v, u in layers[:-1]:
-        a = np.tanh(a @ v.T + u)
+        a = a @ v.T
+        a += u
+        np.tanh(a, out=a)
         acts.append(a)
     v_out, u_out = layers[-1]
-    scores = a @ v_out.T + u_out
-    if not np.isfinite(scores).all():
+    scores = a @ v_out.T
+    scores += u_out
+    if not np.logical_and.reduce(np.isfinite(scores), axis=None):
         raise NumericOverflowError("non-finite class scores")
     return scores, enc_cache, layers, acts
 
@@ -248,53 +270,58 @@ def loss_and_grad(arch: ArchSpec, params: MultiModalParams,
 
     The log-sum-exp is computed with max subtraction, so large scores do not
     overflow. The gradient maps each block of params to one flat array laid
-    out like that block's values.
+    out like that block's values; every call returns new arrays.
     """
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ShapeMismatchError("empty batch")
-    if labels.min() < 0 or labels.max() >= arch.num_classes:
+    if (np.minimum.reduce(labels, axis=None) < 0
+            or np.maximum.reduce(labels, axis=None) >= arch.num_classes):
         raise ShapeMismatchError("labels outside 0..C-1")
     scores, enc_cache, layers, acts = _forward_cached(arch, params, features)
     batch = scores.shape[0]
     if labels.shape[0] != batch:
         raise ShapeMismatchError("labels disagree with batch size")
 
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(-(shifted[np.arange(batch), labels] - log_norm).mean())
+    rows = np.arange(batch)
+    shifted = scores  # the scores are not returned, so they are shifted in place
+    shifted -= np.maximum.reduce(scores, axis=1, keepdims=True)
+    log_norm = np.log(np.add.reduce(np.exp(shifted), axis=1))
+    loss = float(-(np.add.reduce(shifted[rows, labels] - log_norm) / batch))
 
-    d = np.exp(shifted - log_norm[:, None])
-    d[np.arange(batch), labels] -= 1.0
+    shifted -= log_norm[:, None]
+    d = np.exp(shifted, out=shifted)
+    d[rows, labels] -= 1.0
     d /= batch
 
     head_id = params.head_id
-    head_shapes = params.blocks[head_id].shapes
-    head_grad = np.empty(block_layout(head_shapes)[1])
-    gviews = _layer_views(head_grad, head_shapes)
+    head = params.blocks[head_id]
+    head_grad = np.empty(head.values.shape[0])
+    gviews = _layer_views(head_grad, head.shapes)
     np.matmul(d.T, acts[-1], out=gviews[-2])
-    d.sum(axis=0, out=gviews[-1])
+    np.add.reduce(d, axis=0, out=gviews[-1])
     d = d @ layers[-1][0]
     for i in range(len(layers) - 2, -1, -1):
-        d = d * (1.0 - acts[i + 1] * acts[i + 1])
+        a = acts[i + 1]
+        d *= 1.0 - a * a
         np.matmul(d.T, acts[i], out=gviews[2 * i])
-        d.sum(axis=0, out=gviews[2 * i + 1])
+        np.add.reduce(d, axis=0, out=gviews[2 * i + 1])
         d = d @ layers[i][0]
 
     f = arch.feature_len
     grads = {head_id: head_grad}
-    for m in params.owned:
+    for m, (x, h) in enc_cache.items():
         block = params.blocks[m]
-        _, _, w2, _ = block.arrays()
-        x, h = enc_cache[m]
-        enc_grad = np.empty(block_layout(block.shapes)[1])
+        w2 = block.arrays()[2]
+        enc_grad = np.empty(block.values.shape[0])
         gw1, gb1, gw2, gb2 = _layer_views(enc_grad, block.shapes)
         dfeat = d[:, (m - 1) * f: m * f]
         np.matmul(dfeat.T, h, out=gw2)
-        dfeat.sum(axis=0, out=gb2)
-        dpre = (dfeat @ w2) * (1.0 - h * h)
+        np.add.reduce(dfeat, axis=0, out=gb2)
+        dpre = dfeat @ w2
+        dpre *= 1.0 - h * h
         np.matmul(dpre.T, x, out=gw1)
-        dpre.sum(axis=0, out=gb1)
+        np.add.reduce(dpre, axis=0, out=gb1)
         grads[m] = enc_grad
     return loss, grads
 
@@ -307,14 +334,15 @@ def sgd_step(params: MultiModalParams, grad: Mapping[int, np.ndarray], eta: floa
     """
     if eta <= 0:
         raise ValueError("learning rate must be positive")
-    if set(params.blocks) != set(grad):
+    if params.blocks.keys() != grad.keys():
         raise ShapeMismatchError("gradient blocks do not match parameter blocks")
     for b, p in params.blocks.items():
         if np.shape(grad[b]) != p.values.shape:
             raise ShapeMismatchError(f"block {b}: gradient structure differs")
     for b, p in params.blocks.items():
-        p.values -= eta * grad[b]
-        if not np.isfinite(p.values).all():
+        values = p.values
+        values -= eta * grad[b]
+        if not np.logical_and.reduce(np.isfinite(values)):
             raise NumericOverflowError(f"block {b} holds non-finite values")
 
 

@@ -97,7 +97,7 @@ def local_update_phase(arch: ArchSpec, device: DeviceState, lr: float,
                 g += prox_mu * (params.blocks[b].values - anchor[b])
         nn_core.sgd_step(params, grad, lr)
         losses.append(loss)
-    return float(np.mean(losses))
+    return float(np.add.reduce(losses) / local_iters)
 
 
 def evaluate_personalized(arch: ArchSpec, devices: Sequence[DeviceState]) -> tuple[np.ndarray, float]:

@@ -84,6 +84,13 @@ def test_validation_catches_inconsistencies():
     ({"rounds": True}, "rounds"),
     ({"modality_profile": [[-1, 1], [10, 1]]}, "modality_profile"),
     ({"num_devices": 1, "modality_profile": [[1, 1]]}, "modality_profile"),
+    # json.loads parses Infinity; every float field must be finite
+    ({"compute": {"heterogeneity": float("inf")}}, "compute.heterogeneity"),
+    ({"coeff_lr": float("inf")}, "coeff_lr"),
+    ({"link": {"bandwidth_hz": float("inf")}}, "link.bandwidth_hz"),
+    ({"lr": float("inf")}, "lr"),
+    ({"alpha": float("inf")}, "alpha"),
+    ({"lr": 10 ** 400}, "lr"),  # an integer beyond the float range
 ])
 def test_cli_rejects_mistyped_values(tmp_path, capsys, payload, field):
     write_cfg(tmp_path, payload, "base.json")

@@ -434,3 +434,51 @@ def test_loss_and_grad_is_bit_identical_to_concatenated_assembly(owned, hidden):
         assert set(grad) == set(ref_grad)
         for b, g in ref_grad.items():
             assert np.array_equal(grad[b], g)
+
+
+def test_arrays_returns_the_views_built_with_the_block():
+    block = random_params(toy_arch(), (1,)).blocks[1]
+    first, again = block.arrays(), block.arrays()
+    assert len(first) == len(block.shapes)
+    assert all(a is b for a, b in zip(first, again))
+    assert all(np.shares_memory(a, block.values) for a in first)
+
+
+def test_views_of_a_deep_copy_follow_the_copy_not_the_original():
+    arch = toy_arch()
+    owned = (1, 2)
+    params = random_params(arch, owned, seed=3)
+    before = {b: p.values.copy() for b, p in params.blocks.items()}
+    rng = np.random.default_rng(4)
+    feats = random_features(arch, owned, 8, rng)
+    labels = rng.integers(0, arch.num_classes, size=8)
+    clone = copy.deepcopy(params)
+    _, grad = loss_and_grad(arch, clone, feats, labels)
+    sgd_step(clone, grad, 0.5)
+    for b, p in clone.blocks.items():
+        assert all(np.shares_memory(a, p.values) for a in p.arrays())
+    fresh = MultiModalParams({b: ParamBlock(b, p.values.copy(), p.shapes)
+                              for b, p in clone.blocks.items()}, owned)
+    loss, grad = loss_and_grad(arch, clone, feats, labels)
+    ref_loss, ref_grad = loss_and_grad(arch, fresh, feats, labels)
+    assert loss == ref_loss
+    for b in fresh.blocks:
+        assert np.array_equal(grad[b], ref_grad[b])
+    for b, p in params.blocks.items():
+        assert np.array_equal(p.values, before[b])
+        assert np.array_equal(np.concatenate([a.ravel() for a in p.arrays()]), before[b])
+
+
+@pytest.mark.parametrize("rebind", ["new array", "other half of the same buffer"])
+def test_arrays_view_the_new_vector_after_values_is_rebound(rebind):
+    arch = toy_arch()
+    shapes = arch.block_shapes(1)
+    n = arch.block_param_count(1)
+    buffer = np.arange(2.0 * n)
+    block = ParamBlock(1, buffer[:n], shapes)
+    old = block.arrays()
+    block.values = block.values + 1.0 if rebind == "new array" else buffer[n:]
+    views = block.arrays()
+    assert all(np.shares_memory(a, block.values) for a in views)
+    assert not any(np.shares_memory(a, b) for a, b in zip(views, old))
+    assert np.array_equal(np.concatenate([a.ravel() for a in views]), block.values)
