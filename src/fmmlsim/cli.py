@@ -55,10 +55,10 @@ def main(argv=None) -> int:
         return 1
 
     try:
+        out_dir = Path(cfg.out_dir or "fmmlsim_out")
+        out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before the run
         sim = Simulation(cfg)
         result = sim.run()
-        out_dir = Path(cfg.out_dir or "fmmlsim_out")
-        out_dir.mkdir(parents=True, exist_ok=True)
         reporting.write_rounds_csv(out_dir / "rounds.csv", result.logs, cfg.num_devices)
         reporting.write_schedule_csv(out_dir / "schedule.csv", result.logs, sim.owners)
         logs = result.logs if cfg.record_coefficients else []

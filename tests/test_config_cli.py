@@ -11,9 +11,10 @@ from fmmlsim.config import (config_from_dict, config_to_dict, load_config,
                             validate_config)
 from fmmlsim.errors import ConfigError
 from fmmlsim.recipes import RECIPE_NAMES
-from fmmlsim.orchestrator import Simulation
-from fmmlsim.reporting import (COEFFS_HEADER, ROUNDS_HEADER, SCHEDULE_HEADER,
-                               write_coefficients_csv)
+from fmmlsim.orchestrator import RoundLog, Simulation
+from fmmlsim.reporting import (COEFFS_HEADER, GAINS_HEADER, ROUNDS_HEADER, SCHEDULE_HEADER,
+                               write_coefficients_csv, write_gains_csv, write_rounds_csv,
+                               write_schedule_csv)
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -177,6 +178,20 @@ def test_cli_config_error_exit_code(tmp_path):
     assert code == 1
 
 
+def test_cli_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    write_cfg(tmp_path, small_payload(), "base.json")
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+
+    def run_not_allowed(self):
+        raise AssertionError("Simulation.run called although --out cannot be created")
+
+    monkeypatch.setattr(Simulation, "run", run_not_allowed)
+    code = main(["--config", str(tmp_path / "base.json"), "--out", str(not_a_dir / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("run failed:")
+
+
 def test_cli_byte_identical_outputs(tmp_path):
     write_cfg(tmp_path, small_payload(), "base.json")
     outs = []
@@ -200,6 +215,49 @@ def test_csv_headers_are_stable(tmp_path):
         "round,block,k,k_prime,raw,effective"
     assert ROUNDS_HEADER[0] == "round" and SCHEDULE_HEADER[1] == "block"
     assert COEFFS_HEADER[-1] == "effective"
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def rounds_csv_reference(path, logs, num_devices):
+    """The rounds writer as one `csv.writer` row per (round, device)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(ROUNDS_HEADER)
+        for log in logs:
+            for k in range(num_devices):
+                writer.writerow([
+                    log.round, k, _fmt(log.t_download[k]), _fmt(log.t_compute[k]),
+                    _fmt(log.t_upload[k]), _fmt(log.round_time),
+                    _fmt(log.train_loss[k]), _fmt(log.test_accuracy[k]),
+                    _fmt(log.mean_accuracy)])
+
+
+def schedule_csv_reference(path, logs, owners):
+    """The schedule writer as one `csv.writer` row per (round, block, owner)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SCHEDULE_HEADER)
+        for log in logs:
+            for b in sorted(log.scheduled):
+                for k in np.flatnonzero(owners[b]):
+                    metric = log.metric_values.get(b, {}).get(int(k), "")
+                    writer.writerow([
+                        log.round, b, int(k), int(log.scheduled[b][k]),
+                        int(log.staleness[b][k]),
+                        _fmt(metric) if metric != "" else ""])
+
+
+def gains_csv_reference(path, logs, num_devices):
+    """The gains writer as one `csv.writer` row per (round, device)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(GAINS_HEADER)
+        for log in logs:
+            for k in range(num_devices):
+                writer.writerow([log.round, k, _fmt(log.gains[k])])
 
 
 def coefficients_csv_reference(path, logs, owners):
@@ -228,6 +286,88 @@ def test_coefficients_csv_bytes_match_the_csv_writer_reference(tmp_path):
     fast = (tmp_path / "fast.csv").read_bytes()
     assert fast == (tmp_path / "ref.csv").read_bytes()
     assert fast.count(b"\r\n") == 1 + 3 * sum(int(o.sum()) ** 2 for o in sim.owners.values())
+
+
+@pytest.mark.parametrize("overrides", [
+    {"algorithm": "proposed", "record_gains": True},
+    {"algorithm": "fedavg"},
+    {"algorithm": "local"},  # no scheduler metrics: every metric cell is empty
+])
+def test_round_schedule_and_gains_csv_bytes_match_the_csv_writer_references(tmp_path, overrides):
+    cfg = desk_config(seed=2, rounds=3, local_iters=2, **overrides)
+    sim = Simulation(cfg)
+    logs = sim.run().logs
+    pairs = [(write_rounds_csv, rounds_csv_reference, cfg.num_devices),
+             (write_schedule_csv, schedule_csv_reference, sim.owners),
+             (write_gains_csv, gains_csv_reference, cfg.num_devices)]
+    for fast, reference, arg in pairs:
+        fast(tmp_path / "fast.csv", logs, arg)
+        reference(tmp_path / "ref.csv", logs, arg)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def synthetic_log(round_, snapshot=None, metric_values=None):
+    """A 4-device RoundLog with what the schedule and coefficient writers
+    read filled in; the other fields are zeros."""
+    zeros = np.zeros(4)
+    return RoundLog(round=round_, gains=zeros, t_download=zeros, t_compute=zeros,
+                    t_upload=zeros, round_time=0.0,
+                    scheduled={1: np.array([1, 0, 1, 0], dtype=np.int8)},
+                    staleness={1: np.array([0, 3, 0, 1])}, metric_values=metric_values or {},
+                    train_loss=zeros, test_accuracy=zeros, mean_accuracy=0.0,
+                    weight_rows_used=[], coeff_snapshot=snapshot)
+
+
+def test_schedule_csv_leaves_the_metric_cell_empty_for_devices_without_one(tmp_path):
+    owners = {1: np.array([True, True, True, False])}
+    logs = [synthetic_log(1, metric_values={1: {0: 0.25, 2: -0.0}}), synthetic_log(2)]
+    write_schedule_csv(tmp_path / "fast.csv", logs, owners)
+    schedule_csv_reference(tmp_path / "ref.csv", logs, owners)
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "ref.csv").read_bytes()
+    assert b"1,1,0,1,0,0.25\r\n1,1,1,0,3,\r\n1,1,2,1,0,-0.0\r\n" in fast
+
+
+# Owners of the synthetic blocks: every device owns block 1; device 1 does not own block 2.
+SYNTHETIC_OWNERS = {1: np.ones(4, dtype=bool), 2: np.array([True, False, True, True])}
+
+
+def _coefficient_scenarios():
+    rng = np.random.default_rng(7)
+    raw, eff = rng.normal(size=(4, 4)), rng.random((4, 4))
+    raw[2, 3] = eff[3, 0] = 0.0
+    signed = raw.copy()
+    signed[2, 3] = -0.0                    # == raw, but not bit-equal
+    eff_moved = eff.copy()
+    eff_moved[0, 2] = np.nextafter(eff[0, 2], 2.0)
+    other_raw, other_eff = rng.normal(size=(4, 4)), rng.random((4, 4))
+    off_owners = raw.copy()
+    off_owners[1, :] = off_owners[:, 1] = 9.0  # only cells of device 1, which block 2 skips
+    both = lambda r, e: {1: (r, e), 2: (r, e)}
+    return {
+        "row unchanged across rounds": [both(raw, eff), both(raw.copy(), eff.copy()),
+                                        both(raw, eff)],
+        "one cell flips between 0.0 and -0.0": [both(raw, eff), both(signed, eff),
+                                                both(raw, eff), both(signed, eff)],
+        "raw unchanged while effective changes": [both(raw, eff), both(raw, eff_moved),
+                                                  both(raw, eff)],
+        "row changes then reverts": [both(raw, eff), both(other_raw, other_eff),
+                                     both(raw, eff)],
+        "no snapshot between recorded rounds": [both(raw, eff), None, both(signed, eff_moved),
+                                                None, both(raw, eff)],
+        "block owned by only some devices": [both(raw, eff),
+                                             {1: (raw, eff), 2: (off_owners, eff)},
+                                             {2: (off_owners, eff_moved)}, both(raw, eff)],
+    }
+
+
+@pytest.mark.parametrize("scenario", list(_coefficient_scenarios()))
+def test_coefficients_csv_reuses_only_bit_equal_rows(tmp_path, scenario):
+    snapshots = _coefficient_scenarios()[scenario]
+    logs = [synthetic_log(r, snapshot=s) for r, s in enumerate(snapshots, start=1)]
+    write_coefficients_csv(tmp_path / "fast.csv", logs, SYNTHETIC_OWNERS)
+    coefficients_csv_reference(tmp_path / "ref.csv", logs, SYNTHETIC_OWNERS)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_recipe_suites_validate_and_count():
