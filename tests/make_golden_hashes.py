@@ -41,6 +41,17 @@ def golden_runs() -> dict[str, RunConfig]:
             seed, rounds=10, algorithm="proposed", record_coefficients=True, record_gains=True)
         for algo in ("fedavg", "fedprox", "local"):
             runs[f"desk_{algo}_seed{seed}"] = desk_config(seed, rounds=10, algorithm=algo)
+    # the random baseline scheduler, the linear metric and the raw-delta weight update
+    runs["desk_fedavg_random_seed0"] = desk_config(
+        0, rounds=10, algorithm="fedavg", baseline_scheduler="random")
+    runs["desk_fedprox_random_seed1009"] = desk_config(
+        1009, rounds=10, algorithm="fedprox", baseline_scheduler="random")
+    runs["desk_proposed_linear_seed0"] = desk_config(
+        0, rounds=10, algorithm="proposed", metric="linear", alpha=1e-3,
+        record_coefficients=True)
+    runs["desk_proposed_raw_delta_seed1009"] = desk_config(
+        1009, rounds=10, algorithm="proposed", gradient_estimate="raw_delta",
+        record_coefficients=True)
     runs["wide_proposed_seed0"] = desk_config(0, algorithm="proposed", **WIDE)
     return runs
 
