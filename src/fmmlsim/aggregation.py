@@ -11,7 +11,10 @@ uploaded flat block vectors; uploads, aggregates and gradient estimates are
 plain float64 arrays. The raw matrices are trained by gradient descent
 through the softmax, using its closed-form vector-Jacobian product, O(K) per
 row; the loss gradient at the aggregated point is estimated from the
-parameter delta the device uploads one round later. `masked_renormalize` and
+parameter delta the device uploads one round later. The weight update of a
+block runs once for all its devices with a fresh upload: one stacked
+gradient estimate, one stacked product with `U` and one descent step on
+their raw rows. `masked_renormalize` and
 `coeff_jacobian` spell out the two-stage transform and its full Jacobian;
 the round loop does not call them, and the tests check the one-stage path
 against them.
@@ -160,7 +163,8 @@ def estimate_block_gradient(w_prev: np.ndarray, w_new: np.ndarray, eta: float,
     eta accumulates roughly -eta*num_iters times the average gradient, so
     (w_prev - w_new) / (eta * num_iters) points along the gradient and keeps
     the weight update a descent step. "raw_delta" exposes the unscaled
-    difference w_new - w_prev instead, for ablation.
+    difference w_new - w_prev instead, for ablation. Both are elementwise:
+    w_prev and w_new may be one flat block or an (n, P_b) stack of them.
     """
     if mode not in GRADIENT_ESTIMATES:
         raise ValueError(f"unknown gradient estimate mode {mode!r}")
@@ -173,31 +177,62 @@ def estimate_block_gradient(w_prev: np.ndarray, w_new: np.ndarray, eta: float,
     return (w_prev - w_new) / (eta * num_iters)
 
 
-def coeff_grad(entry: CacheEntry, i: int, grad_block: np.ndarray) -> np.ndarray:
-    """Gradient of device `entry.uploaders[i]`'s loss w.r.t. its raw weight row.
+def coeff_grad(entry: CacheEntry, sel: np.ndarray, est: np.ndarray) -> np.ndarray:
+    """Gradients of the losses of devices `entry.uploaders[sel]` w.r.t. their raw rows.
 
-    The loss sees the raw row only through the aggregated block
-    sum_k row_k U_k, so with inner_k = U_k . g (g the estimated loss
-    gradient at the aggregate, zero for devices that did not upload) the
-    chain rule through the masked softmax gives the closed-form
-    vector-Jacobian product row * (inner - row . inner). It equals
-    coeff_jacobian(...).T @ inner in O(K) instead of O(K^3).
+    est is the (len(sel), P_b) stack of estimated loss gradients at those
+    devices' aggregates. A device's loss sees its raw row only through its
+    aggregated block sum_k row_k U_k, so with inner_k = U_k . g (g its
+    estimated gradient, zero for devices that did not upload) the chain
+    rule through the masked softmax gives the closed-form vector-Jacobian
+    product row * (inner - row . inner), one row per device. It equals
+    coeff_jacobian(...).T @ inner in O(K) instead of O(K^3). The products
+    are stacked `matmul`s of the per-device vector products, so each row is
+    bit-equal to computing that device alone.
     """
-    row = entry.rows[i]
-    inner = np.zeros_like(row)
-    inner[entry.uploaders] = entry.U @ grad_block
-    return row * (inner - row @ inner)
+    rows = entry.rows[sel]
+    inner = np.zeros_like(rows)
+    inner[:, entry.uploaders] = (entry.U[None] @ est[:, :, None])[:, :, 0]
+    row_dot = (rows[:, None, :] @ inner[:, :, None])[:, 0, 0]
+    return rows * (inner - row_dot[:, None])
 
 
 def coeff_update(state: CoefficientState,
-                 grads: Mapping[tuple[int, int], np.ndarray]) -> CoefficientState:
+                 grads: Mapping[int, tuple[np.ndarray, np.ndarray]]) -> CoefficientState:
     """Descend the provided rows; everything else stays untouched.
 
-    grads maps (device, block) to a length-K gradient row. Rows are applied
-    in ascending (device, block) order so results never depend on dict order.
+    grads maps a block to (devices, gradient rows): one distinct device per
+    row of the (n, K) gradient, whose raw row in that block takes one step.
     """
-    for (k, b) in sorted(grads):
-        state.raw[b][k] = state.raw[b][k] - state.lr * np.asarray(grads[(k, b)])
+    for b, (ks, grad) in grads.items():
+        state.raw[b][ks] -= state.lr * grad
+    return state
+
+
+def update_weights(state: CoefficientState, prev: GradCache, fresh: GradCache,
+                   indicators: Mapping[int, np.ndarray], eta: float, num_iters: int,
+                   mode: str = "descent_normalized") -> CoefficientState:
+    """One descent step on the raw rows that last round's aggregation can teach.
+
+    prev holds last round's aggregation of each block, fresh this round's.
+    Each device that aggregated a block last round and uploads it again this
+    round (its indicator is set) learns from the delta between its fresh
+    upload and its previous aggregate: one stacked gradient estimate and one
+    `coeff_grad` per block, then one `coeff_update` for all blocks.
+    """
+    grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for b, entry in prev.items():
+        sel = np.flatnonzero(indicators[b][entry.uploaders])
+        if not sel.size:
+            continue
+        ks = entry.uploaders[sel]
+        now = fresh[b]
+        est = estimate_block_gradient(entry.aggregated[sel],
+                                      now.U[np.searchsorted(now.uploaders, ks)],
+                                      eta, num_iters, mode=mode)
+        grads[b] = (ks, coeff_grad(entry, sel, est))
+    if grads:
+        coeff_update(state, grads)
     return state
 
 

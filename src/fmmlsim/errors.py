@@ -18,7 +18,7 @@ class ShapeMismatchError(FmmlError):
 
 
 class NumericOverflowError(FmmlError):
-    """A forward pass produced non-finite activations."""
+    """A computation produced non-finite values: activations, parameters or link rates."""
 
 
 class AggregationError(FmmlError):

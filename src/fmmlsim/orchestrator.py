@@ -106,7 +106,7 @@ def evaluate_personalized(arch: ArchSpec, devices: Sequence[DeviceState]) -> tup
     for i, dev in enumerate(devices):
         test = dev.dataset.test
         scores = nn_core.forward_batch(arch, dev.params, test.features)
-        accs[i] = float((scores.argmax(axis=1) == test.labels).mean())
+        accs[i] = np.count_nonzero(scores.argmax(axis=1) == test.labels) / len(test.labels)
     return accs, float(accs.mean())
 
 
@@ -187,22 +187,16 @@ class Simulation:
             coeffs=coeffs,
             cache={},
             schedule=scheduler.new_schedule_state(cfg.num_devices, self.block_ids))
+        # The scheduler's self-weights: what a uniform weight row gives. That
+        # is also `proposed`'s first round, as init_coeffs makes every raw
+        # entry equal; after each round `proposed` takes the diagonal of the
+        # end-of-round effective rows.
+        self.self_weights: dict[int, np.ndarray] = {}
+        for b in self.block_ids:
+            self.self_weights[b] = np.zeros(cfg.num_devices)
+            self.self_weights[b][self.owners[b]] = 1.0 / int(self.owners[b].sum())
 
     # ----------------------------- one round -----------------------------
-
-    def _device_blocks(self, k: int) -> tuple[int, ...]:
-        return (*self.devices[k].dataset.owned, self.arch.shared_block_id)
-
-    def _self_weights(self) -> dict[int, np.ndarray]:
-        out = {}
-        for b in self.block_ids:
-            if self.cfg.algorithm == "proposed":
-                out[b] = np.diag(agg.effective_rows(self.server.coeffs, b, self.owners[b]))
-            else:
-                # neutral value: what a uniform weight row would give
-                out[b] = np.zeros(self.cfg.num_devices)
-                out[b][self.owners[b]] = 1.0 / int(self.owners[b].sum())
-        return out
 
     def step(self) -> RoundLog:
         cfg = self.cfg
@@ -218,19 +212,17 @@ class Simulation:
             train_loss[dev.device_id] = local_update_phase(
                 self.arch, dev, cfg.lr, cfg.local_iters, cfg.batch_size, prox_mu=mu)
 
-        # latency inputs for this round
+        # latency inputs for this round; a device downloads the blocks it
+        # uploaded last round (the indicators are zero off each block's owners)
         down_rates = np.array([wireless.link_rate(
             self.link.server_power_w, g, self.link.bandwidth_hz, self.link.noise_density)
-            for g in gains])
+            for g in gains.tolist()])
         up_rates = np.array([wireless.link_rate(
             self.link.device_power_w, g, self.link.bandwidth_hz, self.link.noise_density)
-            for g in gains])
-        t_down = np.zeros(K)
+            for g in gains.tolist()])
+        t_down = wireless.download_latency(
+            self.server.schedule.indicators, self.sizes_bits, down_rates)
         t_cmp = self.t_compute.copy()
-        for k in range(K):
-            prev = {b: int(self.server.schedule.indicators[b][k])
-                    for b in self._device_blocks(k)}
-            t_down[k] = wireless.download_latency(prev, self.sizes_bits, float(down_rates[k]))
 
         # scheduling
         if cfg.algorithm == "local":
@@ -242,7 +234,7 @@ class Simulation:
             if cfg.algorithm != "proposed" and cfg.baseline_scheduler == "random":
                 selection = "random"
             indicators, staleness, metric_values = scheduler.schedule_round(
-                self._self_weights(), t_down, t_cmp, self.sizes_bits, up_rates,
+                self.self_weights, t_down, t_cmp, self.sizes_bits, up_rates,
                 self.owners, self.metric, self.server.schedule.staleness, self.quota,
                 cfg.staleness_threshold, selection=selection, rng=self.rng_sched)
 
@@ -255,37 +247,31 @@ class Simulation:
             ks = np.flatnonzero(indicators[b]).tolist()
             if not ks:
                 continue
-            mask = agg.build_round_mask(indicators[b], self.owners[b])
             uploads = {k: self.devices[k].params.blocks[b].values for k in ks}
             if cfg.algorithm == "proposed":
                 # every uploader's row is a softmax over this round's uploading owners
-                rows = agg.softmax_row(self.server.coeffs.raw[b][ks], mask[ks])
+                uploading = (indicators[b] != 0) & self.owners[b]
+                rows = agg.softmax_row(self.server.coeffs.raw[b][ks], uploading)
                 entry = agg.aggregate(rows, uploads)
                 new_cache[b] = entry
+                used_mask = uploading.astype(np.int8)
                 for i, k in enumerate(ks):
-                    rows_used.append((b, k, entry.rows[i], mask[k].astype(np.int8)))
+                    rows_used.append((b, k, entry.rows[i], used_mask))
                 merged[b] = (ks, entry.aggregated)
             else:
+                # not read: perfbench pins this call count until ROADMAP item 1 lands
+                agg.build_round_mask(indicators[b], self.owners[b])
                 # plain unweighted mean over this round's uploaders
                 total = np.zeros_like(uploads[ks[0]])
                 for k in ks:
                     total += uploads[k]
                 merged[b] = (ks, [total / len(ks)] * len(ks))
 
-        # aggregation-weight update from the previous round's retained material;
-        # a device's block still holds this round's fresh upload
+        # aggregation-weight update from the previous round's retained material
+        # and this round's fresh uploads
         if cfg.algorithm == "proposed" and cfg.coeff_lr > 0.0:
-            grads: dict[tuple[int, int], np.ndarray] = {}
-            for b, entry in self.server.cache.items():
-                for i, k in enumerate(entry.uploaders.tolist()):
-                    if not indicators[b][k]:
-                        continue  # no fresh upload, no delta to learn from
-                    est = agg.estimate_block_gradient(
-                        entry.aggregated[i], self.devices[k].params.blocks[b].values,
-                        cfg.lr, cfg.local_iters, mode=cfg.gradient_estimate)
-                    grads[(k, b)] = agg.coeff_grad(entry, i, est)
-            if grads:
-                agg.coeff_update(self.server.coeffs, grads)
+            agg.update_weights(self.server.coeffs, self.server.cache, new_cache, indicators,
+                               cfg.lr, cfg.local_iters, mode=cfg.gradient_estimate)
         if cfg.algorithm == "proposed":
             self.server.cache = new_cache
 
@@ -295,10 +281,7 @@ class Simulation:
                 self.devices[k].params.blocks[b].values[:] = row
 
         # realized upload time: all blocks the device shipped this round
-        t_up = np.zeros(K)
-        for k in range(K):
-            shipped = {b: int(indicators[b][k]) for b in self.block_ids}
-            t_up[k] = wireless.upload_latency(shipped, self.sizes_bits, float(up_rates[k]))
+        t_up = wireless.upload_latency(indicators, self.sizes_bits, up_rates)
         round_time = float((t_down + t_cmp + t_up).max())
 
         self.server.schedule.indicators = indicators
@@ -311,6 +294,7 @@ class Simulation:
             snapshot = {b: (self.server.coeffs.raw[b].copy(),
                             agg.effective_rows(self.server.coeffs, b, self.owners[b]))
                         for b in self.block_ids}
+            self.self_weights = {b: np.diag(eff) for b, (_, eff) in snapshot.items()}
         return RoundLog(
             round=t, gains=gains, t_download=t_down, t_compute=t_cmp,
             t_upload=t_up, round_time=round_time, scheduled=indicators,

@@ -4,7 +4,9 @@ Each round, every block picks the top devices by a metric that grows with
 how much the device leans on its peers (one minus its own softmax weight)
 and shrinks with its projected download + compute + upload time. Devices
 that have not uploaded a block for too many rounds are forced in on top of
-the quota so their aggregation weights keep receiving updates.
+the quota so their aggregation weights keep receiving updates. Each block is
+scheduled in one pass over its eligible devices: their metrics come from
+(K,) arrays in one expression, and the top quota from one sort.
 """
 
 from __future__ import annotations
@@ -47,45 +49,39 @@ def new_schedule_state(num_devices: int, block_ids) -> ScheduleState:
         staleness={b: np.zeros(num_devices, dtype=np.int64) for b in block_ids})
 
 
-def scheduling_metric(metric: MetricSpec, self_weight: float, t_down: float,
-                      t_cmp: float, t_up: float) -> float:
+def scheduling_metric(metric: MetricSpec, self_weight, t_down, t_cmp, t_up):
     """Peer-benefit-per-second (ratio) or latency-penalized benefit (linear).
 
     self_weight is the pre-mask softmax weight a device places on itself.
+    Every argument after `metric` is a scalar or an array of one value per
+    device, and so is the result.
     """
     total = t_down + t_cmp + t_up
     if metric.kind == "ratio":
-        if total <= 0:
+        if np.any(total <= 0):
             raise SchedulingError("ratio metric needs a positive latency denominator")
         return (1.0 - self_weight) / total
     return (1.0 - self_weight) - metric.alpha * total
 
 
-def schedule_block(metrics: Mapping[int, float], staleness: np.ndarray, quota: int,
+def schedule_block(ids: np.ndarray, metric: np.ndarray, staleness: np.ndarray, quota: int,
                    threshold: int) -> tuple[np.ndarray, np.ndarray]:
-    """Select one block's uploaders.
+    """Select one block's uploaders among the eligible devices `ids` (ascending).
 
-    Top min(quota, eligible) devices by metric (ties broken by ascending id)
-    upload and reset their staleness; the rest age by one round, and anyone
-    at or past the threshold is forced in afterwards, possibly exceeding the
-    quota.
+    The top min(quota, eligible) devices by `metric` (ties broken by
+    ascending id) upload and reset their staleness; the rest age by one
+    round, and anyone at or past the threshold is forced in afterwards,
+    possibly exceeding the quota.
     """
-    num_devices = staleness.shape[0]
-    indicators = np.zeros(num_devices, dtype=np.int8)
+    indicators = np.zeros(staleness.shape[0], dtype=np.int8)
     stale = staleness.copy()
-    eligible = sorted(metrics)
-    order = sorted(eligible, key=lambda k: (-metrics[k], k))
-    chosen = set(order[:min(quota, len(eligible))])
-    for k in eligible:
-        if k in chosen:
-            indicators[k] = 1
-            stale[k] = 0
-        else:
-            stale[k] += 1
-    for k in eligible:
-        if stale[k] >= threshold:
-            indicators[k] = 1
-            stale[k] = 0
+    chosen = ids[np.lexsort((ids, -metric))[:quota]]
+    stale[ids] += 1
+    stale[chosen] = 0
+    indicators[chosen] = 1
+    forced = ids[stale[ids] >= threshold]
+    indicators[forced] = 1
+    stale[forced] = 0
     return indicators, stale
 
 
@@ -100,8 +96,10 @@ def schedule_round(self_weights: Mapping[int, np.ndarray],
 
     Blocks are processed smallest id first so that a device's projected
     upload time for block m already includes the blocks it was scheduled
-    for earlier in the same round. Returns (indicators, staleness, metric
-    values) keyed by block.
+    for earlier in the same round: one (K,) count of the bits scheduled so
+    far grows after each block. Returns (indicators, staleness, metric
+    values) keyed by block; a block's metric values map each eligible
+    device, ascending, to its metric.
     """
     if selection not in SELECTION_MODES:
         raise SchedulingError(f"unknown selection mode {selection!r}")
@@ -110,18 +108,17 @@ def schedule_round(self_weights: Mapping[int, np.ndarray],
     indicators: dict[int, np.ndarray] = {}
     new_stale: dict[int, np.ndarray] = {}
     values: dict[int, dict[int, float]] = {}
+    bits_so_far = np.zeros(len(t_down), dtype=np.int64)
     for block in sorted(owners):
-        eligible = [int(k) for k in np.flatnonzero(owners[block])]
-        metrics: dict[int, float] = {}
-        for k in eligible:
-            if selection == "random":
-                metrics[k] = float(rng.uniform())
-                continue
-            so_far = {b: int(indicators[b][k]) for b in indicators}
-            t_up = cumulative_upload_latency(so_far, block, sizes_bits, float(up_rates[k]))
-            metrics[k] = scheduling_metric(
-                metric, float(self_weights[block][k]), float(t_down[k]), float(t_cmp[k]), t_up)
+        ids = np.flatnonzero(owners[block])
+        if selection == "random":
+            metrics = rng.uniform(size=ids.size)
+        else:
+            t_up = cumulative_upload_latency(bits_so_far[ids], sizes_bits[block], up_rates[ids])
+            metrics = scheduling_metric(
+                metric, self_weights[block][ids], t_down[ids], t_cmp[ids], t_up)
         indicators[block], new_stale[block] = schedule_block(
-            metrics, staleness[block], quota, threshold)
-        values[block] = metrics
+            ids, metrics, staleness[block], quota, threshold)
+        bits_so_far[indicators[block] != 0] += sizes_bits[block]
+        values[block] = dict(zip(ids.tolist(), metrics.tolist()))
     return indicators, new_stale, values

@@ -336,10 +336,15 @@ def entry_for(raw_row, mask_row, participants, uploads):
                      {k: vec_block(v) for k, v in uploads.items()})
 
 
+def grad_row(entry, i, g):
+    """coeff_grad for the single device `entry.uploaders[i]` with gradient estimate g."""
+    return coeff_grad(entry, np.array([i]), g[None])[0]
+
+
 def test_coeff_grad_zero_gradient():
     entry = entry_for(np.zeros(2), np.ones(2), all_true(2),
                       {0: np.array([1.0]), 1: np.array([2.0])})
-    np.testing.assert_array_equal(coeff_grad(entry, 0, vec_block([0.0])), np.zeros(2))
+    np.testing.assert_array_equal(grad_row(entry, 0, vec_block([0.0])), np.zeros(2))
 
 
 def test_coeff_grad_scalar_hand_value():
@@ -349,7 +354,7 @@ def test_coeff_grad_scalar_hand_value():
     entry = entry_for(np.zeros(2), np.ones(2), all_true(2),
                       {0: np.array([0.0]), 1: np.array([2.0])})
     g = 0.7
-    row = coeff_grad(entry, 0, vec_block([g]))
+    row = grad_row(entry, 0, vec_block([g]))
     # jacobian [[.25,-.25],[-.25,.25]], inner products [0, 2g]
     np.testing.assert_allclose(row, [-0.5 * g, 0.5 * g], atol=1e-12)
 
@@ -359,7 +364,7 @@ def test_coeff_grad_equal_inner_products_sum_zero():
     upload = rng.normal(size=4)
     entry = entry_for(rng.normal(size=3), np.ones(3), all_true(3),
                       {k: upload.copy() for k in range(3)})
-    row = coeff_grad(entry, 0, vec_block(rng.normal(size=4)))
+    row = grad_row(entry, 0, vec_block(rng.normal(size=4)))
     assert abs(row.sum()) < 1e-12
     assert np.abs(row).max() < 1e-12  # equal inner products cancel entirely
 
@@ -383,7 +388,7 @@ def test_coeff_grad_matches_the_full_jacobian_product():
             for j, v in uploads.items():
                 inner[j] = float(np.dot(v, g))
             ref = coeff_jacobian(raw, mask, parts).T @ inner
-            got = coeff_grad(entry_for(raw, mask, parts, uploads), 0, vec_block(g))
+            got = grad_row(entry_for(raw, mask, parts, uploads), 0, vec_block(g))
             assert (got[(mask == 0) | ~parts] == 0.0).all()
             scale = np.abs(ref).max()
             if scale == 0.0:  # a single allowed device: the row cannot move
@@ -399,8 +404,8 @@ def test_coeff_grad_picks_the_entry_row():
     entry = aggregate(rows, uploads)
     for i in range(2):
         single = aggregate(rows[i], uploads)
-        np.testing.assert_array_equal(coeff_grad(entry, i, vec_block([0.7])),
-                                      coeff_grad(single, 0, vec_block([0.7])))
+        np.testing.assert_array_equal(grad_row(entry, i, vec_block([0.7])),
+                                      grad_row(single, 0, vec_block([0.7])))
 
 
 # ----------------------------- updates -----------------------------
@@ -415,14 +420,14 @@ def test_coeff_update_no_eligible_rows_is_noop():
 
 def test_coeff_update_single_row_arithmetic():
     state = init_coeffs(2, (1, 2), lr=0.01)
-    coeff_update(state, {(0, 1): np.array([1.0, -1.0])})
+    coeff_update(state, {1: (np.array([0]), np.array([[1.0, -1.0]]))})
     np.testing.assert_allclose(state.raw[1][0], [0.5 - 0.01, 0.5 + 0.01])
     np.testing.assert_allclose(state.raw[1][1], [0.5, 0.5])
 
 
 def test_coeff_update_composes_additively():
     state = init_coeffs(2, (1, 2), lr=0.1)
-    g = {(1, 1): np.array([0.2, -0.4])}
+    g = {1: (np.array([1]), np.array([[0.2, -0.4]]))}
     coeff_update(state, g)
     coeff_update(state, g)
     np.testing.assert_allclose(state.raw[1][1], [0.5 - 0.04, 0.5 + 0.08])
@@ -492,9 +497,9 @@ def test_self_weight_rises_when_own_upload_helps():
     uploads = {0: np.array([0.0]), 1: np.array([2.0])}
     entry = entry_for(state.raw[1][0], np.ones(2), all_true(2), uploads)
     grad_at_aggregate = vec_block([1.0])  # d loss / d w > 0 at w=1, minimum at 0
-    row = coeff_grad(entry, 0, grad_at_aggregate)
+    row = grad_row(entry, 0, grad_at_aggregate)
     before = state.raw[1][0].copy()
-    coeff_update(state, {(0, 1): row})
+    coeff_update(state, {1: (np.array([0]), row[None])})
     after = state.raw[1][0]
     assert after[0] - before[0] > 0
     assert (after[0] - before[0]) > (after[1] - before[1])

@@ -192,6 +192,20 @@ def test_cli_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("run failed:")
 
 
+@pytest.mark.parametrize("link", [
+    {"carrier_ghz": 1e-300},      # the gain is finite, its square is not: the SNR overflows
+    {"noise_density": 5e-324},    # the noise power is subnormal: the SNR overflows
+    {"carrier_ghz": 1e-320},      # the path gain itself overflows
+])
+def test_cli_fails_on_an_overflowing_link(tmp_path, capsys, link):
+    write_cfg(tmp_path, {**small_payload(), "link": link}, "base.json")
+    code = main(["--config", str(tmp_path / "base.json"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "Warning" not in err
+    assert not (tmp_path / "out" / "rounds.csv").exists()
+
+
 def test_cli_byte_identical_outputs(tmp_path):
     write_cfg(tmp_path, small_payload(), "base.json")
     outs = []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fmmlsim import aggregation as agg
 from fmmlsim import config_to_dict, desk_config, nn_core, orchestrator, wireless
 from fmmlsim.cli import main
 from fmmlsim.config import ALGORITHMS, config_from_dict
@@ -185,6 +186,17 @@ def test_round_time_is_max_of_device_totals():
     log = sim.step()
     totals = log.t_download + log.t_compute + log.t_upload
     assert log.round_time == pytest.approx(totals.max())
+
+
+@pytest.mark.parametrize("seed", [0, 1009])
+def test_each_round_schedules_with_the_current_effective_self_weights(seed):
+    # the uniform start of init_coeffs first, then the end-of-round snapshot
+    sim = Simulation(quick_cfg(seed=seed, algorithm="proposed"))
+    for _ in range(3):
+        for b in sim.block_ids:
+            diag = np.diag(agg.effective_rows(sim.server.coeffs, b, sim.owners[b]))
+            assert np.array_equal(sim.self_weights[b], diag)
+        sim.step()
 
 
 def test_simulated_training_time_sums_rounds():

@@ -28,16 +28,23 @@ def test_metric_spec_validation():
         MetricSpec("linear", -1.0)
 
 
+def select(metrics, staleness, quota, threshold):
+    """schedule_block over the devices of a {device: metric} dict."""
+    ids = np.array(sorted(metrics), dtype=np.intp)
+    values = np.array([metrics[k] for k in ids.tolist()], dtype=np.float64)
+    return schedule_block(ids, values, staleness, quota, threshold)
+
+
 def test_schedule_block_top_quota():
     metrics = {0: 3.0, 1: 1.0, 2: 2.0}
-    ind, stale = schedule_block(metrics, np.zeros(3, dtype=np.int64), 2, 10)
+    ind, stale = select(metrics, np.zeros(3, dtype=np.int64), 2, 10)
     np.testing.assert_array_equal(ind, [1, 0, 1])
     np.testing.assert_array_equal(stale, [0, 1, 0])
 
 
 def test_schedule_block_quota_saturation():
     metrics = {k: float(k) for k in range(4)}
-    ind, stale = schedule_block(metrics, np.zeros(4, dtype=np.int64), 4, 10)
+    ind, stale = select(metrics, np.zeros(4, dtype=np.int64), 4, 10)
     assert ind.sum() == 4
     assert (stale == 0).all()
 
@@ -45,7 +52,7 @@ def test_schedule_block_quota_saturation():
 def test_schedule_block_staleness_override():
     metrics = {0: 3.0, 1: 2.0, 2: -5.0}
     stale0 = np.array([0, 0, 9], dtype=np.int64)
-    ind, stale = schedule_block(metrics, stale0, 2, 10)
+    ind, stale = select(metrics, stale0, 2, 10)
     # device 2 has the worst metric but its counter hits the threshold
     np.testing.assert_array_equal(ind, [1, 1, 1])
     assert stale[2] == 0
@@ -53,7 +60,7 @@ def test_schedule_block_staleness_override():
 
 def test_schedule_block_tie_breaks_by_device_id():
     metrics = {0: 1.0, 1: 1.0, 2: 1.0}
-    ind, _ = schedule_block(metrics, np.zeros(3, dtype=np.int64), 2, 10)
+    ind, _ = select(metrics, np.zeros(3, dtype=np.int64), 2, 10)
     np.testing.assert_array_equal(ind, [1, 1, 0])
 
 
@@ -213,7 +220,7 @@ def test_schedule_block_keeps_staleness_below_the_threshold(data, num_devices, t
     before = np.array(data.draw(st.lists(st.integers(0, threshold - 1),
                                          min_size=num_devices, max_size=num_devices)),
                       dtype=np.int64)
-    ind, stale = schedule_block(metrics, before, quota, threshold)
+    ind, stale = select(metrics, before, quota, threshold)
     top = set(sorted(eligible, key=lambda k: (-metrics[k], k))[:quota])
     for k in range(num_devices):
         if k not in metrics:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fmmlsim.config import LinkConfig
-from fmmlsim.errors import StalledLinkError
+from fmmlsim.errors import NumericOverflowError, StalledLinkError
 from fmmlsim.wireless import (compute_latency, cumulative_upload_latency,
                               download_latency, link_rate, mean_gain,
                               path_loss_db, place_devices, sample_gain,
@@ -60,24 +60,33 @@ def test_link_rate_values():
     assert link_rate(0.1, 2 * g, b, n0) > link_rate(0.1, g, b, n0)
 
 
+def one(flags):
+    """A one-device schedule: each block's flag as a (1,) array."""
+    return {b: np.array([f], dtype=np.int8) for b, f in flags.items()}
+
+
+def rate(r):
+    return np.array([r])
+
+
 def test_download_latency():
     sizes = {1: 3_200_000, 2: 1_000_000}
-    assert download_latency({1: 0, 2: 0}, sizes, 1e6) == 0.0
-    assert download_latency({1: 1, 2: 0}, sizes, 1e6) == pytest.approx(3.2)
-    both = download_latency({1: 1, 2: 1}, sizes, 1e6)
-    assert both > download_latency({1: 1, 2: 0}, sizes, 1e6)
+    assert download_latency(one({1: 0, 2: 0}), sizes, rate(1e6)) == 0.0
+    assert download_latency(one({1: 1, 2: 0}), sizes, rate(1e6)) == pytest.approx(3.2)
+    both = download_latency(one({1: 1, 2: 1}), sizes, rate(1e6))
+    assert both > download_latency(one({1: 1, 2: 0}), sizes, rate(1e6))
     with pytest.raises(StalledLinkError):
-        download_latency({1: 1}, sizes, 0.0)
-    assert download_latency({1: 0}, sizes, 0.0) == 0.0
+        download_latency(one({1: 1}), sizes, rate(0.0))
+    assert download_latency(one({1: 0}), sizes, rate(0.0)) == 0.0
 
 
 def test_upload_latency():
     sizes = {1: 3_200_000, 2: 1_000_000}
-    assert upload_latency({1: 0, 2: 0}, sizes, 1e6) == 0.0
-    assert upload_latency({1: 1, 2: 1}, sizes, 1e6) == pytest.approx(4.2)
+    assert upload_latency(one({1: 0, 2: 0}), sizes, rate(1e6)) == 0.0
+    assert upload_latency(one({1: 1, 2: 1}), sizes, rate(1e6)) == pytest.approx(4.2)
     with pytest.raises(StalledLinkError):
-        upload_latency({1: 0, 2: 1}, sizes, 0.0)
-    assert upload_latency({1: 0, 2: 0}, sizes, 0.0) == 0.0
+        upload_latency(one({1: 0, 2: 1}), sizes, rate(0.0))
+    assert upload_latency(one({1: 0, 2: 0}), sizes, rate(0.0)) == 0.0
 
 
 def test_compute_latency():
@@ -87,16 +96,15 @@ def test_compute_latency():
 
 
 def test_cumulative_upload_latency():
-    sizes = {1: 100, 2: 200, 3: 400}
-    assert cumulative_upload_latency({}, 2, sizes, 100.0) == pytest.approx(2.0)
-    assert cumulative_upload_latency({1: 1}, 2, sizes, 100.0) == pytest.approx(3.0)
+    bits = np.array([0, 100])  # device 1 already ships block 1 (100 bits)
+    np.testing.assert_allclose(cumulative_upload_latency(bits, 200, np.full(2, 100.0)), [2.0, 3.0])
     # hand value: blocks (100, 200, 400) bits, block 1 already scheduled,
     # candidate block 3 -> (100 + 400) / 100 = 5 s
-    assert cumulative_upload_latency({1: 1, 2: 0}, 3, sizes, 100.0) == pytest.approx(5.0)
-    same = cumulative_upload_latency({1: 1}, 2, {1: 200, 2: 200}, 100.0)
-    assert same == pytest.approx(2 * cumulative_upload_latency({}, 2, {1: 200, 2: 200}, 100.0))
+    assert cumulative_upload_latency(np.array([100]), 400, rate(100.0)) == pytest.approx(5.0)
+    same = cumulative_upload_latency(np.array([200]), 200, rate(100.0))
+    assert same == pytest.approx(2 * cumulative_upload_latency(np.array([0]), 200, rate(100.0)))
     with pytest.raises(StalledLinkError):
-        cumulative_upload_latency({}, 1, sizes, 0.0)
+        cumulative_upload_latency(np.array([0]), 100, rate(0.0))
 
 
 def test_dimensional_walkthrough_full_round():
@@ -108,13 +116,15 @@ def test_dimensional_walkthrough_full_round():
     down = link_rate(link.server_power_w, g, link.bandwidth_hz, link.noise_density)
     up = link_rate(link.device_power_w, g, link.bandwidth_hz, link.noise_density)
     sizes = {1: 13_056, 2: 8_896}
-    total = (download_latency({1: 1, 2: 1}, sizes, down)
+    total = (download_latency(one({1: 1, 2: 1}), sizes, rate(down))
              + compute_latency(5, 78_336 + 53_376, 1e7, 2.0)
-             + cumulative_upload_latency({1: 1}, 2, sizes, up))
-    assert isinstance(total, float)
-    assert 0.0 < total < 60.0
+             + cumulative_upload_latency(np.array([sizes[1]]), sizes[2], rate(up)))
+    assert total.shape == (1,) and total.dtype == np.float64
+    assert 0.0 < total[0] < 60.0
 
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
         link_rate(0.1, 1.0, -5.0, 1e-17)
+    with pytest.raises(NumericOverflowError, match="not finite"):
+        link_rate(0.1, 1e300, 1e6, 1e-17)
