@@ -6,18 +6,19 @@ that both own the block and uploaded it this round; every other entry is
 exactly zero. This equals a softmax over the owners followed by a
 renormalization over the round's uploaders, but takes one pass per row and
 cannot lose the whole row to underflow. A block is aggregated for all its
-uploaders in one product, `rows[:, uploaders] @ U`, with `U` the stack of
-uploaded flat block vectors; uploads, aggregates and gradient estimates are
-plain float64 arrays. The raw matrices are trained by gradient descent
-through the softmax, using its closed-form vector-Jacobian product, O(K) per
-row; the loss gradient at the aggregated point is estimated from the
-parameter delta the device uploads one round later. The weight update of a
-block runs once for all its devices with a fresh upload: one stacked
-gradient estimate, one stacked product with `U` and one descent step on
-their raw rows. `masked_renormalize` and
-`coeff_jacobian` spell out the two-stage transform and its full Jacobian;
-the round loop does not call them, and the tests check the one-stage path
-against them.
+uploaders in one product, `rows[:, uploaders] @ U`, with `U` the
+(uploaders, P_b) rows of the uploaders' flat block vectors, gathered by the
+caller in one indexing step from the array that holds the block for every
+device; aggregates and gradient estimates are plain float64 arrays. The raw
+matrices are trained by gradient descent through the softmax, using its
+closed-form vector-Jacobian product, O(K) per row; the loss gradient at the
+aggregated point is estimated from the parameter delta the device uploads
+one round later. The weight update of a block runs once for all its
+devices with a fresh upload: one stacked gradient estimate, one stacked
+product with `U` and one descent step on their raw rows.
+`masked_renormalize` and `coeff_jacobian` spell out the two-stage transform
+and its full Jacobian; the round loop does not call them, and the tests
+check the one-stage path against them.
 """
 
 from __future__ import annotations
@@ -112,26 +113,25 @@ def build_round_mask(indicators: np.ndarray, participants: np.ndarray) -> np.nda
     return mask
 
 
-def aggregate(rows: np.ndarray, uploads: Mapping[int, np.ndarray]) -> CacheEntry:
+def aggregate(rows: np.ndarray, uploaders: np.ndarray, U: np.ndarray) -> CacheEntry:
     """Convex combination of the uploaded blocks for every weight row at once.
 
-    rows is one (K,) weight row or an (n, K) stack; uploads maps a device to
-    its flat block vector. The uploads are copied, in ascending device order,
-    into U, and row i of the result's `aggregated` is rows[i, uploaders] @ U.
+    rows is one (K,) weight row or an (n, K) stack; uploaders are the devices
+    that uploaded, ascending, and U is the (len(uploaders), P_b) stack of
+    their flat block vectors in that order. The entry keeps U as given (not a
+    copy), and row i of its `aggregated` is rows[i, uploaders] @ U.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    ks = sorted(uploads)
-    uploaders = np.array(ks, dtype=np.intp)
+    uploaders = np.asarray(uploaders, dtype=np.intp)
+    if U.ndim != 2 or U.shape[0] != uploaders.shape[0]:
+        raise AggregationError(
+            f"uploads of shape {U.shape} do not stack one row per uploader "
+            f"({uploaders.shape[0]})")
     silent = np.ones(rows.shape[1], dtype=bool)
     silent[uploaders] = False
     missing = np.flatnonzero(silent & (rows > 0.0).any(axis=0))
     if missing.size:
         raise AggregationError(f"positive weight but no upload from devices {missing.tolist()}")
-    ref = np.shape(uploads[ks[0]])
-    for k in ks:
-        if np.shape(uploads[k]) != ref:
-            raise AggregationError(f"upload from device {k} has mismatched length")
-    U = np.stack([uploads[k] for k in ks])
     return CacheEntry(uploaders=uploaders, U=U, rows=rows, aggregated=rows[:, uploaders] @ U)
 
 

@@ -3,11 +3,15 @@
 Each device trains one encoder per modality it owns plus a classifier head
 shared by every device. Parameters live in flat per-block vectors (one block
 per modality encoder, one block for the head) so that blocks can be shipped,
-averaged and diffed without caring about layer layout. A `ParamBlock` checks
-its vector and builds its layer views once, when it is built at set-up; the
-views are rebuilt only if `values` is rebound or stops sharing memory with them
-(as after a deep copy). Gradients are fresh flat arrays keyed by block, and
-`sgd_step` updates the block vectors in place, so the views stay valid. The
+averaged and diffed without caring about layer layout. A block vector may be
+a row view of a larger array that stacks one block for many devices. A
+`ParamBlock` checks its vector and builds its layer views once, when it is
+built at set-up; the views are rebuilt only if `values` is rebound or stops
+sharing memory with them (as after a deep copy). Gradients are fresh flat
+arrays keyed by block, and `sgd_step` updates the block vectors in place, so
+the views, and the rows they belong to, stay valid. Every matrix product
+whose output is contiguous goes through `np.dot`, the cheapest call per
+product at these sizes; the rest use `np.matmul(..., out=)`. The
 classifier always consumes a fixed-width concatenation of all modality feature
 slots; slots for modalities a device does not own stay zero, which keeps the
 head block structurally identical across devices.
@@ -196,7 +200,11 @@ def init_full_params(arch: ArchSpec, rng: np.random.Generator) -> dict[int, Para
 
 def slice_device_params(full: Mapping[int, ParamBlock], owned: Sequence[int],
                         shared_id: int) -> MultiModalParams:
-    """Copy the blocks a device maintains out of a full parameter set."""
+    """Copy the blocks a device maintains out of a full parameter set.
+
+    The copies are standalone vectors; a `Simulation` instead builds each
+    device's blocks as rows of its per-block arrays.
+    """
     wanted = tuple(sorted(owned))
     blocks = {b: ParamBlock(b, full[b].values.copy(), full[b].shapes)
               for b in (*wanted, shared_id)}
@@ -232,7 +240,7 @@ def _forward_cached(arch: ArchSpec, params: MultiModalParams,
     enc_cache = {}
     for m, x in xs.items():
         w1, b1, w2, b2 = params.blocks[m].arrays()
-        h = x @ w1.T
+        h = np.dot(x, w1.T)
         h += b1
         np.tanh(h, out=h)
         feat = fused[:, (m - 1) * f: m * f]
@@ -244,12 +252,12 @@ def _forward_cached(arch: ArchSpec, params: MultiModalParams,
     acts = [fused]
     a = fused
     for v, u in layers[:-1]:
-        a = a @ v.T
+        a = np.dot(a, v.T)
         a += u
         np.tanh(a, out=a)
         acts.append(a)
     v_out, u_out = layers[-1]
-    scores = a @ v_out.T
+    scores = np.dot(a, v_out.T)
     scores += u_out
     if not np.logical_and.reduce(np.isfinite(scores), axis=None):
         raise NumericOverflowError("non-finite class scores")
@@ -283,30 +291,32 @@ def loss_and_grad(arch: ArchSpec, params: MultiModalParams,
     if labels.shape[0] != batch:
         raise ShapeMismatchError("labels disagree with batch size")
 
-    rows = np.arange(batch)
+    # each row's label entry, as an index into the flat (B*C) score buffer
+    picks = np.arange(0, batch * arch.num_classes, arch.num_classes) + labels
     shifted = scores  # the scores are not returned, so they are shifted in place
     shifted -= np.maximum.reduce(scores, axis=1, keepdims=True)
     log_norm = np.log(np.add.reduce(np.exp(shifted), axis=1))
-    loss = float(-(np.add.reduce(shifted[rows, labels] - log_norm) / batch))
+    flat = shifted.reshape(-1)
+    loss = float(-(np.add.reduce(flat[picks] - log_norm) / batch))
 
     shifted -= log_norm[:, None]
     d = np.exp(shifted, out=shifted)
-    d[rows, labels] -= 1.0
+    flat[picks] -= 1.0
     d /= batch
 
     head_id = params.head_id
     head = params.blocks[head_id]
     head_grad = np.empty(head.values.shape[0])
     gviews = _layer_views(head_grad, head.shapes)
-    np.matmul(d.T, acts[-1], out=gviews[-2])
+    np.dot(d.T, acts[-1], out=gviews[-2])
     np.add.reduce(d, axis=0, out=gviews[-1])
-    d = d @ layers[-1][0]
+    d = np.dot(d, layers[-1][0])
     for i in range(len(layers) - 2, -1, -1):
         a = acts[i + 1]
         d *= 1.0 - a * a
-        np.matmul(d.T, acts[i], out=gviews[2 * i])
+        np.dot(d.T, acts[i], out=gviews[2 * i])
         np.add.reduce(d, axis=0, out=gviews[2 * i + 1])
-        d = d @ layers[i][0]
+        d = np.dot(d, layers[i][0])
 
     f = arch.feature_len
     grads = {head_id: head_grad}
@@ -316,11 +326,11 @@ def loss_and_grad(arch: ArchSpec, params: MultiModalParams,
         enc_grad = np.empty(block.values.shape[0])
         gw1, gb1, gw2, gb2 = _layer_views(enc_grad, block.shapes)
         dfeat = d[:, (m - 1) * f: m * f]
-        np.matmul(dfeat.T, h, out=gw2)
+        np.dot(dfeat.T, h, out=gw2)
         np.add.reduce(dfeat, axis=0, out=gb2)
-        dpre = dfeat @ w2
+        dpre = np.dot(dfeat, w2)
         dpre *= 1.0 - h * h
-        np.matmul(dpre.T, x, out=gw1)
+        np.dot(dpre.T, x, out=gw1)
         np.add.reduce(dpre, axis=0, out=gb1)
         grads[m] = enc_grad
     return loss, grads

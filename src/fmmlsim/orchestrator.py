@@ -4,10 +4,13 @@ One round runs, in order: channel realization, local SGD on every device,
 download/compute latency accounting, per-block upload scheduling, weighted
 aggregation of each block over its uploaders, aggregation-weight updates
 from the previous round's retained material, cache refresh, and downloads
-back to the scheduled devices. Each device's parameter blocks are the only
-copy of its model: SGD updates them in place, an upload reads them, and a
-download overwrites them with the device's aggregate. The server keeps the
-aggregation weights and the last round's aggregation, not the models.
+back to the scheduled devices. A block's parameters live in one array for
+all devices that hold it (`Simulation.store`), a row per holder, and each
+device's ParamBlock values are views of its rows: SGD updates a row in place
+per device, a round's uploads of a block are one row gather from its array,
+and the download is one row scatter of the aggregates back into it. The
+server keeps the aggregation weights and the last round's aggregation, not
+the models.
 Rounds are synchronous: the round wall time is the slowest device's
 download + compute + upload.
 """
@@ -82,7 +85,9 @@ def local_update_phase(arch: ArchSpec, device: DeviceState, lr: float,
     n = len(train)
     perm = device.rng.permutation(n)
     # the whole round's batches in one gather; iteration i reads rows [i*B, (i+1)*B)
-    idx = perm[np.arange(local_iters * batch_size) % n]
+    # of the shuffle, wrapping around it when the round needs more than n rows
+    need = local_iters * batch_size
+    idx = perm[:need] if need <= n else perm[np.arange(need) % n]
     round_feats = {m: train.features[m][idx] for m in device.dataset.owned}
     round_labels = train.labels[idx]
     params = device.params
@@ -169,17 +174,25 @@ class Simulation:
             sum(nn_core.flops_per_iteration(self.arch, owned_sets[k], cfg.batch_size).values()),
             cfg.compute.cycles_per_s / float(slowdown[k]), cfg.compute.flops_per_cycle)
             for k in range(cfg.num_devices)])
-        dev_rngs = [np.random.default_rng(s) for s in dev_ss.spawn(cfg.num_devices)]
-        self.devices = [DeviceState(
-            device_id=k,
-            params=nn_core.slice_device_params(full, owned_sets[k], shared),
-            dataset=datasets[k],
-            rng=dev_rngs[k],
-        ) for k in range(cfg.num_devices)]
-
         self.owners = agg.block_owners(owned_sets, cfg.num_modalities)
         self.block_ids = sorted(self.owners)
         self.sizes_bits = {b: nn_core.param_size_bits(full[b]) for b in self.block_ids}
+        # one array per block, a row per device that holds it (every device for
+        # the head); store_row[b][k] is owner k's row, and each device's
+        # ParamBlock values are views of its rows
+        self.store = {b: np.repeat(full[b].values[None], int(self.owners[b].sum()), axis=0)
+                      for b in self.block_ids}
+        self.store_row = {b: np.cumsum(self.owners[b]) - 1 for b in self.block_ids}
+        dev_rngs = [np.random.default_rng(s) for s in dev_ss.spawn(cfg.num_devices)]
+        self.devices = []
+        for k in range(cfg.num_devices):
+            blocks = {b: nn_core.ParamBlock(b, self.store[b][int(self.store_row[b][k])],
+                                            full[b].shapes)
+                      for b in (*sorted(owned_sets[k]), shared)}
+            self.devices.append(DeviceState(
+                device_id=k, params=MultiModalParams(blocks, owned_sets[k]),
+                dataset=datasets[k], rng=dev_rngs[k]))
+
         coeffs = None
         if cfg.algorithm == "proposed":
             coeffs = agg.init_coeffs(cfg.num_devices, self.block_ids, cfg.coeff_lr)
@@ -238,34 +251,34 @@ class Simulation:
                 self.owners, self.metric, self.server.schedule.staleness, self.quota,
                 cfg.staleness_threshold, selection=selection, rng=self.rng_sched)
 
-        # aggregation: each block over this round's uploads, read from the
-        # uploaders' post-local-update blocks
-        merged: dict[int, tuple[list[int], Sequence[np.ndarray]]] = {}
+        # aggregation: each block over this round's uploads, one row gather U
+        # from its store; the download is one row scatter back into the same rows
         new_cache: agg.GradCache = {}
         rows_used: list[tuple[int, int, np.ndarray, np.ndarray]] = []
         for b in self.block_ids:
-            ks = np.flatnonzero(indicators[b]).tolist()
-            if not ks:
+            ks = np.flatnonzero(indicators[b])
+            if not ks.size:
                 continue
-            uploads = {k: self.devices[k].params.blocks[b].values for k in ks}
+            store, at = self.store[b], self.store_row[b][ks]
+            U = store[at]
             if cfg.algorithm == "proposed":
                 # every uploader's row is a softmax over this round's uploading owners
                 uploading = (indicators[b] != 0) & self.owners[b]
                 rows = agg.softmax_row(self.server.coeffs.raw[b][ks], uploading)
-                entry = agg.aggregate(rows, uploads)
+                entry = agg.aggregate(rows, ks, U)
                 new_cache[b] = entry
                 used_mask = uploading.astype(np.int8)
-                for i, k in enumerate(ks):
+                for i, k in enumerate(ks.tolist()):
                     rows_used.append((b, k, entry.rows[i], used_mask))
-                merged[b] = (ks, entry.aggregated)
+                store[at] = entry.aggregated
             else:
                 # not read: perfbench pins this call count until ROADMAP item 1 lands
                 agg.build_round_mask(indicators[b], self.owners[b])
                 # plain unweighted mean over this round's uploaders
-                total = np.zeros_like(uploads[ks[0]])
-                for k in ks:
-                    total += uploads[k]
-                merged[b] = (ks, [total / len(ks)] * len(ks))
+                total = np.zeros(store.shape[1])
+                for u in U:
+                    total += u
+                store[at] = total / len(ks)
 
         # aggregation-weight update from the previous round's retained material
         # and this round's fresh uploads
@@ -274,11 +287,6 @@ class Simulation:
                                cfg.lr, cfg.local_iters, mode=cfg.gradient_estimate)
         if cfg.algorithm == "proposed":
             self.server.cache = new_cache
-
-        # push each aggregate back into its uploader's block
-        for b, (ks, values) in merged.items():
-            for k, row in zip(ks, values):
-                self.devices[k].params.blocks[b].values[:] = row
 
         # realized upload time: all blocks the device shipped this round
         t_up = wireless.upload_latency(indicators, self.sizes_bits, up_rates)

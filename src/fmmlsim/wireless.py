@@ -39,16 +39,16 @@ def mean_gain(distance_m: float, carrier_ghz: float) -> float:
             f"path gain overflows at {distance_m!r} m and {carrier_ghz!r} GHz") from None
 
 
-def sample_gain(rng: np.random.Generator, distance_m: float, carrier_ghz: float) -> float:
-    """Rayleigh amplitude whose mean equals the path-loss attenuation."""
-    mu = mean_gain(distance_m, carrier_ghz)
-    return float(rng.rayleigh(scale=mu * math.sqrt(2.0 / math.pi)))
-
-
 def sample_round_gains(rng: np.random.Generator, distances: np.ndarray,
                        carrier_ghz: float) -> np.ndarray:
-    """One amplitude gain per device for one round, each >= 0."""
-    return np.array([sample_gain(rng, float(d), carrier_ghz) for d in distances])
+    """One Rayleigh amplitude gain per device for one round, each >= 0.
+
+    Device k's scale makes its mean gain the path-loss attenuation at its
+    distance; one draw over the (K,) scales takes them in device order.
+    """
+    c = math.sqrt(2.0 / math.pi)
+    scales = np.array([mean_gain(d, carrier_ghz) * c for d in np.asarray(distances).tolist()])
+    return rng.rayleigh(scale=scales)
 
 
 def link_rate(power_w: float, gain: float, bandwidth_hz: float,

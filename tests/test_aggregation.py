@@ -18,6 +18,12 @@ def vec_block(values):
     return np.asarray(values, dtype=float)
 
 
+def stacked(uploads):
+    """A device -> upload dict as `aggregate` takes it: ascending uploaders, then their stack U."""
+    ks = sorted(uploads)
+    return np.array(ks, dtype=np.intp), np.stack([uploads[k] for k in ks])
+
+
 def all_true(n):
     return np.ones(n, dtype=bool)
 
@@ -175,27 +181,28 @@ def aggregate_loop(weight_row, uploads):
 
 def test_aggregate_one_hot_returns_own_upload():
     uploads = {0: vec_block([1.0, 2.0]), 1: vec_block([5.0, -5.0])}
-    out = aggregate(np.array([0.0, 1.0]), uploads)
+    out = aggregate(np.array([0.0, 1.0]), *stacked(uploads))
     np.testing.assert_array_equal(out.aggregated[0], [5.0, -5.0])
 
 
 def test_aggregate_uniform_equals_mean():
     rng = np.random.default_rng(1)
     uploads = {k: vec_block(rng.normal(size=4)) for k in range(5)}
-    out = aggregate(np.full(5, 0.2), uploads)
+    out = aggregate(np.full(5, 0.2), *stacked(uploads))
     expected = np.mean([uploads[k] for k in range(5)], axis=0)
     np.testing.assert_allclose(out.aggregated[0], expected, atol=1e-12)
 
 
 def test_aggregate_hand_value():
     uploads = {0: vec_block([1.0, 1.0]), 1: vec_block([3.0, -1.0])}
-    out = aggregate(np.array([0.625, 0.375]), uploads)
+    out = aggregate(np.array([0.625, 0.375]), *stacked(uploads))
     np.testing.assert_allclose(out.aggregated[0], [1.75, 0.25], atol=1e-12)
 
 
 def test_aggregate_keeps_the_stack_of_uploads_in_device_order():
     uploads = {3: vec_block([3.0, 3.5]), 1: vec_block([1.0, 1.5])}
-    out = aggregate(np.array([[0.0, 0.25, 0.0, 0.75], [0.0, 1.0, 0.0, 0.0]]), uploads)
+    out = aggregate(np.array([[0.0, 0.25, 0.0, 0.75], [0.0, 1.0, 0.0, 0.0]]),
+                    *stacked(uploads))
     np.testing.assert_array_equal(out.uploaders, [1, 3])
     np.testing.assert_array_equal(out.U, [[1.0, 1.5], [3.0, 3.5]])
     np.testing.assert_allclose(out.aggregated, [[2.5, 3.0], [1.0, 1.5]], atol=1e-15)
@@ -211,7 +218,7 @@ def test_batched_aggregate_matches_the_per_row_loop():
         uploads = {int(j): vec_block(rng.normal(size=p)) for j in np.flatnonzero(active)}
         ks = sorted(uploads)
         rows = softmax_row(rng.normal(scale=2.0, size=(len(ks), k)), active)
-        out = aggregate(rows, uploads)
+        out = aggregate(rows, *stacked(uploads))
         for i in range(len(ks)):
             ref = aggregate_loop(rows[i], uploads)
             worst = max(worst, np.abs(out.aggregated[i] - ref).max() / np.abs(ref).max())
@@ -220,16 +227,25 @@ def test_batched_aggregate_matches_the_per_row_loop():
 
 def test_aggregate_missing_upload_raises():
     with pytest.raises(AggregationError):
-        aggregate(np.array([0.5, 0.5]), {0: vec_block([1.0, 2.0])})
+        aggregate(np.array([0.5, 0.5]), *stacked({0: vec_block([1.0, 2.0])}))
     rows = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5]])
     with pytest.raises(AggregationError, match=r"devices \[2\]"):
-        aggregate(rows, {0: vec_block([1.0]), 1: vec_block([2.0])})
+        aggregate(rows, *stacked({0: vec_block([1.0]), 1: vec_block([2.0])}))
 
 
 def test_aggregate_structure_mismatch_raises():
-    uploads = {0: vec_block([1.0, 2.0]), 1: vec_block([1.0, 2.0, 3.0])}
-    with pytest.raises(AggregationError):
-        aggregate(np.array([0.5, 0.5]), uploads)
+    # U must be (len(uploaders), P): one stacked row per uploader
+    for U in (np.zeros((3, 2)), np.zeros((1, 2)), np.zeros(2), np.zeros((2, 1, 2))):
+        with pytest.raises(AggregationError, match="one row per uploader"):
+            aggregate(np.array([0.5, 0.5]), np.array([0, 1]), U)
+
+
+def test_aggregate_keeps_the_given_stack():
+    uploaders, U = stacked({0: vec_block([1.0, 2.0]), 2: vec_block([3.0, 4.0])})
+    out = aggregate(np.array([0.5, 0.0, 0.5]), uploaders, U)
+    assert out.U is U
+    np.testing.assert_array_equal(out.uploaders, [0, 2])
+    np.testing.assert_array_equal(out.aggregated, [[2.0, 3.0]])
 
 
 # ----------------------------- jacobian -----------------------------
@@ -333,7 +349,7 @@ def entry_for(raw_row, mask_row, participants, uploads):
     """One device's cached aggregation: its row is the softmax over participants and mask."""
     allowed = np.asarray(participants, dtype=bool) & (np.asarray(mask_row) > 0)
     return aggregate(softmax_row(raw_row, allowed),
-                     {k: vec_block(v) for k, v in uploads.items()})
+                     *stacked({k: vec_block(v) for k, v in uploads.items()}))
 
 
 def grad_row(entry, i, g):
@@ -401,9 +417,9 @@ def test_coeff_grad_matches_the_full_jacobian_product():
 def test_coeff_grad_picks_the_entry_row():
     uploads = {0: vec_block([0.0]), 1: vec_block([2.0])}
     rows = np.array([[0.5, 0.5], [0.25, 0.75]])
-    entry = aggregate(rows, uploads)
+    entry = aggregate(rows, *stacked(uploads))
     for i in range(2):
-        single = aggregate(rows[i], uploads)
+        single = aggregate(rows[i], *stacked(uploads))
         np.testing.assert_array_equal(grad_row(entry, i, vec_block([0.7])),
                                       grad_row(single, 0, vec_block([0.7])))
 
@@ -484,7 +500,7 @@ def test_fedavg_reduction_uniform_weights():
     uploads = {k: vec_block(rng.normal(size=10)) for k in range(n)}
     mask = build_round_mask(np.ones(n, dtype=int), owners)
     row = masked_renormalize(softmax_row(state.raw[1][0], owners), mask[0])
-    out = aggregate(row, uploads)
+    out = aggregate(row, *stacked(uploads))
     expected = np.mean([uploads[k] for k in range(n)], axis=0)
     assert np.abs(out.aggregated[0] - expected).max() < 1e-9
 

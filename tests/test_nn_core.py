@@ -436,6 +436,39 @@ def test_loss_and_grad_is_bit_identical_to_concatenated_assembly(owned, hidden):
             assert np.array_equal(grad[b], g)
 
 
+def matmul_forward(arch, params, features):
+    """Reference forward pass: every product through `@`, no buffer reused."""
+    f = arch.feature_len
+    batch = len(next(iter(features.values())))
+    fused = np.zeros((batch, arch.fusion_width))
+    for m in params.owned:
+        w1, b1, w2, b2 = params.blocks[m].arrays()
+        h = np.tanh(features[m] @ w1.T + b1)
+        fused[:, (m - 1) * f: m * f] = h @ w2.T + b2
+    arrs = params.blocks[params.head_id].arrays()
+    a = fused
+    for v, u in zip(arrs[0:-2:2], arrs[1:-2:2]):
+        a = np.tanh(a @ v.T + u)
+    return a @ arrs[-2].T + arrs[-1]
+
+
+@pytest.mark.parametrize("owned", [(2,), (1, 3), (1, 2, 3)])
+@pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])
+def test_forward_batch_is_bit_identical_to_matmul_reference(owned, hidden):
+    arch = ArchSpec(input_dims=(16, 24, 12), encoder_hidden=16, feature_len=8,
+                    classifier_hidden=hidden, num_classes=6)
+    params = random_params(arch, owned, seed=len(owned) + 7)
+    rng = np.random.default_rng(22)
+    for p in params.blocks.values():  # nonzero biases too
+        p.values += rng.normal(scale=0.3, size=p.values.shape)
+    for batch in (1, 32, 60):
+        feats = random_features(arch, owned, batch, rng)
+        scores = forward_batch(arch, params, feats)
+        want = matmul_forward(arch, params, feats)
+        assert scores.shape == (batch, arch.num_classes)
+        assert scores.tobytes() == want.tobytes()
+
+
 def test_arrays_returns_the_views_built_with_the_block():
     block = random_params(toy_arch(), (1,)).blocks[1]
     first, again = block.arrays(), block.arrays()

@@ -80,6 +80,41 @@ def test_multi_iteration_update_matches_per_iteration_gather(prox_mu):
     assert dev.rng.bit_generator.state == rng_copy.bit_generator.state
 
 
+def local_update_round_gather(arch, device, lr, local_iters, batch_size):
+    """Reference: the round's batches gathered as perm[np.arange(L*B) % n] in every case."""
+    train = device.dataset.train
+    n = len(train)
+    perm = device.rng.permutation(n)
+    idx = perm[np.arange(local_iters * batch_size) % n]
+    losses = []
+    for i in range(local_iters):
+        rows = idx[i * batch_size:(i + 1) * batch_size]
+        feats = {m: train.features[m][rows] for m in device.dataset.owned}
+        loss, grad = nn_core.loss_and_grad(arch, device.params, feats, train.labels[rows])
+        nn_core.sgd_step(device.params, grad, lr)
+        losses.append(loss)
+    return float(np.add.reduce(losses) / local_iters)
+
+
+@pytest.mark.parametrize("regime", ["one pass, part of the data", "one pass, all of it",
+                                    "wraps around the shuffle"])
+def test_round_batch_gather_matches_the_modulo_gather(regime):
+    sim = Simulation(desk_config(seed=8))
+    n = len(sim.devices[0].dataset.train)
+    iters, batch = {"one pass, part of the data": (1, 32),
+                    "one pass, all of it": (2, n // 2),
+                    "wraps around the shuffle": (12, 32)}[regime]
+    assert (iters * batch <= n) == (regime != "wraps around the shuffle")
+    for dev in sim.devices[:3]:
+        twin = copy.deepcopy(dev)
+        loss = local_update_phase(sim.arch, dev, 0.05, iters, batch)
+        ref = local_update_round_gather(sim.arch, twin, 0.05, iters, batch)
+        assert loss == ref
+        for b, p in twin.params.blocks.items():
+            assert np.array_equal(dev.params.blocks[b].values, p.values)
+        assert dev.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
 @pytest.fixture
 def post_sgd(monkeypatch):
     """Each device's blocks right after its local SGD in the latest round."""
@@ -161,6 +196,61 @@ def test_unscheduled_server_blocks_frozen(post_sgd):
         log = sim.step()
         assert any((sim.owners[b] & (ind == 0)).any() for b, ind in log.scheduled.items())
         check_round_installs(sim, log, post_sgd)
+
+
+def is_store_row(values, sim, b, k):
+    """`values` is the very memory of device k's row in block b's store."""
+    row = sim.store[b][sim.store_row[b][k]]
+    return (values.base is sim.store[b] and values.shape == row.shape
+            and values.__array_interface__["data"] == row.__array_interface__["data"])
+
+
+@pytest.mark.parametrize("algorithm", ["proposed", "fedprox", "local"])
+def test_every_device_block_is_a_row_of_its_store(algorithm):
+    sim = Simulation(quick_cfg(seed=9, algorithm=algorithm, num_modalities=3,
+                               data={"input_dims": [4, 5, 3]}))
+    for b in sim.block_ids:
+        assert sim.store[b].shape == (int(sim.owners[b].sum()), sim.arch.block_param_count(b))
+    for _ in range(2):
+        for dev in sim.devices:
+            for b, p in dev.params.blocks.items():
+                assert sim.owners[b][dev.device_id]
+                assert is_store_row(p.values, sim, b, dev.device_id)
+                assert all(np.shares_memory(a, p.values) for a in p.arrays())
+        for _ in range(3):
+            sim.step()
+
+
+@pytest.mark.parametrize("algorithm", ["proposed", "fedavg"])
+def test_aggregation_writes_only_the_uploaders_store_rows(post_sgd, algorithm):
+    sim = Simulation(quick_cfg(seed=10, algorithm=algorithm, quota=2))
+    for _ in range(3):
+        log = sim.step()
+        for b, ind in log.scheduled.items():
+            owners = np.flatnonzero(sim.owners[b])
+            before = np.stack([post_sgd[k][b] for k in owners.tolist()])
+            uploaded = ind[owners] != 0
+            store = sim.store[b]
+            assert np.array_equal(store[~uploaded], before[~uploaded])
+            if algorithm == "proposed" and uploaded.any():
+                assert np.array_equal(store[uploaded], sim.server.cache[b].aggregated)
+            elif uploaded.any():
+                mean = sum(before[uploaded]) / int(uploaded.sum())
+                assert all(np.array_equal(row, mean) for row in store[uploaded])
+
+
+def test_a_deep_copy_of_device_params_detaches_from_the_store():
+    sim = Simulation(quick_cfg(seed=11))
+    dev = sim.devices[2]
+    clone = copy.deepcopy(dev.params)
+    stored = {b: sim.store[b].copy() for b in sim.block_ids}
+    for b, p in clone.blocks.items():
+        assert not np.shares_memory(p.values, sim.store[b])
+        assert not any(np.shares_memory(a, sim.store[b]) for a in p.arrays())
+        p.arrays()[0][...] += 1.0
+        p.values *= 2.0
+    for b in sim.block_ids:
+        assert np.array_equal(sim.store[b], stored[b])
 
 
 def test_zero_rounds_returns_initial_state():

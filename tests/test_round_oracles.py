@@ -241,7 +241,7 @@ def test_update_weights_matches_the_per_row_loop(case, length, mode):
             values[b] = {k: rng.normal(size=length) for k in ks}
             if ks:
                 rows = agg.softmax_row(raw[b][ks], ind != 0)
-                cache[b] = agg.aggregate(rows, values[b])
+                cache[b] = agg.aggregate(rows, np.array(ks), np.stack(list(values[b].values())))
         return cache, values
 
     prev, _ = aggregation(random_indicators(rng, owners))
@@ -262,7 +262,7 @@ def test_coeff_grad_rows_are_bit_equal_to_one_device_at_a_time():
         ks = np.flatnonzero(rng.uniform(size=num_devices) < 0.6).tolist() or [0]
         rows = agg.softmax_row(rng.normal(size=(len(ks), num_devices)),
                                np.isin(np.arange(num_devices), ks))
-        entry = agg.aggregate(rows, {k: rng.normal(size=length) for k in ks})
+        entry = agg.aggregate(rows, np.array(ks), rng.normal(size=(len(ks), length)))
         sel = np.arange(len(ks))[::2]
         est = rng.normal(size=(sel.size, length))
         got = agg.coeff_grad(entry, sel, est)

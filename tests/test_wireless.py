@@ -7,8 +7,19 @@ from fmmlsim.config import LinkConfig
 from fmmlsim.errors import NumericOverflowError, StalledLinkError
 from fmmlsim.wireless import (compute_latency, cumulative_upload_latency,
                               download_latency, link_rate, mean_gain,
-                              path_loss_db, place_devices, sample_gain,
+                              path_loss_db, place_devices,
                               sample_round_gains, upload_latency)
+
+
+def sample_gain(rng, distance_m, carrier_ghz):
+    """Reference: one device's Rayleigh amplitude, its mean the path-loss attenuation."""
+    mu = mean_gain(distance_m, carrier_ghz)
+    return float(rng.rayleigh(scale=mu * math.sqrt(2.0 / math.pi)))
+
+
+def sample_round_gains_reference(rng, distances, carrier_ghz):
+    """Reference: the per-device draw loop `sample_round_gains` replaced."""
+    return np.array([sample_gain(rng, float(d), carrier_ghz) for d in distances])
 
 
 def test_path_loss_hand_values():
@@ -44,6 +55,24 @@ def test_gain_sampling_reproducible():
     r1 = sample_round_gains(np.random.default_rng(7), np.array([10.0, 20.0]), 2.6)
     r2 = sample_round_gains(np.random.default_rng(7), np.array([10.0, 20.0]), 2.6)
     assert np.array_equal(r1, r2)
+
+
+@pytest.mark.parametrize("num_devices", [1, 9, 90])
+@pytest.mark.parametrize("seed", [0, 5, 1009])
+def test_round_gains_match_the_per_device_draws(num_devices, seed):
+    distances = place_devices(np.random.default_rng(seed + 1), num_devices, radius_m=50.0)
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    for _ in range(3):
+        got = sample_round_gains(rngs[0], distances, 2.6)
+        want = sample_round_gains_reference(rngs[1], distances, 2.6)
+        assert got.dtype == want.dtype and got.shape == (num_devices,)
+        assert got.tobytes() == want.tobytes()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_round_gains_keep_the_path_gain_overflow_guard():
+    with pytest.raises(NumericOverflowError, match="path gain overflows"):
+        sample_round_gains(np.random.default_rng(0), np.array([10.0, 1e-300]), 1e-300)
 
 
 def test_placement_within_disc():
