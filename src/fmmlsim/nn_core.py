@@ -3,13 +3,14 @@
 Each device trains one encoder per modality it owns plus a classifier head
 shared by every device. Parameters live in flat per-block vectors (one block
 per modality encoder, one block for the head) so that blocks can be shipped,
-averaged and diffed without caring about layer layout. A block vector may be
-a row view of a larger array that stacks one block for many devices. A
-`ParamBlock` checks its vector and builds its layer views once, when it is
-built at set-up; the views are rebuilt only if `values` is rebound or stops
-sharing memory with them (as after a deep copy). Gradients are fresh flat
-arrays keyed by block, and `sgd_step` updates the block vectors in place, so
-the views, and the rows they belong to, stay valid. Every matrix product
+averaged and diffed without caring about layer layout. A device's model is a
+plain dict of blocks: its owned modalities in ascending order, then the head
+(`ArchSpec.shared_block_id`). A block vector may be a row view of a larger
+array that stacks one block for many devices. A `ParamBlock` checks its
+vector and builds its layer views once, when it is built; its fields cannot
+be rebound, so the views stay valid for its lifetime. Gradients are fresh
+flat arrays keyed by block, and `sgd_step` updates the block vectors in
+place, so the views, and the rows they belong to, follow. Every matrix product
 whose output is contiguous goes through `np.dot`, the cheapest call per
 product at these sizes; the rest use `np.matmul(..., out=)`. The
 classifier always consumes a fixed-width concatenation of all modality feature
@@ -20,7 +21,7 @@ head block structurally identical across devices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,32 +35,19 @@ Layout = tuple[tuple[tuple[int, int, tuple[int, ...]], ...], int]
 
 
 @lru_cache(maxsize=256)
-def _layout(shapes) -> Layout:
+def block_layout(shapes: tuple[tuple[int, ...], ...]) -> Layout:
+    """Where each layer of a flat block lives: ((start, stop, shape), ...), total.
+
+    `shapes` is a tuple of shape tuples, as `ArchSpec.block_shapes` returns.
+    Computed once per distinct shapes value; every block of one architecture
+    shares the answer.
+    """
     spans, off = [], 0
     for shape in shapes:
         size = int(np.prod(shape))
         spans.append((off, off + size, shape))
         off += size
     return tuple(spans), off
-
-
-def _frozen(shapes):
-    """Nested lists or arrays as nested tuples, so they can key the cache."""
-    if isinstance(shapes, (list, tuple, np.ndarray)):
-        return tuple(_frozen(s) for s in shapes)
-    return shapes
-
-
-def block_layout(shapes) -> Layout:
-    """Where each layer of a flat block lives: ((start, stop, shape), ...), total.
-
-    Computed once per distinct shapes value; every block of one architecture
-    shares the answer.
-    """
-    try:
-        return _layout(shapes)
-    except TypeError:  # unhashable, e.g. shapes given as lists
-        return _layout(_frozen(shapes))
 
 
 def _layer_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -90,7 +78,7 @@ class ArchSpec:
     def num_modalities(self) -> int:
         return len(self.input_dims)
 
-    @property
+    @cached_property  # read on every kernel call
     def shared_block_id(self) -> int:
         return self.num_modalities + 1
 
@@ -117,26 +105,28 @@ class ArchSpec:
         return block_layout(self.block_shapes(block_id))[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamBlock:
-    """One flat parameter vector plus the layer shapes it packs."""
+    """One flat parameter vector plus the layer shapes it packs; updated in place only."""
 
     block_id: int
     values: np.ndarray
     shapes: tuple[tuple[int, ...], ...]
     _views: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    _views_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64)
         expected = block_layout(self.shapes)[1]
-        if self.values.ndim != 1 or self.values.shape[0] != expected:
+        if values.ndim != 1 or values.shape[0] != expected:
             raise ShapeMismatchError(
-                f"block {self.block_id}: {self.values.size} values, shapes imply {expected}")
-        if not np.isfinite(self.values).all():
+                f"block {self.block_id}: {values.size} values, shapes imply {expected}")
+        if not np.isfinite(values).all():
             raise NumericOverflowError(f"block {self.block_id} holds non-finite values")
-        self._views = tuple(_layer_views(self.values, self.shapes))
-        self._views_of = self.values
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_views", tuple(_layer_views(values, self.shapes)))
+
+    def __deepcopy__(self, memo):
+        return ParamBlock(self.block_id, self.values.copy(), self.shapes)
 
     @property
     def param_count(self) -> int:
@@ -147,36 +137,9 @@ class ParamBlock:
 
         The views share memory with `values` and are writable: writing to a
         view changes `values`, and in-place updates of `values` show in the
-        views. They are rebuilt when `values` is rebound to another array, or
-        when they no longer share its memory (a deep copy copies them apart).
+        views. A deep copy of the block views the copy's own vector.
         """
-        values, views = self.values, self._views
-        owner = values if values.base is None else values.base
-        if self._views_of is not values or (views and views[0].base is not owner):
-            self._views = views = tuple(_layer_views(values, self.shapes))
-            self._views_of = values
-        return views
-
-
-@dataclass
-class MultiModalParams:
-    """Per-device parameter set: one block per owned modality plus the head."""
-
-    blocks: dict[int, ParamBlock]
-    owned: tuple[int, ...]
-
-    def __post_init__(self):
-        self.owned = tuple(sorted(self.owned))
-        if not self.blocks:
-            raise ShapeMismatchError("empty parameter set")
-        head = max(self.blocks)
-        if set(self.blocks) != set(self.owned) | {head} or head in self.owned:
-            raise ShapeMismatchError(
-                f"blocks {sorted(self.blocks)} do not match owned modalities {self.owned}")
-
-    @property
-    def head_id(self) -> int:
-        return max(self.blocks)
+        return self._views
 
 
 def init_full_params(arch: ArchSpec, rng: np.random.Generator) -> dict[int, ParamBlock]:
@@ -199,27 +162,31 @@ def init_full_params(arch: ArchSpec, rng: np.random.Generator) -> dict[int, Para
 
 
 def slice_device_params(full: Mapping[int, ParamBlock], owned: Sequence[int],
-                        shared_id: int) -> MultiModalParams:
-    """Copy the blocks a device maintains out of a full parameter set.
+                        shared_id: int) -> dict[int, ParamBlock]:
+    """Copy the blocks a device maintains out of a full parameter set: the
+    owned modalities in ascending order, then the head.
 
     The copies are standalone vectors; a `Simulation` instead builds each
     device's blocks as rows of its per-block arrays.
     """
-    wanted = tuple(sorted(owned))
-    blocks = {b: ParamBlock(b, full[b].values.copy(), full[b].shapes)
-              for b in (*wanted, shared_id)}
-    return MultiModalParams(blocks, wanted)
+    return {b: ParamBlock(b, full[b].values.copy(), full[b].shapes)
+            for b in (*sorted(owned), shared_id)}
 
 
-def _check_features(arch: ArchSpec, params: MultiModalParams,
+def _check_features(arch: ArchSpec, params: Mapping[int, ParamBlock],
                     features: Mapping[int, np.ndarray]) -> tuple[int, dict[int, np.ndarray]]:
     """The batch size and each owned modality's features as float64 (B, d_m)."""
-    got, want = set(features), set(params.owned)
-    if got != want:
-        raise ModalityMismatchError(f"sample modalities {sorted(got)} != owned {sorted(want)}")
+    head = arch.shared_block_id
+    if head not in params:
+        raise ShapeMismatchError(f"blocks {sorted(params)} lack the head block {head}")
+    # the features name exactly the blocks other than the head: the owned modalities
+    if (len(features) != len(params) - 1 or head in features
+            or not features.keys() <= params.keys()):
+        raise ModalityMismatchError(f"sample modalities {sorted(features)} != owned "
+                                    f"{sorted(params.keys() - {head})}")
     batch = None
     xs = {}
-    for m in params.owned:
+    for m in features:
         x = np.asarray(features[m], dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != arch.input_dims[m - 1]:
             raise ShapeMismatchError(
@@ -232,14 +199,14 @@ def _check_features(arch: ArchSpec, params: MultiModalParams,
     return int(batch), xs
 
 
-def _forward_cached(arch: ArchSpec, params: MultiModalParams,
+def _forward_cached(arch: ArchSpec, params: Mapping[int, ParamBlock],
                     features: Mapping[int, np.ndarray]):
     batch, xs = _check_features(arch, params, features)
     f = arch.feature_len
     fused = np.zeros((batch, arch.fusion_width))
     enc_cache = {}
     for m, x in xs.items():
-        w1, b1, w2, b2 = params.blocks[m].arrays()
+        w1, b1, w2, b2 = params[m].arrays()
         h = np.dot(x, w1.T)
         h += b1
         np.tanh(h, out=h)
@@ -247,7 +214,7 @@ def _forward_cached(arch: ArchSpec, params: MultiModalParams,
         np.matmul(h, w2.T, out=feat)
         feat += b2
         enc_cache[m] = (x, h)
-    arrs = params.blocks[params.head_id].arrays()
+    arrs = params[arch.shared_block_id].arrays()
     layers = list(zip(arrs[0::2], arrs[1::2]))
     acts = [fused]
     a = fused
@@ -264,14 +231,14 @@ def _forward_cached(arch: ArchSpec, params: MultiModalParams,
     return scores, enc_cache, layers, acts
 
 
-def forward_batch(arch: ArchSpec, params: MultiModalParams,
+def forward_batch(arch: ArchSpec, params: Mapping[int, ParamBlock],
                   features: Mapping[int, np.ndarray]) -> np.ndarray:
     """Class scores, shape (B, C)."""
     scores, _, _, _ = _forward_cached(arch, params, features)
     return scores
 
 
-def loss_and_grad(arch: ArchSpec, params: MultiModalParams,
+def loss_and_grad(arch: ArchSpec, params: Mapping[int, ParamBlock],
                   features: Mapping[int, np.ndarray],
                   labels: np.ndarray) -> tuple[float, dict[int, np.ndarray]]:
     """Mean softmax cross-entropy over the batch and its exact gradient.
@@ -304,8 +271,8 @@ def loss_and_grad(arch: ArchSpec, params: MultiModalParams,
     flat[picks] -= 1.0
     d /= batch
 
-    head_id = params.head_id
-    head = params.blocks[head_id]
+    head_id = arch.shared_block_id
+    head = params[head_id]
     head_grad = np.empty(head.values.shape[0])
     gviews = _layer_views(head_grad, head.shapes)
     np.dot(d.T, acts[-1], out=gviews[-2])
@@ -321,7 +288,7 @@ def loss_and_grad(arch: ArchSpec, params: MultiModalParams,
     f = arch.feature_len
     grads = {head_id: head_grad}
     for m, (x, h) in enc_cache.items():
-        block = params.blocks[m]
+        block = params[m]
         w2 = block.arrays()[2]
         enc_grad = np.empty(block.values.shape[0])
         gw1, gb1, gw2, gb2 = _layer_views(enc_grad, block.shapes)
@@ -336,7 +303,7 @@ def loss_and_grad(arch: ArchSpec, params: MultiModalParams,
     return loss, grads
 
 
-def sgd_step(params: MultiModalParams, grad: Mapping[int, np.ndarray], eta: float) -> None:
+def sgd_step(params: Mapping[int, ParamBlock], grad: Mapping[int, np.ndarray], eta: float) -> None:
     """One plain gradient step, in place: each block's values -= eta * grad[block].
 
     Every block's gradient length is checked before any value changes; a step
@@ -344,12 +311,12 @@ def sgd_step(params: MultiModalParams, grad: Mapping[int, np.ndarray], eta: floa
     """
     if eta <= 0:
         raise ValueError("learning rate must be positive")
-    if params.blocks.keys() != grad.keys():
+    if params.keys() != grad.keys():
         raise ShapeMismatchError("gradient blocks do not match parameter blocks")
-    for b, p in params.blocks.items():
+    for b, p in params.items():
         if np.shape(grad[b]) != p.values.shape:
             raise ShapeMismatchError(f"block {b}: gradient structure differs")
-    for b, p in params.blocks.items():
+    for b, p in params.items():
         values = p.values
         values -= eta * grad[b]
         if not np.logical_and.reduce(np.isfinite(values)):

@@ -5,12 +5,13 @@ download/compute latency accounting, per-block upload scheduling, weighted
 aggregation of each block over its uploaders, aggregation-weight updates
 from the previous round's retained material, cache refresh, and downloads
 back to the scheduled devices. A block's parameters live in one array for
-all devices that hold it (`Simulation.store`), a row per holder, and each
-device's ParamBlock values are views of its rows: SGD updates a row in place
-per device, a round's uploads of a block are one row gather from its array,
-and the download is one row scatter of the aggregates back into it. The
-server keeps the aggregation weights and the last round's aggregation, not
-the models.
+all devices that hold it (`Simulation.store`), a row per holder. A device's
+model is a plain dict of ParamBlocks over its rows (its owned modalities in
+ascending order, then the head): SGD updates a row in place per device, a
+round's uploads of a block are one row gather from its array, and the
+download is one row scatter of the aggregates back into it. The server keeps
+the aggregation weights, the last round's aggregation and, per block, the
+upload indicators and staleness counters, not the models.
 Rounds are synchronous: the round wall time is the slowest device's
 download + compute + upload.
 """
@@ -26,13 +27,13 @@ from . import aggregation as agg
 from . import datagen, nn_core, scheduler, wireless
 from .config import RunConfig, config_to_dict
 from .errors import FmmlError
-from .nn_core import ArchSpec, MultiModalParams
+from .nn_core import ArchSpec, ParamBlock
 
 
 @dataclass
 class DeviceState:
     device_id: int
-    params: MultiModalParams
+    params: dict[int, ParamBlock]
     dataset: datagen.DeviceDataset
     rng: np.random.Generator
 
@@ -41,7 +42,8 @@ class DeviceState:
 class ServerState:
     coeffs: agg.CoefficientState | None
     cache: agg.GradCache
-    schedule: scheduler.ScheduleState
+    indicators: dict[int, np.ndarray]  # block -> (K,) int8 uploads of the last round
+    staleness: dict[int, np.ndarray]   # block -> (K,) int64 rounds since the last upload
     round: int = 0
 
 
@@ -91,7 +93,7 @@ def local_update_phase(arch: ArchSpec, device: DeviceState, lr: float,
     round_feats = {m: train.features[m][idx] for m in device.dataset.owned}
     round_labels = train.labels[idx]
     params = device.params
-    anchor = {b: p.values.copy() for b, p in params.blocks.items()} if prox_mu > 0.0 else None
+    anchor = {b: p.values.copy() for b, p in params.items()} if prox_mu > 0.0 else None
     losses = []
     for i in range(local_iters):
         rows = slice(i * batch_size, (i + 1) * batch_size)
@@ -99,7 +101,7 @@ def local_update_phase(arch: ArchSpec, device: DeviceState, lr: float,
         loss, grad = nn_core.loss_and_grad(arch, params, feats, round_labels[rows])
         if anchor is not None:
             for b, g in grad.items():
-                g += prox_mu * (params.blocks[b].values - anchor[b])
+                g += prox_mu * (params[b].values - anchor[b])
         nn_core.sgd_step(params, grad, lr)
         losses.append(loss)
     return float(np.add.reduce(losses) / local_iters)
@@ -186,12 +188,9 @@ class Simulation:
         dev_rngs = [np.random.default_rng(s) for s in dev_ss.spawn(cfg.num_devices)]
         self.devices = []
         for k in range(cfg.num_devices):
-            blocks = {b: nn_core.ParamBlock(b, self.store[b][int(self.store_row[b][k])],
-                                            full[b].shapes)
+            params = {b: ParamBlock(b, self.store[b][int(self.store_row[b][k])], full[b].shapes)
                       for b in (*sorted(owned_sets[k]), shared)}
-            self.devices.append(DeviceState(
-                device_id=k, params=MultiModalParams(blocks, owned_sets[k]),
-                dataset=datasets[k], rng=dev_rngs[k]))
+            self.devices.append(DeviceState(k, params, datasets[k], dev_rngs[k]))
 
         coeffs = None
         if cfg.algorithm == "proposed":
@@ -199,7 +198,8 @@ class Simulation:
         self.server = ServerState(
             coeffs=coeffs,
             cache={},
-            schedule=scheduler.new_schedule_state(cfg.num_devices, self.block_ids))
+            indicators={b: np.zeros(cfg.num_devices, dtype=np.int8) for b in self.block_ids},
+            staleness={b: np.zeros(cfg.num_devices, dtype=np.int64) for b in self.block_ids})
         # The scheduler's self-weights: what a uniform weight row gives. That
         # is also `proposed`'s first round, as init_coeffs makes every raw
         # entry equal; after each round `proposed` takes the diagonal of the
@@ -234,13 +234,13 @@ class Simulation:
             self.link.device_power_w, g, self.link.bandwidth_hz, self.link.noise_density)
             for g in gains.tolist()])
         t_down = wireless.download_latency(
-            self.server.schedule.indicators, self.sizes_bits, down_rates)
+            self.server.indicators, self.sizes_bits, down_rates)
         t_cmp = self.t_compute.copy()
 
         # scheduling
         if cfg.algorithm == "local":
             indicators = {b: np.zeros(K, dtype=np.int8) for b in self.block_ids}
-            staleness = {b: self.server.schedule.staleness[b].copy() for b in self.block_ids}
+            staleness = {b: self.server.staleness[b].copy() for b in self.block_ids}
             metric_values: dict[int, dict[int, float]] = {b: {} for b in self.block_ids}
         else:
             selection = "metric"
@@ -248,7 +248,7 @@ class Simulation:
                 selection = "random"
             indicators, staleness, metric_values = scheduler.schedule_round(
                 self.self_weights, t_down, t_cmp, self.sizes_bits, up_rates,
-                self.owners, self.metric, self.server.schedule.staleness, self.quota,
+                self.owners, self.metric, self.server.staleness, self.quota,
                 cfg.staleness_threshold, selection=selection, rng=self.rng_sched)
 
         # aggregation: each block over this round's uploads, one row gather U
@@ -292,8 +292,8 @@ class Simulation:
         t_up = wireless.upload_latency(indicators, self.sizes_bits, up_rates)
         round_time = float((t_down + t_cmp + t_up).max())
 
-        self.server.schedule.indicators = indicators
-        self.server.schedule.staleness = staleness
+        self.server.indicators = indicators
+        self.server.staleness = staleness
         self.server.round = t
 
         accs, mean_acc = evaluate_personalized(self.arch, self.devices)
@@ -327,7 +327,8 @@ class Simulation:
             "per_device_accuracy": [float(a) for a in accs],
             "label_supports": [list(map(int, d.dataset.label_support)) for d in self.devices],
             "owned_modalities": [list(d.dataset.owned) for d in self.devices],
-            "config": config_to_dict(self.cfg),
+            # without out_dir, so the bytes do not depend on where they are written
+            "config": {**config_to_dict(self.cfg), "out_dir": None},
         }
         return RunResult(self.cfg, logs, summary, self.server, self.devices)
 

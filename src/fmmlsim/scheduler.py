@@ -35,20 +35,6 @@ class MetricSpec:
             raise SchedulingError("alpha must be finite and >= 0")
 
 
-@dataclass
-class ScheduleState:
-    """Current upload indicators and staleness counters, per block."""
-
-    indicators: dict[int, np.ndarray]  # block -> (K,) int8
-    staleness: dict[int, np.ndarray]   # block -> (K,) int64
-
-
-def new_schedule_state(num_devices: int, block_ids) -> ScheduleState:
-    return ScheduleState(
-        indicators={b: np.zeros(num_devices, dtype=np.int8) for b in block_ids},
-        staleness={b: np.zeros(num_devices, dtype=np.int64) for b in block_ids})
-
-
 def scheduling_metric(metric: MetricSpec, self_weight, t_down, t_cmp, t_up):
     """Peer-benefit-per-second (ratio) or latency-penalized benefit (linear).
 

@@ -105,8 +105,18 @@ def upload_latency(schedule: Mapping[int, np.ndarray], sizes_bits: Mapping[int, 
 
 def compute_latency(local_iters: int, flops_per_iter: float, cycles_per_s: float,
                     flops_per_cycle: float) -> float:
-    """Local-update time: iterations times the per-iteration FLOPs budget."""
-    return local_iters * flops_per_iter / (cycles_per_s * flops_per_cycle)
+    """Local-update time: iterations times the per-iteration FLOPs budget.
+
+    A FLOP rate that underflows to zero or overflows, or a time that
+    overflows, raises NumericOverflowError: compute is never free or endless.
+    """
+    rate = cycles_per_s * flops_per_cycle
+    if not 0.0 < rate < math.inf:
+        raise NumericOverflowError(f"compute rate {rate!r} FLOP/s is not positive and finite")
+    latency = local_iters * flops_per_iter / rate
+    if not math.isfinite(latency):
+        raise NumericOverflowError(f"compute time is not finite at {rate!r} FLOP/s")
+    return latency
 
 
 def cumulative_upload_latency(bits_so_far: np.ndarray, block_bits: int,

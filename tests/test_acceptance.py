@@ -130,7 +130,7 @@ def test_criterion_03_model_gradient_oracle():
         labels = rng.integers(0, 4, size=5)
         _, grad = nn_core.loss_and_grad(arch, params, feats, labels)
         step = 1e-4
-        for b, block in params.blocks.items():
+        for b, block in params.items():
             an = grad[b]
             for i in range(block.values.shape[0]):
                 if abs(an[i]) <= 1e-6:
@@ -139,14 +139,14 @@ def test_criterion_03_model_gradient_oracle():
                 hi[i] += step
                 lo = block.values.copy()
                 lo[i] -= step
-                blocks_hi = dict(params.blocks)
+                blocks_hi = dict(params)
                 blocks_hi[b] = nn_core.ParamBlock(b, hi, block.shapes)
-                blocks_lo = dict(params.blocks)
+                blocks_lo = dict(params)
                 blocks_lo[b] = nn_core.ParamBlock(b, lo, block.shapes)
                 lhi, _ = nn_core.loss_and_grad(
-                    arch, nn_core.MultiModalParams(blocks_hi, owned), feats, labels)
+                    arch, blocks_hi, feats, labels)
                 llo, _ = nn_core.loss_and_grad(
-                    arch, nn_core.MultiModalParams(blocks_lo, owned), feats, labels)
+                    arch, blocks_lo, feats, labels)
                 fd = (lhi - llo) / (2 * step)
                 worst = max(worst, abs(fd - an[i]) / abs(an[i]))
                 checked += 1
@@ -164,10 +164,10 @@ def test_criterion_04_fedavg_reduction():
             frozen.step()
             fedavg.step()
             for k in range(9):
-                for b in frozen.devices[k].params.blocks:
+                for b in frozen.devices[k].params:
                     worst = max(worst, float(np.abs(
-                        frozen.devices[k].params.blocks[b].values
-                        - fedavg.devices[k].params.blocks[b].values).max()))
+                        frozen.devices[k].params[b].values
+                        - fedavg.devices[k].params[b].values).max()))
     report(4, worst < 1e-9,
            f"uniform frozen weights track the plain-mean path for 10 rounds x 3 seeds, "
            f"max divergence {worst:.2e}")

@@ -206,6 +206,35 @@ def test_cli_fails_on_an_overflowing_link(tmp_path, capsys, link):
     assert not (tmp_path / "out" / "rounds.csv").exists()
 
 
+@pytest.mark.parametrize("compute", [
+    {"cycles_per_s": 1e-200, "flops_per_cycle": 1e-200},  # the FLOP rate underflows to 0
+    {"cycles_per_s": 1e300, "flops_per_cycle": 1e300},    # the FLOP rate overflows: free compute
+    {"cycles_per_s": 1e-320},                             # subnormal rate: the time overflows
+])
+def test_cli_fails_on_an_unrepresentable_compute_time(tmp_path, capsys, monkeypatch, compute):
+    def run_not_allowed(self):
+        raise AssertionError("Simulation.run called with an unrepresentable compute time")
+
+    monkeypatch.setattr(Simulation, "run", run_not_allowed)
+    write_cfg(tmp_path, {"rounds": 1, "compute": compute}, "base.json")
+    code = main(["--config", str(tmp_path / "base.json"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "compute" in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_cli_summary_bytes_do_not_depend_on_the_out_dir(tmp_path):
+    write_cfg(tmp_path, small_payload(), "base.json")
+    summaries = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["--config", str(tmp_path / "base.json"), "--out", str(out)]) == 0
+        summaries.append((out / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
+    assert json.loads(summaries[0])["config"]["out_dir"] is None
+
+
 def test_cli_byte_identical_outputs(tmp_path):
     write_cfg(tmp_path, small_payload(), "base.json")
     outs = []

@@ -1,11 +1,12 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from fmmlsim import nn_core
 from fmmlsim.errors import ModalityMismatchError, NumericOverflowError, ShapeMismatchError
-from fmmlsim.nn_core import (ArchSpec, MultiModalParams, ParamBlock, block_layout,
+from fmmlsim.nn_core import (ArchSpec, ParamBlock, block_layout,
                              forward_batch, loss_and_grad, sgd_step,
                              param_size_bits, flops_per_iteration,
                              init_full_params, slice_device_params)
@@ -21,7 +22,7 @@ def zero_params(arch, owned):
     for b in (*owned, arch.shared_block_id):
         shapes = arch.block_shapes(b)
         blocks[b] = ParamBlock(b, np.zeros(block_layout(shapes)[1]), shapes)
-    return MultiModalParams(blocks, tuple(owned))
+    return blocks
 
 
 def random_params(arch, owned, seed=0):
@@ -55,9 +56,8 @@ def test_near_identity_composition_returns_sample():
     w2 = np.eye(2) / eps
     enc = np.concatenate([w1.ravel(), np.zeros(2), w2.ravel(), np.zeros(2)])
     head = np.concatenate([np.eye(2).ravel(), np.zeros(2)])
-    params = MultiModalParams(
-        {1: ParamBlock(1, enc, arch.block_shapes(1)),
-         2: ParamBlock(2, head, arch.block_shapes(2))}, (1,))
+    params = {1: ParamBlock(1, enc, arch.block_shapes(1)),
+              2: ParamBlock(2, head, arch.block_shapes(2))}
     sample = np.array([0.37, -0.52])
     np.testing.assert_allclose(forward_batch(arch, params, one_row({1: sample}))[0], sample,
                                atol=1e-6)
@@ -81,10 +81,10 @@ def test_forward_matches_independent_dense_oracle():
 
     feats = []
     for m in (1, 2):
-        w1, b1, w2, b2 = params.blocks[m].arrays()
+        w1, b1, w2, b2 = params[m].arrays()
         feats.append(dense(np.tanh(dense(sample[m], w1, b1)), w2, b2))
     fused = np.concatenate(feats)
-    v1, u1, v2, u2 = params.blocks[3].arrays()
+    v1, u1, v2, u2 = params[3].arrays()
     expected = dense(np.tanh(dense(fused, v1, u1)), v2, u2)
     np.testing.assert_allclose(forward_batch(arch, params, one_row(sample))[0], expected,
                                rtol=1e-12)
@@ -112,15 +112,14 @@ def test_uniform_scores_give_log_c_loss():
 
 def central_difference_grad(arch, params, feats, labels, step=1e-4):
     fd = {}
-    for b, block in params.blocks.items():
+    for b, block in params.items():
         g = np.zeros_like(block.values)
         for i in range(block.values.shape[0]):
             for sign in (1.0, -1.0):
                 vals = block.values.copy()
                 vals[i] += sign * step
-                shifted = MultiModalParams(
-                    {bb: (ParamBlock(bb, vals, block.shapes) if bb == b else pb)
-                     for bb, pb in params.blocks.items()}, params.owned)
+                shifted = {bb: (ParamBlock(bb, vals, block.shapes) if bb == b else pb)
+                           for bb, pb in params.items()}
                 loss, _ = loss_and_grad(arch, shifted, feats, labels)
                 g[i] += sign * loss / (2.0 * step)
         fd[b] = g
@@ -137,7 +136,7 @@ def test_gradient_matches_finite_differences():
     labels = rng.integers(0, 3, size=6)
     _, grad = loss_and_grad(arch, params, feats, labels)
     fd = central_difference_grad(arch, params, feats, labels)
-    for b in params.blocks:
+    for b in params:
         an = grad[b]
         keep = np.abs(an) > 1e-6
         rel = np.abs(fd[b][keep] - an[keep]) / np.abs(an[keep])
@@ -158,7 +157,7 @@ def test_gradient_check_random_small_nets():
         labels = rng.integers(0, arch.num_classes, size=4)
         _, grad = loss_and_grad(arch, params, feats, labels)
         fd = central_difference_grad(arch, params, feats, labels)
-        for b in params.blocks:
+        for b in params:
             an = grad[b]
             keep = np.abs(an) > 1e-6
             if keep.any():
@@ -209,40 +208,40 @@ def test_sgd_step_arithmetic():
     arch = ArchSpec(input_dims=(1,), encoder_hidden=1, feature_len=1,
                     classifier_hidden=(), num_classes=2)
     shapes = ((2,),)
-    p = MultiModalParams({1: ParamBlock(1, np.array([1.0, 2.0]), shapes),
-                          2: ParamBlock(2, np.zeros(2), shapes)}, (1,))
+    p = {1: ParamBlock(1, np.array([1.0, 2.0]), shapes),
+         2: ParamBlock(2, np.zeros(2), shapes)}
     g = {1: np.array([0.5, -1.0]), 2: np.zeros(2)}
     sgd_step(p, g, 0.1)
-    np.testing.assert_allclose(p.blocks[1].values, [0.95, 2.1])
+    np.testing.assert_allclose(p[1].values, [0.95, 2.1])
     assert arch.num_classes == 2  # keep arch referenced
 
 
 def test_sgd_zero_grad_and_two_step_linearity():
     arch = toy_arch()
     params = random_params(arch, (1,), seed=9)
-    zero = {b: np.zeros_like(p.values) for b, p in params.blocks.items()}
+    zero = {b: np.zeros_like(p.values) for b, p in params.items()}
     unchanged = copy.deepcopy(params)
     sgd_step(unchanged, zero, 0.3)
-    for b in params.blocks:
-        np.testing.assert_array_equal(unchanged.blocks[b].values, params.blocks[b].values)
+    for b in params:
+        np.testing.assert_array_equal(unchanged[b].values, params[b].values)
 
     rng = np.random.default_rng(10)
-    g1 = {b: rng.normal(size=p.values.shape) for b, p in params.blocks.items()}
-    g2 = {b: rng.normal(size=p.values.shape) for b, p in params.blocks.items()}
+    g1 = {b: rng.normal(size=p.values.shape) for b, p in params.items()}
+    g2 = {b: rng.normal(size=p.values.shape) for b, p in params.items()}
     gsum = {b: g1[b] + g2[b] for b in g1}
     two, one = copy.deepcopy(params), copy.deepcopy(params)
     sgd_step(two, g1, 0.05)
     sgd_step(two, g2, 0.05)
     sgd_step(one, gsum, 0.05)
-    for b in params.blocks:
-        np.testing.assert_allclose(two.blocks[b].values, one.blocks[b].values, atol=1e-15)
+    for b in params:
+        np.testing.assert_allclose(two[b].values, one[b].values, atol=1e-15)
 
 
 def test_sgd_structure_mismatch_raises():
     arch = toy_arch()
     params = random_params(arch, (1,), seed=11)
     bad = {1: np.zeros(3),
-           arch.shared_block_id: params.blocks[arch.shared_block_id].values}
+           arch.shared_block_id: params[arch.shared_block_id].values}
     with pytest.raises(ShapeMismatchError):
         sgd_step(params, bad, 0.1)
 
@@ -250,9 +249,9 @@ def test_sgd_structure_mismatch_raises():
 def test_sgd_step_checks_block_set_and_lengths_before_changing_anything():
     arch = toy_arch()
     params = random_params(arch, (1,), seed=11)
-    before = {b: p.values.copy() for b, p in params.blocks.items()}
+    before = {b: p.values.copy() for b, p in params.items()}
     head = arch.shared_block_id
-    ok = {b: np.ones_like(p.values) for b, p in params.blocks.items()}
+    ok = {b: np.ones_like(p.values) for b, p in params.items()}
     for bad in ({head: ok[head]},                              # a block missing
                 {**ok, 2: np.ones(arch.block_param_count(2))},  # a block not owned
                 {**ok, head: ok[head][:-1]},                    # short gradient
@@ -261,15 +260,15 @@ def test_sgd_step_checks_block_set_and_lengths_before_changing_anything():
             sgd_step(params, bad, 0.1)
     with pytest.raises(ValueError, match="learning rate"):
         sgd_step(params, ok, 0.0)
-    for b, p in params.blocks.items():
+    for b, p in params.items():
         np.testing.assert_array_equal(p.values, before[b])
 
 
 @pytest.mark.parametrize("value, step", [(1e308, -1e308), (0.0, np.inf), (0.0, np.nan)])
 def test_sgd_step_raises_when_a_step_leaves_a_value_non_finite(value, step):
     shapes = ((2,),)
-    params = MultiModalParams({1: ParamBlock(1, np.array([value, 1.0]), shapes),
-                               2: ParamBlock(2, np.zeros(2), shapes)}, (1,))
+    params = {1: ParamBlock(1, np.array([value, 1.0]), shapes),
+              2: ParamBlock(2, np.zeros(2), shapes)}
     grad = {1: np.array([step, 0.0]), 2: np.zeros(2)}
     with np.errstate(over="ignore"), pytest.raises(NumericOverflowError, match="block 1"):
         sgd_step(params, grad, 10.0)
@@ -316,10 +315,10 @@ def test_structure_preserved_by_sgd():
     _, grad = loss_and_grad(arch, params, feats, rng.integers(0, 6, size=4))
     out = copy.deepcopy(params)
     sgd_step(out, grad, 0.01)
-    assert set(out.blocks) == set(params.blocks)
-    for b in out.blocks:
-        assert out.blocks[b].shapes == params.blocks[b].shapes
-        assert out.blocks[b].param_count == params.blocks[b].param_count
+    assert set(out) == set(params)
+    for b in out:
+        assert out[b].shapes == params[b].shapes
+        assert out[b].param_count == params[b].param_count
 
 
 def test_forward_batch_agrees_with_single():
@@ -353,9 +352,8 @@ def test_block_layout_accepts_every_shapes_value_a_block_takes():
     layout, total = block_layout(as_tuples)
     assert layout == ((0, 6, (2, 3)), (6, 8, (2,)), (8, 9, ()))
     assert total == 9
-    assert block_layout([[2, 3], [2], []]) == (layout, total)
     assert block_layout(()) == ((), 0)
-    block = ParamBlock(1, np.arange(9.0), [[2, 3], [2], []])
+    block = ParamBlock(1, np.arange(9.0), as_tuples)
     assert [a.shape for a in block.arrays()] == [(2, 3), (2,), ()]
 
 
@@ -404,9 +402,10 @@ def concatenated_loss_and_grad(arch, params, features, labels):
         grads_head[2 * i + 1] = d.sum(axis=0)
         d = d @ layers[i][0]
     f = arch.feature_len
-    grads = {params.head_id: np.concatenate([g.ravel() for g in grads_head])}
-    for m in params.owned:
-        _, _, w2, _ = params.blocks[m].arrays()
+    head = arch.shared_block_id
+    grads = {head: np.concatenate([g.ravel() for g in grads_head])}
+    for m in sorted(params.keys() - {head}):
+        _, _, w2, _ = params[m].arrays()
         x, h = enc_cache[m]
         dfeat = d[:, (m - 1) * f: m * f]
         gw2 = dfeat.T @ h
@@ -441,11 +440,12 @@ def matmul_forward(arch, params, features):
     f = arch.feature_len
     batch = len(next(iter(features.values())))
     fused = np.zeros((batch, arch.fusion_width))
-    for m in params.owned:
-        w1, b1, w2, b2 = params.blocks[m].arrays()
+    head = arch.shared_block_id
+    for m in sorted(params.keys() - {head}):
+        w1, b1, w2, b2 = params[m].arrays()
         h = np.tanh(features[m] @ w1.T + b1)
         fused[:, (m - 1) * f: m * f] = h @ w2.T + b2
-    arrs = params.blocks[params.head_id].arrays()
+    arrs = params[head].arrays()
     a = fused
     for v, u in zip(arrs[0:-2:2], arrs[1:-2:2]):
         a = np.tanh(a @ v.T + u)
@@ -459,8 +459,8 @@ def test_forward_batch_is_bit_identical_to_matmul_reference(owned, hidden):
                     classifier_hidden=hidden, num_classes=6)
     params = random_params(arch, owned, seed=len(owned) + 7)
     rng = np.random.default_rng(22)
-    for p in params.blocks.values():  # nonzero biases too
-        p.values += rng.normal(scale=0.3, size=p.values.shape)
+    for p in params.values():  # nonzero biases too
+        p.values[:] += rng.normal(scale=0.3, size=p.values.shape)
     for batch in (1, 32, 60):
         feats = random_features(arch, owned, batch, rng)
         scores = forward_batch(arch, params, feats)
@@ -470,7 +470,7 @@ def test_forward_batch_is_bit_identical_to_matmul_reference(owned, hidden):
 
 
 def test_arrays_returns_the_views_built_with_the_block():
-    block = random_params(toy_arch(), (1,)).blocks[1]
+    block = random_params(toy_arch(), (1,))[1]
     first, again = block.arrays(), block.arrays()
     assert len(first) == len(block.shapes)
     assert all(a is b for a, b in zip(first, again))
@@ -481,37 +481,52 @@ def test_views_of_a_deep_copy_follow_the_copy_not_the_original():
     arch = toy_arch()
     owned = (1, 2)
     params = random_params(arch, owned, seed=3)
-    before = {b: p.values.copy() for b, p in params.blocks.items()}
+    before = {b: p.values.copy() for b, p in params.items()}
     rng = np.random.default_rng(4)
     feats = random_features(arch, owned, 8, rng)
     labels = rng.integers(0, arch.num_classes, size=8)
     clone = copy.deepcopy(params)
+    for b, p in clone.items():
+        assert all(np.shares_memory(a, p.values) for a in p.arrays())
+        assert not any(np.shares_memory(a, params[b].values) for a in p.arrays())
     _, grad = loss_and_grad(arch, clone, feats, labels)
     sgd_step(clone, grad, 0.5)
-    for b, p in clone.blocks.items():
+    for b, p in clone.items():
         assert all(np.shares_memory(a, p.values) for a in p.arrays())
-    fresh = MultiModalParams({b: ParamBlock(b, p.values.copy(), p.shapes)
-                              for b, p in clone.blocks.items()}, owned)
+    fresh = {b: ParamBlock(b, p.values.copy(), p.shapes) for b, p in clone.items()}
     loss, grad = loss_and_grad(arch, clone, feats, labels)
     ref_loss, ref_grad = loss_and_grad(arch, fresh, feats, labels)
     assert loss == ref_loss
-    for b in fresh.blocks:
+    for b in fresh:
         assert np.array_equal(grad[b], ref_grad[b])
-    for b, p in params.blocks.items():
+    for b, p in params.items():
         assert np.array_equal(p.values, before[b])
         assert np.array_equal(np.concatenate([a.ravel() for a in p.arrays()]), before[b])
 
 
 @pytest.mark.parametrize("rebind", ["new array", "other half of the same buffer"])
-def test_arrays_view_the_new_vector_after_values_is_rebound(rebind):
+def test_values_cannot_be_rebound(rebind):
     arch = toy_arch()
     shapes = arch.block_shapes(1)
     n = arch.block_param_count(1)
     buffer = np.arange(2.0 * n)
     block = ParamBlock(1, buffer[:n], shapes)
-    old = block.arrays()
-    block.values = block.values + 1.0 if rebind == "new array" else buffer[n:]
     views = block.arrays()
-    assert all(np.shares_memory(a, block.values) for a in views)
-    assert not any(np.shares_memory(a, b) for a, b in zip(views, old))
-    assert np.array_equal(np.concatenate([a.ravel() for a in views]), block.values)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        block.values = block.values + 1.0 if rebind == "new array" else buffer[n:]
+    assert np.shares_memory(block.values, buffer[:n])
+    assert block.arrays() is views
+    assert np.array_equal(np.concatenate([a.ravel() for a in views]), np.arange(float(n)))
+
+
+@pytest.mark.parametrize("call", [forward_batch, loss_and_grad])
+def test_params_without_the_head_raise_shape_mismatch(call):
+    arch = toy_arch()
+    params = random_params(arch, (1, 2))
+    del params[arch.shared_block_id]
+    rng = np.random.default_rng(0)
+    args = (random_features(arch, (1, 2), 4, rng),)
+    if call is loss_and_grad:
+        args += (rng.integers(0, arch.num_classes, size=4),)
+    with pytest.raises(ShapeMismatchError, match="head"):
+        call(arch, params, *args)

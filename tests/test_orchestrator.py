@@ -44,9 +44,9 @@ def test_single_iteration_matches_one_sgd_step():
                                        dev.dataset.train.labels[perm])
     nn_core.sgd_step(expected, grad, 0.1)
     assert mean_loss == pytest.approx(loss)
-    for b in expected.blocks:
-        np.testing.assert_array_equal(dev.params.blocks[b].values,
-                                      expected.blocks[b].values)
+    for b in expected:
+        np.testing.assert_array_equal(dev.params[b].values,
+                                      expected[b].values)
 
 
 @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
@@ -70,13 +70,13 @@ def test_multi_iteration_update_matches_per_iteration_gather(prox_mu):
         loss, grad = nn_core.loss_and_grad(sim.arch, params, feats,
                                            dev.dataset.train.labels[idx])
         if prox_mu > 0.0:
-            grad = {b: g + prox_mu * (params.blocks[b].values - anchor.blocks[b].values)
+            grad = {b: g + prox_mu * (params[b].values - anchor[b].values)
                     for b, g in grad.items()}
         nn_core.sgd_step(params, grad, 0.1)
         losses.append(loss)
     assert mean_loss == float(np.mean(losses))
-    for b in params.blocks:
-        assert np.array_equal(dev.params.blocks[b].values, params.blocks[b].values)
+    for b in params:
+        assert np.array_equal(dev.params[b].values, params[b].values)
     assert dev.rng.bit_generator.state == rng_copy.bit_generator.state
 
 
@@ -110,8 +110,8 @@ def test_round_batch_gather_matches_the_modulo_gather(regime):
         loss = local_update_phase(sim.arch, dev, 0.05, iters, batch)
         ref = local_update_round_gather(sim.arch, twin, 0.05, iters, batch)
         assert loss == ref
-        for b, p in twin.params.blocks.items():
-            assert np.array_equal(dev.params.blocks[b].values, p.values)
+        for b, p in twin.params.items():
+            assert np.array_equal(dev.params[b].values, p.values)
         assert dev.rng.bit_generator.state == twin.rng.bit_generator.state
 
 
@@ -123,7 +123,7 @@ def post_sgd(monkeypatch):
 
     def recording(arch, device, *args, **kwargs):
         loss = update(arch, device, *args, **kwargs)
-        record[device.device_id] = {b: p.values.copy() for b, p in device.params.blocks.items()}
+        record[device.device_id] = {b: p.values.copy() for b, p in device.params.items()}
         return loss
 
     monkeypatch.setattr(orchestrator, "local_update_phase", recording)
@@ -145,7 +145,7 @@ def check_round_installs(sim, log, post_sgd):
             expected = {k: mean for k in ks}
         for k in np.flatnonzero(sim.owners[b]).tolist():
             want = expected.get(k, post_sgd[k][b])
-            np.testing.assert_array_equal(sim.devices[k].params.blocks[b].values, want)
+            np.testing.assert_array_equal(sim.devices[k].params[b].values, want)
 
 
 def test_local_only_never_touches_server(post_sgd):
@@ -177,9 +177,9 @@ def test_fedavg_full_quota_unifies_shared_block():
     sim = Simulation(quick_cfg(seed=3, algorithm="fedavg", quota=9))
     sim.step()
     shared = sim.arch.shared_block_id
-    ref = sim.devices[0].params.blocks[shared].values
+    ref = sim.devices[0].params[shared].values
     for dev in sim.devices[1:]:
-        np.testing.assert_array_equal(dev.params.blocks[shared].values, ref)
+        np.testing.assert_array_equal(dev.params[shared].values, ref)
 
 
 def test_downloads_match_server_blocks(post_sgd):
@@ -213,7 +213,7 @@ def test_every_device_block_is_a_row_of_its_store(algorithm):
         assert sim.store[b].shape == (int(sim.owners[b].sum()), sim.arch.block_param_count(b))
     for _ in range(2):
         for dev in sim.devices:
-            for b, p in dev.params.blocks.items():
+            for b, p in dev.params.items():
                 assert sim.owners[b][dev.device_id]
                 assert is_store_row(p.values, sim, b, dev.device_id)
                 assert all(np.shares_memory(a, p.values) for a in p.arrays())
@@ -244,11 +244,12 @@ def test_a_deep_copy_of_device_params_detaches_from_the_store():
     dev = sim.devices[2]
     clone = copy.deepcopy(dev.params)
     stored = {b: sim.store[b].copy() for b in sim.block_ids}
-    for b, p in clone.blocks.items():
+    for b, p in clone.items():
         assert not np.shares_memory(p.values, sim.store[b])
+        assert all(np.shares_memory(a, p.values) for a in p.arrays())
         assert not any(np.shares_memory(a, sim.store[b]) for a in p.arrays())
         p.arrays()[0][...] += 1.0
-        p.values *= 2.0
+        p.values[:] *= 2.0
     for b in sim.block_ids:
         assert np.array_equal(sim.store[b], stored[b])
 
@@ -266,9 +267,9 @@ def test_same_seed_gives_identical_runs():
     b = run_training(quick_cfg(seed=7))
     assert a.summary == b.summary
     for da, db in zip(a.devices, b.devices):
-        for blk in da.params.blocks:
-            assert np.array_equal(da.params.blocks[blk].values,
-                                  db.params.blocks[blk].values)
+        for blk in da.params:
+            assert np.array_equal(da.params[blk].values,
+                                  db.params[blk].values)
 
 
 def test_round_time_is_max_of_device_totals():
@@ -313,16 +314,16 @@ def test_fedprox_differs_from_fedavg():
     a = run_training(quick_cfg(seed=10, algorithm="fedavg", fedprox_mu=0.0))
     b = run_training(quick_cfg(seed=10, algorithm="fedprox", fedprox_mu=0.5))
     diff = max(
-        np.abs(da.params.blocks[blk].values - db.params.blocks[blk].values).max()
-        for da, db in zip(a.devices, b.devices) for blk in da.params.blocks)
+        np.abs(da.params[blk].values - db.params[blk].values).max()
+        for da, db in zip(a.devices, b.devices) for blk in da.params)
     assert diff > 0
 
 
 def test_evaluate_personalized_chance_level_for_zero_model():
     sim = Simulation(quick_cfg(seed=11))
     for dev in sim.devices:
-        for b, p in dev.params.blocks.items():
-            dev.params.blocks[b] = nn_core.ParamBlock(b, np.zeros_like(p.values), p.shapes)
+        for b, p in dev.params.items():
+            dev.params[b] = nn_core.ParamBlock(b, np.zeros_like(p.values), p.shapes)
     accs, mean_acc = evaluate_personalized(sim.arch, sim.devices)
     # all-zero scores -> argmax picks class 0 for everyone
     for dev, acc in zip(sim.devices, accs):
