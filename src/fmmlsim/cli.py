@@ -66,7 +66,7 @@ def main(argv=None) -> int:
         if cfg.record_gains:
             reporting.write_gains_csv(out_dir / "gains.csv", result.logs, cfg.num_devices)
         reporting.write_summary_json(out_dir / "summary.json", result.summary)
-    except (FmmlError, OSError) as exc:
+    except (FmmlError, OSError, ValueError) as exc:  # ValueError: a non-finite summary value
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
 

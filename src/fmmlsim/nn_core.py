@@ -8,14 +8,16 @@ plain dict of blocks: its owned modalities in ascending order, then the head
 (`ArchSpec.shared_block_id`). A block vector may be a row view of a larger
 array that stacks one block for many devices. A `ParamBlock` checks its
 vector and builds its layer views once, when it is built; its fields cannot
-be rebound, so the views stay valid for its lifetime. Gradients are fresh
-flat arrays keyed by block, and `sgd_step` updates the block vectors in
-place, so the views, and the rows they belong to, follow. Every matrix product
-whose output is contiguous goes through `np.dot`, the cheapest call per
-product at these sizes; the rest use `np.matmul(..., out=)`. The
-classifier always consumes a fixed-width concatenation of all modality feature
-slots; slots for modalities a device does not own stay zero, which keeps the
-head block structurally identical across devices.
+be rebound, so the views stay valid for its lifetime. Gradients are flat
+arrays keyed by block, written through the views of a caller's reused
+workspace of gradient blocks or of fresh zeroed ones, and `sgd_step`
+updates the block vectors in place, so the views, and the rows they belong
+to, follow. Every matrix product whose output is contiguous goes through
+`np.dot`, the cheapest call per product at these sizes; the rest use
+`np.matmul(..., out=)`. The classifier always consumes a fixed-width
+concatenation of all modality feature slots; slots for modalities a device
+does not own stay zero, which keeps the head block structurally identical
+across devices.
 """
 
 from __future__ import annotations
@@ -239,13 +241,17 @@ def forward_batch(arch: ArchSpec, params: Mapping[int, ParamBlock],
 
 
 def loss_and_grad(arch: ArchSpec, params: Mapping[int, ParamBlock],
-                  features: Mapping[int, np.ndarray],
-                  labels: np.ndarray) -> tuple[float, dict[int, np.ndarray]]:
+                  features: Mapping[int, np.ndarray], labels: np.ndarray,
+                  out: Mapping[int, ParamBlock] | None = None
+                  ) -> tuple[float, dict[int, np.ndarray]]:
     """Mean softmax cross-entropy over the batch and its exact gradient.
 
     The log-sum-exp is computed with max subtraction, so large scores do not
     overflow. The gradient maps each block of params to one flat array laid
-    out like that block's values; every call returns new arrays.
+    out like that block's values. With `out`, a workspace of gradient blocks
+    covering params, each layer is written in place through its views and the
+    arrays returned are the workspace's `values`, overwritten by the next such
+    call; without it every call returns new arrays.
     """
     labels = np.asarray(labels)
     if labels.size == 0:
@@ -271,10 +277,9 @@ def loss_and_grad(arch: ArchSpec, params: Mapping[int, ParamBlock],
     flat[picks] -= 1.0
     d /= batch
 
-    head_id = arch.shared_block_id
-    head = params[head_id]
-    head_grad = np.empty(head.values.shape[0])
-    gviews = _layer_views(head_grad, head.shapes)
+    if out is None:
+        out = {b: ParamBlock(b, np.zeros(p.param_count), p.shapes) for b, p in params.items()}
+    gviews = out[arch.shared_block_id].arrays()
     np.dot(d.T, acts[-1], out=gviews[-2])
     np.add.reduce(d, axis=0, out=gviews[-1])
     d = np.dot(d, layers[-1][0])
@@ -286,12 +291,9 @@ def loss_and_grad(arch: ArchSpec, params: Mapping[int, ParamBlock],
         d = np.dot(d, layers[i][0])
 
     f = arch.feature_len
-    grads = {head_id: head_grad}
     for m, (x, h) in enc_cache.items():
-        block = params[m]
-        w2 = block.arrays()[2]
-        enc_grad = np.empty(block.values.shape[0])
-        gw1, gb1, gw2, gb2 = _layer_views(enc_grad, block.shapes)
+        w2 = params[m].arrays()[2]
+        gw1, gb1, gw2, gb2 = out[m].arrays()
         dfeat = d[:, (m - 1) * f: m * f]
         np.dot(dfeat.T, h, out=gw2)
         np.add.reduce(dfeat, axis=0, out=gb2)
@@ -299,8 +301,7 @@ def loss_and_grad(arch: ArchSpec, params: Mapping[int, ParamBlock],
         dpre *= 1.0 - h * h
         np.dot(dpre.T, x, out=gw1)
         np.add.reduce(dpre, axis=0, out=gb1)
-        grads[m] = enc_grad
-    return loss, grads
+    return loss, {b: out[b].values for b in params}
 
 
 def sgd_step(params: Mapping[int, ParamBlock], grad: Mapping[int, np.ndarray], eta: float) -> None:

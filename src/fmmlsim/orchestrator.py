@@ -7,11 +7,13 @@ from the previous round's retained material, cache refresh, and downloads
 back to the scheduled devices. A block's parameters live in one array for
 all devices that hold it (`Simulation.store`), a row per holder. A device's
 model is a plain dict of ParamBlocks over its rows (its owned modalities in
-ascending order, then the head): SGD updates a row in place per device, a
-round's uploads of a block are one row gather from its array, and the
-download is one row scatter of the aggregates back into it. The server keeps
-the aggregation weights, the last round's aggregation and, per block, the
-upload indicators and staleness counters, not the models.
+ascending order, then the head): SGD updates a row in place per device, its
+gradients written into one workspace block per block id that every device
+reuses (`grad_workspace`); a round's uploads of a block are one row gather
+from its array, and the download is one row scatter of the aggregates back
+into it. The server keeps the aggregation weights, the last round's
+aggregation and, per block, the upload indicators and staleness counters,
+not the models.
 Rounds are synchronous: the round wall time is the slowest device's
 download + compute + upload.
 """
@@ -26,7 +28,7 @@ import numpy as np
 from . import aggregation as agg
 from . import datagen, nn_core, scheduler, wireless
 from .config import RunConfig, config_to_dict
-from .errors import FmmlError
+from .errors import FmmlError, NumericOverflowError
 from .nn_core import ArchSpec, ParamBlock
 
 
@@ -75,13 +77,14 @@ class RunResult:
 
 
 def local_update_phase(arch: ArchSpec, device: DeviceState, lr: float,
-                       local_iters: int, batch_size: int,
-                       prox_mu: float = 0.0) -> float:
+                       local_iters: int, batch_size: int, prox_mu: float = 0.0,
+                       grad_out: dict[int, ParamBlock] | None = None) -> float:
     """Run the device's local SGD steps for one round, in place on device.params.
 
     Batches cycle through a fresh shuffle of the train split. With a positive
     prox_mu the gradient gains mu * (w - anchor), pulling the iterates back
-    toward the round-start parameters (the anchor). Returns the mean loss.
+    toward the round-start parameters (the anchor). Gradients are written
+    into the `grad_out` workspace when given. Returns the mean loss.
     """
     train = device.dataset.train
     n = len(train)
@@ -98,7 +101,8 @@ def local_update_phase(arch: ArchSpec, device: DeviceState, lr: float,
     for i in range(local_iters):
         rows = slice(i * batch_size, (i + 1) * batch_size)
         feats = {m: x[rows] for m, x in round_feats.items()}
-        loss, grad = nn_core.loss_and_grad(arch, params, feats, round_labels[rows])
+        loss, grad = nn_core.loss_and_grad(arch, params, feats, round_labels[rows],
+                                           out=grad_out)
         if anchor is not None:
             for b, g in grad.items():
                 g += prox_mu * (params[b].values - anchor[b])
@@ -118,8 +122,11 @@ def evaluate_personalized(arch: ArchSpec, devices: Sequence[DeviceState]) -> tup
 
 
 def simulated_training_time(logs: Sequence[RoundLog]) -> float:
-    """Total simulated wall time: sum of per-round synchronous barriers."""
-    return float(sum(log.round_time for log in logs))
+    """Total simulated wall time: sum of per-round synchronous barriers; overflow raises."""
+    total = float(sum(log.round_time for log in logs))
+    if not np.isfinite(total):
+        raise NumericOverflowError(f"total simulated time {total} s is not finite")
+    return total
 
 
 class Simulation:
@@ -191,6 +198,9 @@ class Simulation:
             params = {b: ParamBlock(b, self.store[b][int(self.store_row[b][k])], full[b].shapes)
                       for b in (*sorted(owned_sets[k]), shared)}
             self.devices.append(DeviceState(k, params, datasets[k], dev_rngs[k]))
+        # one gradient block per block id, shared by the devices as they train in turn
+        self.grad_workspace = {b: ParamBlock(b, np.zeros(full[b].param_count), full[b].shapes)
+                               for b in self.block_ids}
 
         coeffs = None
         if cfg.algorithm == "proposed":
@@ -223,7 +233,8 @@ class Simulation:
         train_loss = np.zeros(K)
         for dev in self.devices:
             train_loss[dev.device_id] = local_update_phase(
-                self.arch, dev, cfg.lr, cfg.local_iters, cfg.batch_size, prox_mu=mu)
+                self.arch, dev, cfg.lr, cfg.local_iters, cfg.batch_size, prox_mu=mu,
+                grad_out=self.grad_workspace)
 
         # latency inputs for this round; a device downloads the blocks it
         # uploaded last round (the indicators are zero off each block's owners)

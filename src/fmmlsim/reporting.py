@@ -99,6 +99,7 @@ def write_gains_csv(path: str | Path, logs: Sequence[RoundLog], num_devices: int
 
 
 def write_summary_json(path: str | Path, summary: dict) -> None:
+    """Strict JSON: a NaN or infinite value raises ValueError before the file is opened."""
+    text = json.dumps(summary, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -30,35 +30,50 @@ def report(criterion: int, ok: bool, detail: str):
 # --------------------------- shared run batteries ---------------------------
 
 @pytest.fixture(scope="module")
-def trend_battery():
+def run_once():
+    """Run each distinct config once per module and hand every battery that
+    asks for an equal config the same result: `proposed` at seeds 0 and 1 is
+    also `quota=3` and the `ratio` metric of the desk recipe."""
+    done = []  # (config, result); a RunConfig compares by value but is not hashable
+
+    def run(cfg):
+        for seen, result in done:
+            if seen == cfg:
+                return result
+        result = Simulation(cfg).run()
+        done.append((cfg, result))
+        return result
+    return run
+
+
+@pytest.fixture(scope="module")
+def trend_battery(run_once):
     """Proposed / FedAvg / LocalOnly runs on the headline desk recipe."""
     runs = {}
     for seed in SEEDS:
         for algo in ("proposed", "fedavg", "local"):
-            runs[(algo, seed)] = Simulation(
-                desk_config(seed=seed, algorithm=algo)).run()
+            runs[(algo, seed)] = run_once(desk_config(seed=seed, algorithm=algo))
     return runs
 
 
 @pytest.fixture(scope="module")
-def quota_battery():
+def quota_battery(run_once):
     runs = {}
     for seed in (0, 1):
         for quota in (3, 6, 9):
-            runs[(quota, seed)] = Simulation(
-                desk_config(seed=seed, algorithm="proposed", quota=quota)).run()
+            runs[(quota, seed)] = run_once(
+                desk_config(seed=seed, algorithm="proposed", quota=quota))
     return runs
 
 
 @pytest.fixture(scope="module")
-def metric_battery():
+def metric_battery(run_once):
     runs = {}
     grid = (("ratio", "ratio", 0.0), ("a4", "linear", 1e-4),
             ("a3", "linear", 1e-3), ("a2", "linear", 1e-2))
     for seed in (0, 1):
         for label, kind, alpha in grid:
-            runs[(label, seed)] = Simulation(
-                desk_config(seed=seed, metric=kind, alpha=alpha)).run()
+            runs[(label, seed)] = run_once(desk_config(seed=seed, metric=kind, alpha=alpha))
     return runs
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fmmlsim import desk_config, recipe_suite
+from fmmlsim import desk_config, orchestrator, recipe_suite
 from fmmlsim.cli import main
 from fmmlsim.config import (config_from_dict, config_to_dict, load_config,
                             validate_config)
@@ -221,6 +221,27 @@ def test_cli_fails_on_an_unrepresentable_compute_time(tmp_path, capsys, monkeypa
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("run failed:") and "compute" in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+def test_cli_fails_when_finite_round_times_sum_to_infinity(tmp_path, capsys):
+    # each round takes about 6.3e307 s, finite, but three of them overflow
+    write_cfg(tmp_path, {"rounds": 3, "local_iters": 1, "compute": {"cycles_per_s": 2e-303}},
+              "base.json")
+    code = main(["--config", str(tmp_path / "base.json"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed:") and "total simulated time" in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_cli_writes_no_summary_with_a_non_finite_value(tmp_path, capsys, monkeypatch, bad):
+    monkeypatch.setattr(orchestrator, "simulated_training_time", lambda logs: bad)
+    write_cfg(tmp_path, small_payload(), "base.json")
+    code = main(["--config", str(tmp_path / "base.json"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("run failed:")
     assert not (tmp_path / "out" / "summary.json").exists()
 
 

@@ -530,3 +530,54 @@ def test_params_without_the_head_raise_shape_mismatch(call):
         args += (rng.integers(0, arch.num_classes, size=4),)
     with pytest.raises(ShapeMismatchError, match="head"):
         call(arch, params, *args)
+
+
+def dirty_workspace(arch):
+    """One gradient block per block id of arch, filled with a value no gradient holds."""
+    return {b: ParamBlock(b, np.full(arch.block_param_count(b), 7.5), arch.block_shapes(b))
+            for b in range(1, arch.shared_block_id + 1)}
+
+
+@pytest.mark.parametrize("owned", [(2,), (1, 3), (1, 2, 3)])
+@pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])
+def test_loss_and_grad_into_a_workspace_matches_the_fresh_path(owned, hidden):
+    arch = ArchSpec(input_dims=(16, 24, 12), encoder_hidden=16, feature_len=8,
+                    classifier_hidden=hidden, num_classes=6)
+    params = random_params(arch, owned, seed=len(owned))
+    out = dirty_workspace(arch)
+    rng = np.random.default_rng(33)
+    for batch in (32, 1):  # the second call must overwrite every value of the first
+        feats = random_features(arch, owned, batch, rng)
+        labels = rng.integers(0, arch.num_classes, size=batch)
+        loss, grad = loss_and_grad(arch, params, feats, labels, out=out)
+        fresh_loss, fresh = loss_and_grad(arch, params, feats, labels)
+        ref_loss, ref = concatenated_loss_and_grad(arch, params, feats, labels)
+        assert loss == fresh_loss == ref_loss
+        assert list(grad) == list(params)
+        for b in params:
+            assert grad[b] is out[b].values
+            assert not np.shares_memory(fresh[b], out[b].values)
+            assert np.array_equal(grad[b], fresh[b])
+            assert np.array_equal(grad[b], ref[b])
+
+
+def test_a_device_with_fewer_modalities_gets_only_its_own_blocks_from_a_shared_workspace():
+    arch = ArchSpec(input_dims=(16, 24, 12), encoder_hidden=16, feature_len=8,
+                    classifier_hidden=(16,), num_classes=6)
+    out = dirty_workspace(arch)
+    rng = np.random.default_rng(5)
+    wide = random_params(arch, (1, 2, 3), seed=1)
+    feats = random_features(arch, (1, 2, 3), 8, rng)
+    labels = rng.integers(0, arch.num_classes, size=8)
+    sgd_step(wide, loss_and_grad(arch, wide, feats, labels, out=out)[1], 0.1)
+
+    narrow = random_params(arch, (2,), seed=2)
+    twin = copy.deepcopy(narrow)
+    feats = random_features(arch, (2,), 8, rng)
+    labels = rng.integers(0, arch.num_classes, size=8)
+    _, grad = loss_and_grad(arch, narrow, feats, labels, out=out)
+    assert list(grad) == [2, arch.shared_block_id]
+    sgd_step(narrow, grad, 0.1)
+    sgd_step(twin, loss_and_grad(arch, twin, feats, labels)[1], 0.1)
+    for b in narrow:
+        assert np.array_equal(narrow[b].values, twin[b].values)

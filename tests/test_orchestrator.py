@@ -466,3 +466,35 @@ def test_round_latency_follows_the_schedule(seed, num_devices, num_modalities, a
         for b in sim.block_ids:
             assert (log.staleness[b] < threshold).all()
         previous = log.scheduled
+
+
+@pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+def test_local_update_into_the_workspace_matches_the_fresh_path(prox_mu):
+    sim = Simulation(quick_cfg(seed=3))
+    for ws in sim.grad_workspace.values():
+        ws.values[:] = 7.5  # what an earlier device left behind, never a gradient
+    owned = [dev.dataset.owned for dev in sim.devices[2:5]]
+    assert len(owned[0]) > len(owned[1]) and owned[1] != owned[2]
+    for dev in sim.devices[2:5]:  # fewer modalities after more, then the other one
+        twin = copy.deepcopy(dev)
+        loss = local_update_phase(sim.arch, dev, 0.05, 5, 32, prox_mu=prox_mu,
+                                  grad_out=sim.grad_workspace)
+        assert loss == local_update_phase(sim.arch, twin, 0.05, 5, 32, prox_mu=prox_mu)
+        for b, p in twin.params.items():
+            assert np.array_equal(dev.params[b].values, p.values)
+
+
+@pytest.mark.parametrize("algorithm", ["proposed", "fedprox"])
+def test_a_round_builds_no_layer_views(monkeypatch, algorithm):
+    sim = Simulation(quick_cfg(seed=2, algorithm=algorithm))
+    calls = []
+    layer_views = nn_core._layer_views
+
+    def counting(*args):
+        calls.append(args)
+        return layer_views(*args)
+
+    monkeypatch.setattr(nn_core, "_layer_views", counting)
+    sim.step()
+    sim.step()
+    assert calls == []
