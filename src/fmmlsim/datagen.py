@@ -3,7 +3,9 @@
 Classes are Gaussian clusters: one mean vector per (class, modality), the
 same means for every device, plus per-sample noise. Device heterogeneity
 comes from two places: which modalities a device owns, and which label
-distribution its local data follows.
+distribution its local data follows. The generators take plain values and
+trust them: `config.validate_config` checks the class count, noise level and
+train fraction once, at the config boundary.
 """
 
 from __future__ import annotations
@@ -30,32 +32,6 @@ DOMINANT_FRACTION = {PartitionScheme.NONIID2: 0.5, PartitionScheme.NONIID3: 0.3}
 SUPPORT_SIZE = 3  # categories per device under NONIID1
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    num_classes: int
-    input_dims: tuple[int, ...]
-    class_means: tuple[tuple[np.ndarray, ...], ...]  # [class][modality] -> (d_m,)
-    noise_std: float
-    samples_per_device: int
-    train_fraction: float
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
-        if len(self.input_dims) < 1:
-            raise ConfigError("need at least one modality")
-        if self.noise_std <= 0:
-            raise ConfigError("noise_std must be positive")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction must lie in (0, 1)")
-        if len(self.class_means) != self.num_classes:
-            raise ConfigError("one mean row per class required")
-
-    @property
-    def num_modalities(self) -> int:
-        return len(self.input_dims)
-
-
 @dataclass
 class SampleSet:
     """A batch of samples: per-modality feature matrices plus labels."""
@@ -69,7 +45,6 @@ class SampleSet:
 
 @dataclass
 class DeviceDataset:
-    device_id: int
     owned: tuple[int, ...]
     train: SampleSet
     test: SampleSet
@@ -153,21 +128,22 @@ def partition_labels(scheme: PartitionScheme, num_classes: int, count: int,
     return labels
 
 
-def generate_device_data(spec: SyntheticSpec, labels: np.ndarray,
-                         owned: Sequence[int], device_id: int,
+def generate_device_data(class_means: Sequence[Sequence[np.ndarray]], noise_std: float,
+                         train_fraction: float, labels: np.ndarray, owned: Sequence[int],
                          rng: np.random.Generator) -> DeviceDataset:
-    """Materialize Gaussian samples for one device and split train/test."""
+    """Materialize Gaussian samples for one device and split train/test.
+
+    class_means[c][m - 1] is class c's centre in modality m (`make_class_means`).
+    """
     owned = tuple(sorted(owned))
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
     features = {}
     for m in owned:
-        d = spec.input_dims[m - 1]
-        means = np.stack([spec.class_means[c][m - 1] for c in range(spec.num_classes)])
-        features[m] = means[labels] + rng.normal(0.0, spec.noise_std, size=(n, d))
-    n_train = int(round(spec.train_fraction * n))
+        means = np.stack([class_mean[m - 1] for class_mean in class_means])
+        features[m] = means[labels] + rng.normal(0.0, noise_std, size=(n, means.shape[1]))
+    n_train = int(round(train_fraction * n))
     n_train = min(max(n_train, 1), n - 1) if n > 1 else n
     train = SampleSet({m: x[:n_train] for m, x in features.items()}, labels[:n_train])
     test = SampleSet({m: x[n_train:] for m, x in features.items()}, labels[n_train:])
-    return DeviceDataset(device_id, owned, train, test)
-
+    return DeviceDataset(owned, train, test)

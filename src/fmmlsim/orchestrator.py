@@ -140,8 +140,6 @@ class Simulation:
             feature_len=cfg.arch.feature_len,
             classifier_hidden=tuple(cfg.arch.classifier_hidden),
             num_classes=cfg.data.num_classes)
-        self.link = cfg.link
-        self.quota = cfg.effective_quota()
         self.metric = scheduler.MetricSpec(cfg.metric, cfg.alpha)
 
         seq = np.random.SeedSequence(cfg.seed)
@@ -155,28 +153,23 @@ class Simulation:
         owned_sets = datagen.assign_modalities(cfg.num_devices, cfg.num_modalities, profile)
         means = datagen.make_class_means(
             data_rng, cfg.data.num_classes, cfg.data.input_dims, cfg.data.mean_separation)
-        self.data_spec = datagen.SyntheticSpec(
-            num_classes=cfg.data.num_classes, input_dims=tuple(cfg.data.input_dims),
-            class_means=means, noise_std=cfg.data.noise_std,
-            samples_per_device=cfg.data.samples_per_device,
-            train_fraction=cfg.data.train_fraction)
         scheme = datagen.PartitionScheme(cfg.partition)
         datasets = []
         for k in range(cfg.num_devices):
             labels = datagen.partition_labels(
                 scheme, cfg.data.num_classes, cfg.data.samples_per_device, data_rng)
             datasets.append(datagen.generate_device_data(
-                self.data_spec, labels, owned_sets[k], k, data_rng))
+                means, cfg.data.noise_std, cfg.data.train_fraction, labels, owned_sets[k],
+                data_rng))
 
         self.distances = wireless.place_devices(
             np.random.default_rng(place_ss), cfg.num_devices, cfg.link.cell_radius_m)
         full = nn_core.init_full_params(self.arch, np.random.default_rng(init_ss))
         shared = self.arch.shared_block_id
-        # log-uniform slowdown in [1, heterogeneity] per device
-        hw_rng = np.random.default_rng(hw_ss)
-        slowdown = np.exp(hw_rng.uniform(0.0, np.log(cfg.compute.heterogeneity),
-                                         size=cfg.num_devices)) if cfg.compute.heterogeneity > 1 \
-            else np.ones(cfg.num_devices)
+        # log-uniform slowdown in [1, heterogeneity] per device; exactly 1.0 at
+        # heterogeneity 1, where the draws are uniform(0, 0)
+        slowdown = np.exp(np.random.default_rng(hw_ss).uniform(
+            0.0, np.log(cfg.compute.heterogeneity), size=cfg.num_devices))
         # compute time does not depend on the round: fixed per device
         self.t_compute = np.array([wireless.compute_latency(
             cfg.local_iters,
@@ -226,7 +219,7 @@ class Simulation:
         K = cfg.num_devices
         t = self.server.round + 1
         gains = wireless.sample_round_gains(self.rng_channel, self.distances,
-                                            self.link.carrier_ghz)
+                                            cfg.link.carrier_ghz)
 
         # local updates
         mu = cfg.fedprox_mu if cfg.algorithm == "fedprox" else 0.0
@@ -239,10 +232,10 @@ class Simulation:
         # latency inputs for this round; a device downloads the blocks it
         # uploaded last round (the indicators are zero off each block's owners)
         down_rates = np.array([wireless.link_rate(
-            self.link.server_power_w, g, self.link.bandwidth_hz, self.link.noise_density)
+            cfg.link.server_power_w, g, cfg.link.bandwidth_hz, cfg.link.noise_density)
             for g in gains.tolist()])
         up_rates = np.array([wireless.link_rate(
-            self.link.device_power_w, g, self.link.bandwidth_hz, self.link.noise_density)
+            cfg.link.device_power_w, g, cfg.link.bandwidth_hz, cfg.link.noise_density)
             for g in gains.tolist()])
         t_down = wireless.download_latency(
             self.server.indicators, self.sizes_bits, down_rates)
@@ -254,13 +247,12 @@ class Simulation:
             staleness = {b: self.server.staleness[b].copy() for b in self.block_ids}
             metric_values: dict[int, dict[int, float]] = {b: {} for b in self.block_ids}
         else:
-            selection = "metric"
-            if cfg.algorithm != "proposed" and cfg.baseline_scheduler == "random":
-                selection = "random"
+            # baselines may schedule at random; `proposed` always uses the metric
+            at_random = cfg.algorithm != "proposed" and cfg.baseline_scheduler == "random"
             indicators, staleness, metric_values = scheduler.schedule_round(
                 self.self_weights, t_down, t_cmp, self.sizes_bits, up_rates,
-                self.owners, self.metric, self.server.staleness, self.quota,
-                cfg.staleness_threshold, selection=selection, rng=self.rng_sched)
+                self.owners, self.metric, self.server.staleness, cfg.effective_quota(),
+                cfg.staleness_threshold, rng=self.rng_sched if at_random else None)
 
         # aggregation: each block over this round's uploads, one row gather U
         # from its store; the download is one row scatter back into the same rows

@@ -20,7 +20,6 @@ from .errors import SchedulingError
 from .wireless import cumulative_upload_latency
 
 METRIC_KINDS = ("ratio", "linear")
-SELECTION_MODES = ("metric", "random")
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,6 @@ def schedule_round(self_weights: Mapping[int, np.ndarray],
                    sizes_bits: Mapping[int, int], up_rates: np.ndarray,
                    owners: Mapping[int, np.ndarray], metric: MetricSpec,
                    staleness: Mapping[int, np.ndarray], quota: int, threshold: int,
-                   selection: str = "metric",
                    rng: np.random.Generator | None = None):
     """Schedule every block in ascending order.
 
@@ -85,19 +83,16 @@ def schedule_round(self_weights: Mapping[int, np.ndarray],
     for earlier in the same round: one (K,) count of the bits scheduled so
     far grows after each block. Returns (indicators, staleness, metric
     values) keyed by block; a block's metric values map each eligible
-    device, ascending, to its metric.
+    device, ascending, to its metric. Selection is random exactly when `rng`
+    is given: each eligible device then draws its metric from `rng.uniform`.
     """
-    if selection not in SELECTION_MODES:
-        raise SchedulingError(f"unknown selection mode {selection!r}")
-    if selection == "random" and rng is None:
-        raise SchedulingError("random selection needs an rng")
     indicators: dict[int, np.ndarray] = {}
     new_stale: dict[int, np.ndarray] = {}
     values: dict[int, dict[int, float]] = {}
     bits_so_far = np.zeros(len(t_down), dtype=np.int64)
     for block in sorted(owners):
         ids = np.flatnonzero(owners[block])
-        if selection == "random":
+        if rng is not None:
             metrics = rng.uniform(size=ids.size)
         else:
             t_up = cumulative_upload_latency(bits_so_far[ids], sizes_bits[block], up_rates[ids])

@@ -75,6 +75,18 @@ def test_validation_catches_inconsistencies():
         config_from_dict({"link": {"bandwidth_hz": 0.0}})
     with pytest.raises(ConfigError, match="compute.cycles_per_s"):
         config_from_dict({"compute": {"cycles_per_s": -1.0}})
+    # the data generators trust these values; the config boundary is their only check
+    with pytest.raises(ConfigError, match="data.num_classes: must be >= 2"):
+        config_from_dict({"partition": "noniid2", "data": {"num_classes": 1}})
+    with pytest.raises(ConfigError, match="data.noise_std"):
+        config_from_dict({"data": {"noise_std": 0.0}})
+    for fraction in (0.0, 1.0):
+        with pytest.raises(ConfigError, match="data.train_fraction"):
+            config_from_dict({"data": {"train_fraction": fraction}})
+    with pytest.raises(ConfigError, match="baseline_scheduler"):
+        config_from_dict({"baseline_scheduler": "uniform"})
+    with pytest.raises(ConfigError, match="gradient_estimate"):
+        config_from_dict({"gradient_estimate": "exact"})
 
 
 @pytest.mark.parametrize("payload, field", [

@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 
 from fmmlsim import datagen
-from fmmlsim.datagen import (PartitionScheme, SyntheticSpec, assign_modalities,
+from fmmlsim.datagen import (PartitionScheme, assign_modalities,
                              default_modality_profile, generate_device_data,
                              make_class_means, partition_labels)
 from fmmlsim.errors import ConfigError
 
+DIMS = (4, 6)
 
-def small_spec(noise=0.5, separation=3.0, samples=50, seed=0):
-    rng = np.random.default_rng(seed)
-    dims = (4, 6)
-    means = make_class_means(rng, 3, dims, separation)
-    return SyntheticSpec(num_classes=3, input_dims=dims, class_means=means,
-                         noise_std=noise, samples_per_device=samples,
-                         train_fraction=0.8)
+
+def small_means(seed=0):
+    """Three classes' centres over two modalities of DIMS features."""
+    return make_class_means(np.random.default_rng(seed), 3, DIMS, 3.0)
 
 
 def test_profile_two_modality_thirds():
@@ -88,40 +86,39 @@ def test_partition_determinism():
 
 
 def test_tiny_noise_recovers_class_means():
-    spec = small_spec(noise=1e-9)
+    means = small_means()
     rng = np.random.default_rng(3)
     labels = np.array([0, 1, 2, 1] * 5)
-    ds = generate_device_data(spec, labels, (1, 2), 0, rng)
+    ds = generate_device_data(means, 1e-9, 0.8, labels, (1, 2), rng)
     for split in (ds.train, ds.test):
         for m in (1, 2):
             for i, y in enumerate(split.labels):
                 np.testing.assert_allclose(
-                    split.features[m][i], spec.class_means[y][m - 1], atol=1e-6)
+                    split.features[m][i], means[y][m - 1], atol=1e-6)
 
 
 def test_split_sizes_sum_and_modality_consistency():
-    spec = small_spec(samples=50)
     rng = np.random.default_rng(4)
     labels = partition_labels(PartitionScheme.NONIID2, 3, 50, rng)
-    ds = generate_device_data(spec, labels, (2,), 7, rng)
+    ds = generate_device_data(small_means(), 0.5, 0.8, labels, (2,), rng)
     assert len(ds.train) + len(ds.test) == 50
     assert set(ds.train.features) == {2}
     assert set(ds.test.features) == {2}
-    assert ds.train.features[2].shape[1] == spec.input_dims[1]
+    assert ds.train.features[2].shape[1] == DIMS[1]
 
 
 def test_nearest_centroid_oracle_on_generated_data():
-    spec = small_spec(noise=0.5, separation=3.0, samples=400)
+    means = small_means()
     rng = np.random.default_rng(5)
     labels = np.concatenate([np.full(134, c) for c in range(3)])[:400]
     rng.shuffle(labels)
-    ds = generate_device_data(spec, labels, (1, 2), 0, rng)
+    ds = generate_device_data(means, 0.5, 0.8, labels, (1, 2), rng)
 
     def nearest_mean(x1, x2):
         best, besty = np.inf, -1
         for c in range(3):
-            d = float(np.sum((x1 - spec.class_means[c][0]) ** 2)
-                      + np.sum((x2 - spec.class_means[c][1]) ** 2))
+            d = float(np.sum((x1 - means[c][0]) ** 2)
+                      + np.sum((x2 - means[c][1]) ** 2))
             if d < best:
                 best, besty = d, c
         return besty
@@ -136,9 +133,9 @@ def test_seed_determinism_full_pipeline():
     out = []
     for _ in range(2):
         rng = np.random.default_rng(99)
-        spec = small_spec(seed=99)
+        means = small_means(seed=99)
         labels = partition_labels(PartitionScheme.NONIID3, 3, 60, rng)
-        out.append(generate_device_data(spec, labels, (1, 2), 0, rng))
+        out.append(generate_device_data(means, 0.5, 0.8, labels, (1, 2), rng))
     a, b = out
     assert np.array_equal(a.train.labels, b.train.labels)
     for m in (1, 2):
@@ -146,21 +143,9 @@ def test_seed_determinism_full_pipeline():
         assert np.array_equal(a.test.features[m], b.test.features[m])
 
 
-def test_spec_validation():
-    rng = np.random.default_rng(0)
-    means = make_class_means(rng, 3, (4,), 2.0)
-    with pytest.raises(ConfigError):
-        SyntheticSpec(1, (4,), means[:1], 1.0, 10, 0.8)
-    with pytest.raises(ConfigError):
-        SyntheticSpec(3, (4,), means, -1.0, 10, 0.8)
-    with pytest.raises(ConfigError):
-        SyntheticSpec(3, (4,), means, 1.0, 10, 1.2)
-
-
 def test_label_support_property():
-    spec = small_spec(samples=30)
     rng = np.random.default_rng(8)
     labels = np.array([0] * 15 + [2] * 15)
     rng.shuffle(labels)
-    ds = generate_device_data(spec, labels, (1,), 0, rng)
+    ds = generate_device_data(small_means(), 0.5, 0.8, labels, (1,), rng)
     assert ds.label_support == (0, 2)

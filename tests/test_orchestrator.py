@@ -350,6 +350,31 @@ def test_random_baseline_scheduler_runs_and_differs():
                     assert blk in owned or blk == res.config.num_modalities + 1
 
 
+@pytest.mark.parametrize("algorithm, baseline_scheduler, draws", [
+    ("fedavg", "channel_aware", False),
+    ("proposed", "random", False),  # the baseline scheduler does not apply
+    ("fedavg", "random", True),
+])
+def test_only_a_random_baseline_draws_from_the_scheduling_rng(algorithm, baseline_scheduler,
+                                                              draws):
+    sim = Simulation(quick_cfg(seed=18, algorithm=algorithm,
+                               baseline_scheduler=baseline_scheduler))
+    before = sim.rng_sched.bit_generator.state
+    for _ in range(2):
+        sim.step()
+    assert (sim.rng_sched.bit_generator.state != before) is draws
+
+
+def test_compute_time_without_heterogeneity_is_the_unslowed_latency():
+    cfg = desk_config(0, compute={"heterogeneity": 1.0})
+    sim = Simulation(cfg)
+    for k, dev in enumerate(sim.devices):
+        flops = sum(nn_core.flops_per_iteration(sim.arch, dev.dataset.owned,
+                                                cfg.batch_size).values())
+        assert sim.t_compute[k] == wireless.compute_latency(
+            cfg.local_iters, flops, cfg.compute.cycles_per_s, cfg.compute.flops_per_cycle)
+
+
 def test_huge_step_size_keeps_every_weight_row_finite():
     # raw weights reach about 6e5 in magnitude; a softmax over the owners
     # followed by renormalization over the uploaders underflowed to an

@@ -116,14 +116,6 @@ def test_schedule_round_deterministic():
         assert np.array_equal(a[1][blk], b[1][blk])
 
 
-def test_schedule_round_random_selection_needs_rng():
-    owners, self_w, staleness = setup_round()
-    with pytest.raises(SchedulingError):
-        schedule_round(self_w, np.zeros(3), np.full(3, 0.5), {1: 1, 2: 1},
-                       np.full(3, 1.0), owners, MetricSpec("ratio"), staleness,
-                       2, 10, selection="random")
-
-
 def test_schedule_round_random_selection_respects_quota_and_ownership():
     owners = {1: np.array([True, True, False]), 2: np.ones(3, dtype=bool)}
     self_w = {1: np.zeros(3), 2: np.zeros(3)}
@@ -131,7 +123,7 @@ def test_schedule_round_random_selection_respects_quota_and_ownership():
     rng = np.random.default_rng(0)
     ind, _, _ = schedule_round(
         self_w, np.zeros(3), np.full(3, 0.5), {1: 1, 2: 1}, np.full(3, 1.0),
-        owners, MetricSpec("ratio"), staleness, 1, 10, selection="random", rng=rng)
+        owners, MetricSpec("ratio"), staleness, 1, 10, rng=rng)
     assert ind[1].sum() == 1 and ind[1][2] == 0
     assert ind[2].sum() == 1
 
