@@ -165,13 +165,11 @@ def estimate_block_gradient(w_prev: np.ndarray, w_new: np.ndarray, eta: float,
     the weight update a descent step. "raw_delta" exposes the unscaled
     difference w_new - w_prev instead, for ablation. Both are elementwise:
     w_prev and w_new may be one flat block or an (n, P_b) stack of them.
+    `validate_config` checks that mode is a GRADIENT_ESTIMATES name and that
+    eta and num_iters are positive.
     """
-    if mode not in GRADIENT_ESTIMATES:
-        raise ValueError(f"unknown gradient estimate mode {mode!r}")
     if np.shape(w_prev) != np.shape(w_new):
         raise ShapeMismatchError("block lengths differ")
-    if eta * num_iters <= 0:
-        raise ValueError("eta * num_iters must be positive")
     if mode == "raw_delta":
         return w_new - w_prev
     return (w_prev - w_new) / (eta * num_iters)

@@ -245,11 +245,9 @@ def config_to_dict(cfg: RunConfig) -> dict[str, Any]:
 def load_config(path: str | Path) -> RunConfig:
     """Parse and validate a JSON config file; unknown keys are rejected."""
     try:
-        text = Path(path).read_text()
+        payload = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad text, JSON or number, or nesting too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(payload)

@@ -4,8 +4,9 @@ Classes are Gaussian clusters: one mean vector per (class, modality), the
 same means for every device, plus per-sample noise. Device heterogeneity
 comes from two places: which modalities a device owns, and which label
 distribution its local data follows. The generators take plain values and
-trust them: `config.validate_config` checks the class count, noise level and
-train fraction once, at the config boundary.
+trust them: `config.validate_config` checks the partition scheme, class
+count, noise level, sample count and train fraction once, at the config
+boundary.
 """
 
 from __future__ import annotations
@@ -105,10 +106,7 @@ def assign_modalities(num_devices: int, num_modalities: int,
 def partition_labels(scheme: PartitionScheme, num_classes: int, count: int,
                      rng: np.random.Generator) -> np.ndarray:
     """Draw one device's label multiset under the given skew scheme."""
-    scheme = PartitionScheme(scheme)
     if scheme is PartitionScheme.NONIID1:
-        if num_classes < SUPPORT_SIZE:
-            raise ConfigError(f"{scheme.value} needs at least {SUPPORT_SIZE} classes")
         support = np.sort(rng.choice(num_classes, size=SUPPORT_SIZE, replace=False))
         if count >= SUPPORT_SIZE:
             # one forced sample per category keeps the support exact
@@ -143,7 +141,7 @@ def generate_device_data(class_means: Sequence[Sequence[np.ndarray]], noise_std:
         means = np.stack([class_mean[m - 1] for class_mean in class_means])
         features[m] = means[labels] + rng.normal(0.0, noise_std, size=(n, means.shape[1]))
     n_train = int(round(train_fraction * n))
-    n_train = min(max(n_train, 1), n - 1) if n > 1 else n
+    n_train = min(max(n_train, 1), n - 1)
     train = SampleSet({m: x[:n_train] for m, x in features.items()}, labels[:n_train])
     test = SampleSet({m: x[n_train:] for m, x in features.items()}, labels[n_train:])
     return DeviceDataset(owned, train, test)

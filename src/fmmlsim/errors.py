@@ -9,10 +9,6 @@ class ConfigError(FmmlError):
     """Invalid, unknown or inconsistent configuration value."""
 
 
-class ModalityMismatchError(FmmlError):
-    """A sample supplies a modality set different from the device's."""
-
-
 class ShapeMismatchError(FmmlError):
     """Array lengths or layer shapes do not line up."""
 

@@ -140,7 +140,6 @@ class Simulation:
             feature_len=cfg.arch.feature_len,
             classifier_hidden=tuple(cfg.arch.classifier_hidden),
             num_classes=cfg.data.num_classes)
-        self.metric = scheduler.MetricSpec(cfg.metric, cfg.alpha)
 
         seq = np.random.SeedSequence(cfg.seed)
         data_ss, init_ss, place_ss, channel_ss, sched_ss, dev_ss, hw_ss = seq.spawn(7)
@@ -251,7 +250,7 @@ class Simulation:
             at_random = cfg.algorithm != "proposed" and cfg.baseline_scheduler == "random"
             indicators, staleness, metric_values = scheduler.schedule_round(
                 self.self_weights, t_down, t_cmp, self.sizes_bits, up_rates,
-                self.owners, self.metric, self.server.staleness, cfg.effective_quota(),
+                self.owners, cfg.metric, cfg.alpha, self.server.staleness, cfg.effective_quota(),
                 cfg.staleness_threshold, rng=self.rng_sched if at_random else None)
 
         # aggregation: each block over this round's uploads, one row gather U

@@ -6,12 +6,14 @@ and shrinks with its projected download + compute + upload time. Devices
 that have not uploaded a block for too many rounds are forced in on top of
 the quota so their aggregation weights keep receiving updates. Each block is
 scheduled in one pass over its eligible devices: their metrics come from
-(K,) arrays in one expression, and the top quota from one sort.
+(K,) arrays in one expression, and the top quota from one sort. A metric
+that cannot rank the devices raises SchedulingError: a ratio over a zero
+latency, or any value that is not finite (an alpha so large that the linear
+penalty overflows, say).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -22,31 +24,25 @@ from .wireless import cumulative_upload_latency
 METRIC_KINDS = ("ratio", "linear")
 
 
-@dataclass(frozen=True)
-class MetricSpec:
-    kind: str = "ratio"
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in METRIC_KINDS:
-            raise SchedulingError(f"unknown metric kind {self.kind!r}")
-        if not np.isfinite(self.alpha) or self.alpha < 0:
-            raise SchedulingError("alpha must be finite and >= 0")
-
-
-def scheduling_metric(metric: MetricSpec, self_weight, t_down, t_cmp, t_up):
+def scheduling_metric(kind: str, alpha: float, self_weight, t_down, t_cmp, t_up):
     """Peer-benefit-per-second (ratio) or latency-penalized benefit (linear).
 
+    `kind` and `alpha` are the validated `RunConfig.metric` and `alpha`.
     self_weight is the pre-mask softmax weight a device places on itself.
-    Every argument after `metric` is a scalar or an array of one value per
+    Every argument after `alpha` is a scalar or an array of one value per
     device, and so is the result.
     """
     total = t_down + t_cmp + t_up
-    if metric.kind == "ratio":
-        if np.any(total <= 0):
-            raise SchedulingError("ratio metric needs a positive latency denominator")
-        return (1.0 - self_weight) / total
-    return (1.0 - self_weight) - metric.alpha * total
+    with np.errstate(over="ignore"):
+        if kind == "ratio":
+            if np.any(total <= 0):
+                raise SchedulingError("ratio metric needs a positive latency denominator")
+            values = (1.0 - self_weight) / total
+        else:
+            values = (1.0 - self_weight) - alpha * total
+    if not np.all(np.isfinite(values)):
+        raise SchedulingError(f"{kind} metric is not finite")
+    return values
 
 
 def schedule_block(ids: np.ndarray, metric: np.ndarray, staleness: np.ndarray, quota: int,
@@ -73,7 +69,7 @@ def schedule_block(ids: np.ndarray, metric: np.ndarray, staleness: np.ndarray, q
 def schedule_round(self_weights: Mapping[int, np.ndarray],
                    t_down: np.ndarray, t_cmp: np.ndarray,
                    sizes_bits: Mapping[int, int], up_rates: np.ndarray,
-                   owners: Mapping[int, np.ndarray], metric: MetricSpec,
+                   owners: Mapping[int, np.ndarray], kind: str, alpha: float,
                    staleness: Mapping[int, np.ndarray], quota: int, threshold: int,
                    rng: np.random.Generator | None = None):
     """Schedule every block in ascending order.
@@ -97,7 +93,7 @@ def schedule_round(self_weights: Mapping[int, np.ndarray],
         else:
             t_up = cumulative_upload_latency(bits_so_far[ids], sizes_bits[block], up_rates[ids])
             metrics = scheduling_metric(
-                metric, self_weights[block][ids], t_down[ids], t_cmp[ids], t_up)
+                kind, alpha, self_weights[block][ids], t_down[ids], t_cmp[ids], t_up)
         indicators[block], new_stale[block] = schedule_block(
             ids, metrics, staleness[block], quota, threshold)
         bits_so_far[indicators[block] != 0] += sizes_bits[block]

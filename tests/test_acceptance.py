@@ -15,7 +15,7 @@ from fmmlsim.aggregation import coeff_jacobian, masked_renormalize, softmax_row
 from fmmlsim.cli import main
 from fmmlsim.config import config_to_dict
 from fmmlsim.orchestrator import Simulation
-from fmmlsim.scheduler import MetricSpec, schedule_round
+from fmmlsim.scheduler import schedule_round
 from fmmlsim.wireless import mean_gain, path_loss_db, sample_round_gains
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -312,7 +312,7 @@ def test_criterion_09_scheduler_exactness():
         alpha = float(rng.uniform(0.0, 0.5))
         ind, stale, _ = schedule_round(
             self_w, t_down, t_cmp, sizes, up_rates, owners,
-            MetricSpec(kind, alpha), staleness0, quota, threshold)
+            kind, alpha, staleness0, quota, threshold)
         bf_ind, bf_stale = brute_force_schedule(
             owners, self_w, t_down, t_cmp, sizes, up_rates, quota, threshold,
             staleness0, kind, alpha)

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,19 @@ def test_validation_catches_inconsistencies():
         config_from_dict({"baseline_scheduler": "uniform"})
     with pytest.raises(ConfigError, match="gradient_estimate"):
         config_from_dict({"gradient_estimate": "exact"})
+    # the kernel, scheduler and link model trust these values; this is their only check
+    for payload, field in (({"lr": 0}, "lr"),
+                           ({"batch_size": 0}, "batch_size"),
+                           ({"local_iters": 0}, "local_iters"),
+                           ({"metric": "harmonic"}, "metric"),
+                           ({"alpha": -1}, "alpha"),
+                           ({"link": {"noise_density": 0}}, "link.noise_density"),
+                           ({"link": {"carrier_ghz": 0}}, "link.carrier_ghz"),
+                           ({"data": {"input_dims": [0, 24]}}, "data.input_dims"),
+                           ({"arch": {"feature_len": 0}}, "feature_len"),
+                           ({"arch": {"classifier_hidden": [0]}}, "arch.classifier_hidden")):
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(payload)
 
 
 @pytest.mark.parametrize("payload, field", [
@@ -188,6 +202,31 @@ def test_cli_config_error_exit_code(tmp_path):
     write_cfg(tmp_path, {"quota": 99}, "base.json")
     code = main(["--config", str(tmp_path / "base.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize("text", [
+    b"\xff\xfe{}",                        # not UTF-8
+    b"[" * 200_000,                        # nested deeper than the JSON decoder recurses
+    b'{"seed": ' + b"1" * 5000 + b"}",     # more digits than int() converts
+], ids=["not_utf8", "nested_too_deep", "too_many_digits"])
+def test_cli_reports_a_malformed_config_file_as_a_config_error(tmp_path, capsys, text):
+    (tmp_path / "base.json").write_bytes(text)
+    code = main(["--config", str(tmp_path / "base.json"), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: config is not valid JSON")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_fails_on_a_metric_that_is_not_finite(tmp_path, capsys):
+    # every linear metric overflows to -inf; ranking by it would pick devices by id
+    cfg = desk_config(rounds=2, metric="linear", alpha=1e308)
+    write_cfg(tmp_path, config_to_dict(cfg), "base.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no overflow warning on the way
+        code = main(["--config", str(tmp_path / "base.json"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("run failed: linear metric is not finite")
+    assert not (tmp_path / "out" / "schedule.csv").exists()
 
 
 def test_cli_unwritable_out_fails_before_the_run(tmp_path, capsys, monkeypatch):

@@ -58,11 +58,6 @@ def test_noniid1_support_is_three_categories():
         assert labels.shape == (120,)
 
 
-def test_noniid1_needs_three_classes():
-    with pytest.raises(ConfigError):
-        partition_labels(PartitionScheme.NONIID1, 2, 50, np.random.default_rng(0))
-
-
 @pytest.mark.parametrize("scheme,frac", [(PartitionScheme.NONIID2, 0.5),
                                          (PartitionScheme.NONIID3, 0.3)])
 def test_dominant_category_counts(scheme, frac):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmmlsim import aggregation as agg
-from fmmlsim import config_to_dict, desk_config, nn_core, orchestrator, wireless
+from fmmlsim import config_to_dict, datagen, desk_config, nn_core, orchestrator, wireless
 from fmmlsim.cli import main
 from fmmlsim.config import ALGORITHMS, config_from_dict
 from fmmlsim.errors import StalledLinkError
@@ -373,6 +373,36 @@ def test_compute_time_without_heterogeneity_is_the_unslowed_latency():
                                                 cfg.batch_size).values())
         assert sim.t_compute[k] == wireless.compute_latency(
             cfg.local_iters, flops, cfg.compute.cycles_per_s, cfg.compute.flops_per_cycle)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"num_devices": 12, "num_modalities": 3, "data": {"input_dims": [16, 24, 12]}},
+    {"modality_profile": [[0, 2], [9, 1]]},  # a group of no devices; nobody owns both
+    {"data": {"samples_per_device": 2}},      # the smallest valid split: one row each
+], ids=["desk", "three_modalities", "zero_count_group", "two_samples"])
+def test_set_up_fixes_every_input_the_kernel_trusts(overrides):
+    # loss_and_grad, forward_batch and sgd_step check none of these facts
+    cfg = desk_config(0, **overrides)
+    sim = Simulation(cfg)
+    arch, head = sim.arch, sim.arch.shared_block_id
+    profile = cfg.modality_profile or datagen.default_modality_profile(
+        cfg.num_devices, cfg.num_modalities)
+    assigned = datagen.assign_modalities(cfg.num_devices, cfg.num_modalities, profile)
+    for dev in sim.devices:
+        owned = dev.dataset.owned
+        assert owned == tuple(sorted(assigned[dev.device_id]))
+        assert tuple(dev.params) == (*owned, head)
+        for b, p in dev.params.items():  # the gradient workspace is laid out like each block
+            assert p.shapes == sim.grad_workspace[b].shapes == arch.block_shapes(b)
+        for split in (dev.dataset.train, dev.dataset.test):
+            n = len(split)
+            assert n >= 1
+            assert tuple(split.features) == owned
+            for m, x in split.features.items():
+                assert x.dtype == np.float64 and x.shape == (n, arch.input_dims[m - 1])
+            assert split.labels.dtype == np.int64 and split.labels.shape == (n,)
+            assert 0 <= split.labels.min() and split.labels.max() < arch.num_classes
 
 
 def test_huge_step_size_keeps_every_weight_row_finite():

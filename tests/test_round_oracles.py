@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from fmmlsim import aggregation as agg
 from fmmlsim.errors import SchedulingError, StalledLinkError
-from fmmlsim.scheduler import MetricSpec, schedule_round
+from fmmlsim.scheduler import schedule_round
 from fmmlsim.wireless import download_latency, upload_latency
 
 # ----------------------------- per-device references -----------------------------
@@ -49,13 +49,13 @@ def upload_latency_reference(indicators, sizes_bits, rates_up):
     return out
 
 
-def metric_reference(metric, self_weight, t_down, t_cmp, t_up):
+def metric_reference(kind, alpha, self_weight, t_down, t_cmp, t_up):
     total = t_down + t_cmp + t_up
-    if metric.kind == "ratio":
+    if kind == "ratio":
         if total <= 0:
             raise SchedulingError("ratio metric needs a positive latency denominator")
         return (1.0 - self_weight) / total
-    return (1.0 - self_weight) - metric.alpha * total
+    return (1.0 - self_weight) - alpha * total
 
 
 def schedule_block_reference(metrics, staleness, quota, threshold):
@@ -78,7 +78,7 @@ def schedule_block_reference(metrics, staleness, quota, threshold):
 
 
 def schedule_round_reference(self_weights, t_down, t_cmp, sizes_bits, up_rates, owners,
-                             metric, staleness, quota, threshold, selection="metric",
+                             kind, alpha, staleness, quota, threshold, selection="metric",
                              rng=None):
     """One metric (and one cumulative upload time) per device per block."""
     indicators, new_stale, values = {}, {}, {}
@@ -93,7 +93,8 @@ def schedule_round_reference(self_weights, t_down, t_cmp, sizes_bits, up_rates, 
                 sizes_bits[b] for b in indicators if b < block and int(indicators[b][k]))
             t_up = transfer_time_reference(bits, float(up_rates[k]), "uplink")
             metrics[k] = metric_reference(
-                metric, float(self_weights[block][k]), float(t_down[k]), float(t_cmp[k]), t_up)
+                kind, alpha, float(self_weights[block][k]), float(t_down[k]), float(t_cmp[k]),
+                t_up)
         indicators[block], new_stale[block] = schedule_block_reference(
             metrics, staleness[block], quota, threshold)
         values[block] = metrics
@@ -209,10 +210,11 @@ def test_schedule_round_matches_the_per_device_loop(case, kind, selection, coars
     quota = int(rng.integers(1, num_devices + 1))
     threshold = int(rng.integers(1, 6))
     staleness = {b: rng.integers(0, threshold, size=num_devices) for b in owners}
-    metric = MetricSpec(kind, float(rng.uniform(0.0, 0.5)))
+    alpha = float(rng.uniform(0.0, 0.5))
     seed = int(rng.integers(2 ** 32))
     rngs = np.random.default_rng(seed), np.random.default_rng(seed)
-    args = (self_w, t_down, t_cmp, sizes, up_rates, owners, metric, staleness, quota, threshold)
+    args = (self_w, t_down, t_cmp, sizes, up_rates, owners, kind, alpha, staleness, quota,
+            threshold)
     expected, got = same_outcome(
         lambda: schedule_round_reference(*args, selection=selection, rng=rngs[0]),
         lambda: schedule_round(*args, rng=rngs[1] if selection == "random" else None))

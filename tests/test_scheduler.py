@@ -1,31 +1,37 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmmlsim.errors import SchedulingError
-from fmmlsim.scheduler import (MetricSpec, schedule_block, schedule_round,
-                               scheduling_metric)
+from fmmlsim.scheduler import schedule_block, schedule_round, scheduling_metric
 
 
 def test_metric_ratio_values():
-    ratio = MetricSpec("ratio")
-    assert scheduling_metric(ratio, 1.0, 1.0, 0.5, 0.5) == 0.0
-    assert scheduling_metric(ratio, 0.5, 1.0, 0.5, 0.5) == pytest.approx(0.25)
+    assert scheduling_metric("ratio", 0.0, 1.0, 1.0, 0.5, 0.5) == 0.0
+    assert scheduling_metric("ratio", 0.0, 0.5, 1.0, 0.5, 0.5) == pytest.approx(0.25)
     with pytest.raises(SchedulingError):
-        scheduling_metric(ratio, 0.5, 0.0, 0.0, 0.0)
+        scheduling_metric("ratio", 0.0, 0.5, 0.0, 0.0, 0.0)
 
 
 def test_metric_linear_values():
-    assert scheduling_metric(MetricSpec("linear", 0.0), 0.3, 9.0, 9.0, 9.0) == pytest.approx(0.7)
-    assert scheduling_metric(MetricSpec("linear", 0.1), 0.3, 1.0, 1.0, 1.0) == pytest.approx(0.4)
+    assert scheduling_metric("linear", 0.0, 0.3, 9.0, 9.0, 9.0) == pytest.approx(0.7)
+    assert scheduling_metric("linear", 0.1, 0.3, 1.0, 1.0, 1.0) == pytest.approx(0.4)
 
 
-def test_metric_spec_validation():
-    with pytest.raises(SchedulingError):
-        MetricSpec("harmonic")
-    with pytest.raises(SchedulingError):
-        MetricSpec("linear", -1.0)
+@pytest.mark.parametrize("kind, alpha, total", [
+    ("ratio", 0.0, 5e-324),   # a subnormal latency: the ratio overflows to +inf
+    ("linear", 1e308, 10.0),  # the latency penalty overflows to -inf
+])
+def test_a_metric_that_is_not_finite_raises(kind, alpha, total):
+    t_down = np.array([1.0, total])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no overflow warning on the way
+        with pytest.raises(SchedulingError, match=f"{kind} metric is not finite"):
+            scheduling_metric(kind, alpha, np.array([0.5, 0.25]), t_down, np.zeros(2),
+                              np.zeros(2))
 
 
 def select(metrics, staleness, quota, threshold):
@@ -75,7 +81,7 @@ def test_schedule_round_full_quota_schedules_everything():
     owners, self_w, staleness = setup_round()
     ind, stale, vals = schedule_round(
         self_w, np.zeros(3), np.full(3, 0.5), {1: 1000, 2: 1000},
-        np.full(3, 1000.0), owners, MetricSpec("ratio"), staleness, 3, 10)
+        np.full(3, 1000.0), owners, "ratio", 0.0, staleness, 3, 10)
     for b in (1, 2):
         assert ind[b].sum() == 3
         assert (stale[b] == 0).all()
@@ -86,7 +92,7 @@ def test_schedule_round_cumulative_upload_lowers_later_metric():
     owners, self_w, staleness = setup_round(num_devices=2, blocks=(1, 2))
     ind, _, vals = schedule_round(
         self_w, np.zeros(2), np.full(2, 0.1), {1: 5000, 2: 5000},
-        np.array([1000.0, 1000.0]), owners, MetricSpec("ratio"), staleness, 1, 10)
+        np.array([1000.0, 1000.0]), owners, "ratio", 0.0, staleness, 1, 10)
     scheduled_first = int(np.flatnonzero(ind[1])[0])
     other = 1 - scheduled_first
     # the device that shipped block 1 sees a longer projected upload for
@@ -101,14 +107,14 @@ def test_schedule_round_never_schedules_nonowners():
     for _ in range(5):
         ind, staleness, _ = schedule_round(
             self_w, np.zeros(3), np.full(3, 1.0), {1: 100, 2: 100},
-            np.full(3, 100.0), owners, MetricSpec("ratio"), staleness, 1, 2)
+            np.full(3, 100.0), owners, "ratio", 0.0, staleness, 1, 2)
         assert ind[1][1] == 0
 
 
 def test_schedule_round_deterministic():
     owners, self_w, staleness = setup_round()
     args = (self_w, np.zeros(3), np.full(3, 0.5), {1: 1000, 2: 1000},
-            np.full(3, 1000.0), owners, MetricSpec("ratio"), staleness, 2, 10)
+            np.full(3, 1000.0), owners, "ratio", 0.0, staleness, 2, 10)
     a = schedule_round(*args)
     b = schedule_round(*args)
     for blk in (1, 2):
@@ -123,7 +129,7 @@ def test_schedule_round_random_selection_respects_quota_and_ownership():
     rng = np.random.default_rng(0)
     ind, _, _ = schedule_round(
         self_w, np.zeros(3), np.full(3, 0.5), {1: 1, 2: 1}, np.full(3, 1.0),
-        owners, MetricSpec("ratio"), staleness, 1, 10, rng=rng)
+        owners, "ratio", 0.0, staleness, 1, 10, rng=rng)
     assert ind[1].sum() == 1 and ind[1][2] == 0
     assert ind[2].sum() == 1
 
@@ -193,7 +199,7 @@ def test_schedule_round_matches_brute_force_small_case():
      staleness0, kind, alpha) = inst
     ind, stale, _ = schedule_round(
         self_w, t_down, t_cmp, sizes, up_rates, owners,
-        MetricSpec(kind, alpha), staleness0, quota, threshold)
+        kind, alpha, staleness0, quota, threshold)
     bf_ind, bf_stale = brute_force_lines_5_to_9(*inst)
     for b in owners:
         np.testing.assert_array_equal(ind[b], bf_ind[b])
