@@ -84,7 +84,10 @@ def local_update_phase(arch: ArchSpec, device: DeviceState, lr: float,
     Batches cycle through a fresh shuffle of the train split. With a positive
     prox_mu the gradient gains mu * (w - anchor), pulling the iterates back
     toward the round-start parameters (the anchor). Gradients are written
-    into the `grad_out` workspace when given. Returns the mean loss.
+    into the `grad_out` workspace when given. Returns the mean loss. A
+    floating-point overflow anywhere in the steps, even one that tanh would
+    saturate back to finite scores, raises NumericOverflowError naming the
+    device.
     """
     train = device.dataset.train
     n = len(train)
@@ -98,26 +101,35 @@ def local_update_phase(arch: ArchSpec, device: DeviceState, lr: float,
     params = device.params
     anchor = {b: p.values.copy() for b, p in params.items()} if prox_mu > 0.0 else None
     losses = []
-    for i in range(local_iters):
-        rows = slice(i * batch_size, (i + 1) * batch_size)
-        feats = {m: x[rows] for m, x in round_feats.items()}
-        loss, grad = nn_core.loss_and_grad(arch, params, feats, round_labels[rows],
-                                           out=grad_out)
-        if anchor is not None:
-            for b, g in grad.items():
-                g += prox_mu * (params[b].values - anchor[b])
-        nn_core.sgd_step(params, grad, lr)
-        losses.append(loss)
+    try:
+        with np.errstate(over="raise"):
+            for i in range(local_iters):
+                rows = slice(i * batch_size, (i + 1) * batch_size)
+                feats = {m: x[rows] for m, x in round_feats.items()}
+                loss, grad = nn_core.loss_and_grad(arch, params, feats, round_labels[rows],
+                                                   out=grad_out)
+                if anchor is not None:
+                    for b, g in grad.items():
+                        g += prox_mu * (params[b].values - anchor[b])
+                nn_core.sgd_step(params, grad, lr)
+                losses.append(loss)
+    except FloatingPointError as exc:
+        raise NumericOverflowError(f"device {device.device_id}: local SGD {exc}") from exc
     return float(np.add.reduce(losses) / local_iters)
 
 
 def evaluate_personalized(arch: ArchSpec, devices: Sequence[DeviceState]) -> tuple[np.ndarray, float]:
-    """Accuracy of each device's current model on its own test split."""
+    """Accuracy of each device's current model on its own test split; a
+    floating-point overflow raises NumericOverflowError naming the device."""
     accs = np.zeros(len(devices))
-    for i, dev in enumerate(devices):
-        test = dev.dataset.test
-        scores = nn_core.forward_batch(arch, dev.params, test.features)
-        accs[i] = np.count_nonzero(scores.argmax(axis=1) == test.labels) / len(test.labels)
+    try:
+        with np.errstate(over="raise"):
+            for i, dev in enumerate(devices):
+                test = dev.dataset.test
+                scores = nn_core.forward_batch(arch, dev.params, test.features)
+                accs[i] = np.count_nonzero(scores.argmax(axis=1) == test.labels) / len(test.labels)
+    except FloatingPointError as exc:
+        raise NumericOverflowError(f"device {dev.device_id}: evaluation {exc}") from exc
     return accs, float(accs.mean())
 
 

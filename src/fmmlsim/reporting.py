@@ -3,14 +3,25 @@
 Every CSV line is formatted directly, in the bytes `csv.writer` would emit:
 no field can need quoting, floats are `repr(float)` and every line ends in
 "\\r\\n". In `coefficients.csv` a device's weight row that is bit-equal to
-the last row written for it reuses that row's formatted text.
+the last row formatted for it reuses that row's text.
+
+`coefficients.csv` is the largest file (about K² rows per block per
+round) and its cost is the float formatting. When `os.fork` exists, at
+least 2 CPUs are usable and at least 2 rounds hold a coefficient snapshot,
+one forked helper process formats the second half of those rounds and
+sends the bytes through a pipe while this process writes the first half;
+the file has the same bytes either way. The helper is always reaped before
+the writer returns or raises, and a helper that fails raises
+ChildProcessError, which the command line reports as a failed run.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +32,8 @@ ROUNDS_HEADER = ["round", "device", "t_download_s", "t_compute_s", "t_upload_s",
 SCHEDULE_HEADER = ["round", "block", "device", "indicator", "staleness", "metric"]
 COEFFS_HEADER = ["round", "block", "k", "k_prime", "raw", "effective"]
 GAINS_HEADER = ["round", "device", "gain"]
+
+_PIPE_CHUNK = 1 << 20  # bytes the parent copies from the helper's pipe per read
 
 
 def _open_csv(path: str | Path, header: list[str]):
@@ -58,36 +71,105 @@ def write_schedule_csv(path: str | Path, logs: Sequence[RoundLog],
                     fh.write(f"{head}{k},{ind[k]},{stale[k]},{cell}\r\n")
 
 
+def _coefficient_lines(logs: Sequence[RoundLog], owners: dict[int, np.ndarray]) -> Iterator[str]:
+    """The lines of `coefficients.csv` after its header, one string per
+    (round, block, k) of `logs`, which all hold a coefficient snapshot.
+
+    A device that uploads no block keeps its raw row, so most rows repeat
+    the previous round's. For each (block, k) the generator keeps the bytes
+    of the owners-only raw and effective rows it last formatted, with their
+    "k_prime,raw,effective" cells; a row bit-equal to both (so `-0.0`
+    differs from `0.0`) reuses the cells under this round's prefix.
+    """
+    last: dict[tuple[int, int], tuple[bytes, bytes, list[str]]] = {}
+    for log in logs:
+        for b in sorted(log.coeff_snapshot):
+            raw, eff = log.coeff_snapshot[b]
+            idx = np.flatnonzero(owners[b])
+            cells = np.ix_(idx, idx)
+            raw_rows, eff_rows, ids = raw[cells], eff[cells], idx.tolist()
+            for k, raw_row, eff_row in zip(ids, raw_rows, eff_rows):
+                raw_bits, eff_bits = raw_row.tobytes(), eff_row.tobytes()
+                kept = last.get((b, k))
+                if kept is None or kept[0] != raw_bits or kept[1] != eff_bits:
+                    kept = (raw_bits, eff_bits,
+                            [f"{kp},{r!r},{e!r}" for kp, r, e in
+                             zip(ids, raw_row.tolist(), eff_row.tolist())])
+                    last[(b, k)] = kept
+                pre = f"{log.round},{b},{k},"
+                yield pre + ("\r\n" + pre).join(kept[2]) + "\r\n"
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextmanager
+def _helper_pipe(lines: Iterable[str]) -> Iterator[int]:
+    """Fork one helper that joins `lines` and writes them, ASCII-encoded,
+    to a pipe; yield the pipe's read end.
+
+    The helper opens no file, calls no BLAS routine and always leaves
+    through `os._exit`. On the way out the parent closes the read end
+    first, so a helper blocked on a full pipe gets EPIPE, then reaps it.
+    A helper that exits non-zero raises ChildProcessError, unless the
+    parent is already raising.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the helper
+        code = 1
+        try:
+            os.close(read_fd)
+            data = memoryview("".join(lines).encode("ascii"))
+            while data:
+                data = data[os.write(write_fd, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    try:
+        os.close(write_fd)
+        yield read_fd
+    finally:
+        os.close(read_fd)
+        status = os.waitpid(pid, 0)[1]
+    if status != 0:
+        raise ChildProcessError("the coefficients.csv helper exited with code "
+                                f"{os.waitstatus_to_exitcode(status)}")
+
+
 def write_coefficients_csv(path: str | Path, logs: Sequence[RoundLog],
                            owners: dict[int, np.ndarray]) -> None:
     """Raw and structural (full-participation) weights per participant pair.
 
-    A device that uploads no block keeps its raw row, so most rows repeat
-    the previous round's. For each (block, k) the writer keeps the bytes of
-    the owners-only raw and effective rows it last wrote, with their
-    formatted "k_prime,raw,effective" cells; a row bit-equal to both (so
-    `-0.0` differs from `0.0`) reuses the cells under this round's prefix.
+    With `os.fork`, at least 2 usable CPUs and at least 2 rounds that hold a
+    coefficient snapshot, one forked helper formats the second half of
+    those rounds while this process writes the header and the first half,
+    then copies the helper's bytes from a pipe in bounded chunks; otherwise
+    this process writes every line. Both give the same bytes. A helper
+    that fails raises ChildProcessError (an OSError) once the helper is
+    reaped; no helper outlives the call.
     """
-    last: dict[tuple[int, int], tuple[bytes, bytes, list[str]]] = {}
-    with _open_csv(path, COEFFS_HEADER) as fh:
-        for log in logs:
-            if log.coeff_snapshot is None:
-                continue
-            for b in sorted(log.coeff_snapshot):
-                raw, eff = log.coeff_snapshot[b]
-                idx = np.flatnonzero(owners[b])
-                cells = np.ix_(idx, idx)
-                raw_rows, eff_rows, ids = raw[cells], eff[cells], idx.tolist()
-                for k, raw_row, eff_row in zip(ids, raw_rows, eff_rows):
-                    raw_bits, eff_bits = raw_row.tobytes(), eff_row.tobytes()
-                    kept = last.get((b, k))
-                    if kept is None or kept[0] != raw_bits or kept[1] != eff_bits:
-                        kept = (raw_bits, eff_bits,
-                                [f"{kp},{r!r},{e!r}" for kp, r, e in
-                                 zip(ids, raw_row.tolist(), eff_row.tolist())])
-                        last[(b, k)] = kept
-                    pre = f"{log.round},{b},{k},"
-                    fh.write(pre + ("\r\n" + pre).join(kept[2]) + "\r\n")
+    recorded = [log for log in logs if log.coeff_snapshot is not None]
+    cut = len(recorded) // 2
+    if cut == 0 or not hasattr(os, "fork") or _usable_cpus() < 2:
+        with _open_csv(path, COEFFS_HEADER) as fh:
+            fh.writelines(_coefficient_lines(recorded, owners))
+        return
+    # fork first, so the helper holds neither the file nor its buffered header
+    with (_helper_pipe(_coefficient_lines(recorded[cut:], owners)) as pipe,
+          _open_csv(path, COEFFS_HEADER) as fh):
+        fh.writelines(_coefficient_lines(recorded[:cut], owners))
+        fh.flush()
+        while chunk := os.read(pipe, _PIPE_CHUNK):
+            fh.buffer.write(chunk)
 
 
 def write_gains_csv(path: str | Path, logs: Sequence[RoundLog], num_devices: int) -> None:

@@ -286,6 +286,18 @@ def test_cli_fails_when_finite_round_times_sum_to_infinity(tmp_path, capsys):
     assert not (tmp_path / "out" / "summary.json").exists()
 
 
+def test_cli_fails_on_a_hidden_layer_overflow_that_tanh_saturates(tmp_path, capsys):
+    # the head's hidden pre-activations overflow to inf, tanh maps them to
+    # +-1 and the class scores stay finite: only the overflow itself shows it
+    write_cfg(tmp_path, {"rounds": 2, "lr": 1e300}, "base.json")
+    code = main(["--config", str(tmp_path / "base.json"), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: device ") and "overflow" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
 def test_cli_writes_no_summary_with_a_non_finite_value(tmp_path, capsys, monkeypatch, bad):
     monkeypatch.setattr(orchestrator, "simulated_training_time", lambda logs: bad)
