@@ -209,14 +209,15 @@ def coeff_update(state: CoefficientState,
 
 def update_weights(state: CoefficientState, prev: GradCache, fresh: GradCache,
                    indicators: Mapping[int, np.ndarray], eta: float, num_iters: int,
-                   mode: str = "descent_normalized") -> CoefficientState:
+                   mode: str = "descent_normalized") -> dict[int, np.ndarray]:
     """One descent step on the raw rows that last round's aggregation can teach.
 
     prev holds last round's aggregation of each block, fresh this round's.
     Each device that aggregated a block last round and uploads it again this
     round (its indicator is set) learns from the delta between its fresh
     upload and its previous aggregate: one stacked gradient estimate and one
-    `coeff_grad` per block, then one `coeff_update` for all blocks.
+    `coeff_grad` per block, then one `coeff_update` for all blocks. Returns
+    the stepped devices of each block that has any, ascending.
     """
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for b, entry in prev.items():
@@ -231,14 +232,17 @@ def update_weights(state: CoefficientState, prev: GradCache, fresh: GradCache,
         grads[b] = (ks, coeff_grad(entry, sel, est))
     if grads:
         coeff_update(state, grads)
-    return state
+    return {b: ks for b, (ks, _) in grads.items()}
 
 
-def effective_rows(state: CoefficientState, block: int, owners: np.ndarray) -> np.ndarray:
-    """Structural aggregation weights (full participation, no round mask).
-
-    Owners' rows are softmaxes over the owners; other devices' rows are zero.
-    """
+def effective_rows(state: CoefficientState, block: int, owners: np.ndarray,
+                   rows: np.ndarray | None = None) -> np.ndarray:
+    """Structural aggregation weights (full participation, no round mask):
+    each owner's row is a softmax of its own raw row over the owners. Returns
+    the (len(rows), K) rows of the owner ids `rows`, by default the whole
+    (K, K) matrix, zero off the owners."""
+    if rows is not None:
+        return softmax_row(state.raw[block][rows], owners)
     out = np.zeros_like(state.raw[block])
     out[owners] = softmax_row(state.raw[block][owners], owners)
     return out

@@ -3,17 +3,17 @@
 One round runs, in order: channel realization, local SGD on every device,
 download/compute latency accounting, per-block upload scheduling, weighted
 aggregation of each block over its uploaders, aggregation-weight updates
-from the previous round's retained material, cache refresh, and downloads
-back to the scheduled devices. A block's parameters live in one array for
-all devices that hold it (`Simulation.store`), a row per holder. A device's
-model is a plain dict of ParamBlocks over its rows (its owned modalities in
-ascending order, then the head): SGD updates a row in place per device, its
-gradients written into one workspace block per block id that every device
-reuses (`grad_workspace`); a round's uploads of a block are one row gather
-from its array, and the download is one row scatter of the aggregates back
-into it. The server keeps the aggregation weights, the last round's
-aggregation and, per block, the upload indicators and staleness counters,
-not the models.
+from the previous round's retained material, the effective weight rows of
+the raw rows they stepped (of every owner in round 1), cache refresh, and
+downloads back to the scheduled devices. A block's parameters live in one
+array for all devices that hold it (`Simulation.store`), a row per holder;
+a device's model is a dict of ParamBlocks over its rows, trained in place,
+its gradients written into one workspace block per block id
+(`grad_workspace`). Uploads of a block are one row gather from its array,
+downloads one row scatter back into it. The server keeps the aggregation
+weights, the last round's aggregation, the upload indicators and staleness
+counters, not the models. A `proposed` round's log can record the weight
+rows it recomputed; replayed from round 1 they give every round's matrices.
 Rounds are synchronous: the round wall time is the slowest device's
 download + compute + upload.
 """
@@ -64,7 +64,10 @@ class RoundLog:
     test_accuracy: np.ndarray
     mean_accuracy: float
     weight_rows_used: list[tuple[int, int, np.ndarray, np.ndarray]]
-    coeff_snapshot: dict[int, tuple[np.ndarray, np.ndarray]] | None
+    # block -> (rows, raw rows, effective rows): the owner ids, ascending, whose
+    # raw rows the round stepped (all in round 1) and their (n, K) rows after
+    # it; None unless `proposed` runs with `record_coefficients` on
+    coeff_record: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None
 
 
 @dataclass
@@ -214,14 +217,10 @@ class Simulation:
             cache={},
             indicators={b: np.zeros(cfg.num_devices, dtype=np.int8) for b in self.block_ids},
             staleness={b: np.zeros(cfg.num_devices, dtype=np.int64) for b in self.block_ids})
-        # The scheduler's self-weights: what a uniform weight row gives. That
-        # is also `proposed`'s first round, as init_coeffs makes every raw
-        # entry equal; after each round `proposed` takes the diagonal of the
-        # end-of-round effective rows.
-        self.self_weights: dict[int, np.ndarray] = {}
-        for b in self.block_ids:
-            self.self_weights[b] = np.zeros(cfg.num_devices)
-            self.self_weights[b][self.owners[b]] = 1.0 / int(self.owners[b].sum())
+        # The scheduler's self-weights, 1/owners as a uniform weight row gives
+        # (so also `proposed`'s, as init_coeffs makes every raw entry equal);
+        # `proposed` then takes the diagonal entry of each row it recomputes.
+        self.self_weights = {b: self.owners[b] / self.owners[b].sum() for b in self.block_ids}
 
     # ----------------------------- one round -----------------------------
 
@@ -295,12 +294,21 @@ class Simulation:
                 store[at] = total / len(ks)
 
         # aggregation-weight update from the previous round's retained material
-        # and this round's fresh uploads
-        if cfg.algorithm == "proposed" and cfg.coeff_lr > 0.0:
-            agg.update_weights(self.server.coeffs, self.server.cache, new_cache, indicators,
-                               cfg.lr, cfg.local_iters, mode=cfg.gradient_estimate)
+        # and this round's fresh uploads, then new effective rows for the rows
+        # it stepped, or for every owner in round 1, which steps none
+        record = {} if cfg.algorithm == "proposed" and cfg.record_coefficients else None
         if cfg.algorithm == "proposed":
+            stepped = agg.update_weights(
+                self.server.coeffs, self.server.cache, new_cache, indicators, cfg.lr,
+                cfg.local_iters, mode=cfg.gradient_estimate) if cfg.coeff_lr > 0.0 else {}
             self.server.cache = new_cache
+            for b in self.block_ids:
+                ks = (np.flatnonzero(self.owners[b]) if t == 1
+                      else stepped.get(b, np.zeros(0, np.intp)))
+                eff = agg.effective_rows(self.server.coeffs, b, self.owners[b], ks)
+                self.self_weights[b][ks] = eff[np.arange(ks.size), ks]
+                if record is not None:
+                    record[b] = (ks, self.server.coeffs.raw[b][ks], eff)
 
         # realized upload time: all blocks the device shipped this round
         t_up = wireless.upload_latency(indicators, self.sizes_bits, up_rates)
@@ -311,18 +319,12 @@ class Simulation:
         self.server.round = t
 
         accs, mean_acc = evaluate_personalized(self.arch, self.devices)
-        snapshot = None
-        if cfg.algorithm == "proposed":
-            snapshot = {b: (self.server.coeffs.raw[b].copy(),
-                            agg.effective_rows(self.server.coeffs, b, self.owners[b]))
-                        for b in self.block_ids}
-            self.self_weights = {b: np.diag(eff) for b, (_, eff) in snapshot.items()}
         return RoundLog(
             round=t, gains=gains, t_download=t_down, t_compute=t_cmp,
             t_upload=t_up, round_time=round_time, scheduled=indicators,
             staleness=staleness, metric_values=metric_values, train_loss=train_loss,
             test_accuracy=accs, mean_accuracy=mean_acc,
-            weight_rows_used=rows_used, coeff_snapshot=snapshot)
+            weight_rows_used=rows_used, coeff_record=record)
 
     # ----------------------------- full run -----------------------------
 

@@ -2,17 +2,18 @@
 
 Every CSV line is formatted directly, in the bytes `csv.writer` would emit:
 no field can need quoting, floats are `repr(float)` and every line ends in
-"\\r\\n". In `coefficients.csv` a device's weight row that is bit-equal to
-the last row formatted for it reuses that row's text.
+"\\r\\n".
 
-`coefficients.csv` is the largest file (about K² rows per block per
-round) and its cost is the float formatting. When `os.fork` exists, at
-least 2 CPUs are usable and at least 2 rounds hold a coefficient snapshot,
-one forked helper process formats the second half of those rounds and
-sends the bytes through a pipe while this process writes the first half;
-the file has the same bytes either way. The helper is always reaped before
-the writer returns or raises, and a helper that fails raises
-ChildProcessError, which the command line reports as a failed run.
+`coefficients.csv` (about K² rows per block per round) is formatted from
+the rounds' coefficient records (`RoundLog.coeff_record`), which hold only
+the weight rows a round recomputed; its writer must be given the logs from
+round 1 on. When `os.fork` exists, at least 2 CPUs are usable and at least
+2 rounds hold a record, one forked helper process replays the first half
+of those rounds, formats the second half and sends the bytes through a
+pipe while this process writes the first half; the file has the same bytes
+either way. The helper is always reaped before the writer returns or
+raises, and a helper that fails raises ChildProcessError, which the
+command line reports as a failed run.
 """
 
 from __future__ import annotations
@@ -71,33 +72,29 @@ def write_schedule_csv(path: str | Path, logs: Sequence[RoundLog],
                     fh.write(f"{head}{k},{ind[k]},{stale[k]},{cell}\r\n")
 
 
-def _coefficient_lines(logs: Sequence[RoundLog], owners: dict[int, np.ndarray]) -> Iterator[str]:
-    """The lines of `coefficients.csv` after its header, one string per
-    (round, block, k) of `logs`, which all hold a coefficient snapshot.
-
-    A device that uploads no block keeps its raw row, so most rows repeat
-    the previous round's. For each (block, k) the generator keeps the bytes
-    of the owners-only raw and effective rows it last formatted, with their
-    "k_prime,raw,effective" cells; a row bit-equal to both (so `-0.0`
-    differs from `0.0`) reuses the cells under this round's prefix.
-    """
-    last: dict[tuple[int, int], tuple[bytes, bytes, list[str]]] = {}
-    for log in logs:
-        for b in sorted(log.coeff_snapshot):
-            raw, eff = log.coeff_snapshot[b]
+def _coefficient_lines(logs: Sequence[RoundLog], owners: dict[int, np.ndarray],
+                       skip: int = 0) -> Iterator[str]:
+    """Lines of `coefficients.csv` after its header, one per (round, block, k)
+    of `logs[skip:]`: a recorded row is formatted over the block's owners, any
+    other repeats its last cells. `logs` start at round 1; `logs[:skip]` are
+    replayed unformatted."""
+    latest: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}  # not yet formatted
+    cells: dict[tuple[int, int], list[str]] = {}
+    for i, log in enumerate(logs):
+        for b in sorted(log.coeff_record):
+            rows, raw, eff = log.coeff_record[b]
+            latest.update(((b, k), pair) for k, pair in zip(rows.tolist(), zip(raw, eff)))
+            if i < skip:
+                continue
             idx = np.flatnonzero(owners[b])
-            cells = np.ix_(idx, idx)
-            raw_rows, eff_rows, ids = raw[cells], eff[cells], idx.tolist()
-            for k, raw_row, eff_row in zip(ids, raw_rows, eff_rows):
-                raw_bits, eff_bits = raw_row.tobytes(), eff_row.tobytes()
-                kept = last.get((b, k))
-                if kept is None or kept[0] != raw_bits or kept[1] != eff_bits:
-                    kept = (raw_bits, eff_bits,
-                            [f"{kp},{r!r},{e!r}" for kp, r, e in
-                             zip(ids, raw_row.tolist(), eff_row.tolist())])
-                    last[(b, k)] = kept
+            ids = idx.tolist()
+            for k in ids:
+                pair = latest.pop((b, k), None)
+                if pair is not None:
+                    cells[(b, k)] = [f"{kp},{r!r},{e!r}" for kp, r, e in
+                                     zip(ids, pair[0][idx].tolist(), pair[1][idx].tolist())]
                 pre = f"{log.round},{b},{k},"
-                yield pre + ("\r\n" + pre).join(kept[2]) + "\r\n"
+                yield pre + ("\r\n" + pre).join(cells[(b, k)]) + "\r\n"
 
 
 def _usable_cpus() -> int:
@@ -147,24 +144,19 @@ def _helper_pipe(lines: Iterable[str]) -> Iterator[int]:
 
 def write_coefficients_csv(path: str | Path, logs: Sequence[RoundLog],
                            owners: dict[int, np.ndarray]) -> None:
-    """Raw and structural (full-participation) weights per participant pair.
-
-    With `os.fork`, at least 2 usable CPUs and at least 2 rounds that hold a
-    coefficient snapshot, one forked helper formats the second half of
-    those rounds while this process writes the header and the first half,
-    then copies the helper's bytes from a pipe in bounded chunks; otherwise
-    this process writes every line. Both give the same bytes. A helper
-    that fails raises ChildProcessError (an OSError) once the helper is
-    reaped; no helper outlives the call.
+    """Raw and structural (full-participation) weights per participant pair,
+    written by one process or, as the module says, two; both give the same
+    bytes. A helper that fails raises ChildProcessError (an OSError) once it
+    is reaped; no helper outlives the call.
     """
-    recorded = [log for log in logs if log.coeff_snapshot is not None]
+    recorded = [log for log in logs if log.coeff_record is not None]
     cut = len(recorded) // 2
     if cut == 0 or not hasattr(os, "fork") or _usable_cpus() < 2:
         with _open_csv(path, COEFFS_HEADER) as fh:
             fh.writelines(_coefficient_lines(recorded, owners))
         return
     # fork first, so the helper holds neither the file nor its buffered header
-    with (_helper_pipe(_coefficient_lines(recorded[cut:], owners)) as pipe,
+    with (_helper_pipe(_coefficient_lines(recorded, owners, skip=cut)) as pipe,
           _open_csv(path, COEFFS_HEADER) as fh):
         fh.writelines(_coefficient_lines(recorded[:cut], owners))
         fh.flush()

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from fmmlsim import desk_config, nn_core
-from fmmlsim.aggregation import coeff_jacobian, masked_renormalize, softmax_row
+from fmmlsim.aggregation import (block_owners, coeff_jacobian, effective_rows, init_coeffs,
+                                 masked_renormalize, softmax_row)
 from fmmlsim.cli import main
 from fmmlsim.config import config_to_dict
 from fmmlsim.orchestrator import Simulation
@@ -203,19 +204,24 @@ def test_criterion_06_coefficient_trend(trend_battery):
     pair_deltas = []
     for seed in SEEDS:
         result = trend_battery[("proposed", seed)]
-        first, last = result.logs[0], result.logs[-1]
+        cfg = result.config
+        owners = block_owners(result.summary["owned_modalities"], cfg.num_modalities)
+        # round 1 steps no raw row, so its effective rows are the initial ones
+        start = init_coeffs(cfg.num_devices, sorted(owners), cfg.coeff_lr)
+        first = {b: effective_rows(start, b, owners[b]) for b in owners}
+        last = {b: effective_rows(result.server.coeffs, b, owners[b]) for b in owners}
         all_blocks_rise = True
-        for b in first.coeff_snapshot:
-            eff1 = first.coeff_snapshot[b][1]
-            effT = last.coeff_snapshot[b][1]
+        for b in first:
+            eff1 = first[b]
+            effT = last[b]
             idx = np.flatnonzero((eff1 > 0).any(axis=1))
             if np.mean([effT[k, k] for k in idx]) <= np.mean([eff1[k, k] for k in idx]):
                 all_blocks_rise = False
         rise_seeds += all_blocks_rise
         supports = [set(s) for s in result.summary["label_supports"]]
-        for b in first.coeff_snapshot:
-            eff1 = first.coeff_snapshot[b][1]
-            effT = last.coeff_snapshot[b][1]
+        for b in first:
+            eff1 = first[b]
+            effT = last[b]
             K = eff1.shape[0]
             for k in range(K):
                 for kp in range(K):

@@ -64,6 +64,7 @@ def test_effective_rows_are_owner_softmax_rows():
     np.testing.assert_array_equal(rows[0], softmax_row(state.raw[1][0], owners))
     np.testing.assert_array_equal(rows[1], np.zeros(3))
     np.testing.assert_allclose(rows[2], [0.5, 0.0, 0.5])
+    assert effective_rows(state, 1, owners, np.array([0, 2])).tobytes() == rows[[0, 2]].tobytes()
 
 
 # ----------------------------- softmax -----------------------------

@@ -28,7 +28,7 @@ def run(request):
 
 
 def single_process_bytes(logs, owners):
-    recorded = [log for log in logs if log.coeff_snapshot is not None]
+    recorded = [log for log in logs if log.coeff_record is not None]
     text = ",".join(COEFFS_HEADER) + "\r\n" + "".join(_coefficient_lines(recorded, owners))
     return text.encode("ascii")
 
@@ -80,7 +80,7 @@ def test_split_writer_bytes_equal_the_single_process_output(tmp_path, run, forks
 
 def test_split_counts_only_rounds_that_hold_a_snapshot(tmp_path, run, forks):
     logs, owners = run
-    logs = [logs[0], dataclasses.replace(logs[1], coeff_snapshot=None), logs[2]]
+    logs = [logs[0], dataclasses.replace(logs[1], coeff_record=None), logs[2]]
     write_coefficients_csv(tmp_path / "c.csv", logs, owners)
     assert len(forks) == 1
     assert_no_child_left()
@@ -126,17 +126,20 @@ def test_a_failing_helper_makes_the_cli_exit_2(tmp_path, capsys, monkeypatch, fo
 
 
 def test_a_parent_failing_mid_write_raises_and_leaves_no_helper(tmp_path, forks):
-    # 60 owners: each round's rows are about 160 kB, more than a pipe holds,
-    # so the helper is blocked on the pipe or about to be when the parent fails
+    # 60 owners, every row recorded each round: each round's rows are about
+    # 160 kB, more than a pipe holds, so the helper is blocked on the pipe or
+    # about to be when the parent fails
     owners = {1: np.ones(60, dtype=bool)}
     rng = np.random.default_rng(3)
-    snapshot = {1: (rng.normal(size=(60, 60)), rng.random((60, 60)))}
-    broken = {**snapshot, 2: snapshot[1]}  # block 2 has no owners entry: KeyError
+    record = {1: (np.arange(60), rng.normal(size=(60, 60)), rng.random((60, 60)))}
+    # block 2 has no owners entry: the parent's round 2 raises KeyError, while
+    # the helper replays that round without looking its owners up
+    broken = {**record, 2: record[1]}
     zeros = np.zeros(60)
     logs = [RoundLog(round=r, gains=zeros, t_download=zeros, t_compute=zeros, t_upload=zeros,
                      round_time=0.0, scheduled={}, staleness={}, metric_values={},
                      train_loss=zeros, test_accuracy=zeros, mean_accuracy=0.0,
-                     weight_rows_used=[], coeff_snapshot=broken if r == 2 else snapshot)
+                     weight_rows_used=[], coeff_record=broken if r == 2 else record)
             for r in range(1, 7)]
     with deadline(20.0), pytest.raises(KeyError):
         write_coefficients_csv(tmp_path / "c.csv", logs, owners)

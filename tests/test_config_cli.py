@@ -388,20 +388,25 @@ def gains_csv_reference(path, logs, num_devices):
 
 
 def coefficients_csv_reference(path, logs, owners):
-    """The coefficient writer as one `csv.writer` row per participant pair."""
+    """The coefficient writer as one `csv.writer` row per participant pair of
+    each recorded round's full matrices, rebuilt by replaying the records."""
+    num_devices = len(next(iter(owners.values())))
+    raw = {b: np.full((num_devices, num_devices), np.nan) for b in owners}
+    eff = {b: m.copy() for b, m in raw.items()}
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(COEFFS_HEADER)
         for log in logs:
-            if log.coeff_snapshot is None:
+            if log.coeff_record is None:
                 continue
-            for b in sorted(log.coeff_snapshot):
-                raw, eff = log.coeff_snapshot[b]
+            for b, (rows, raw_rows, eff_rows) in log.coeff_record.items():
+                raw[b][rows], eff[b][rows] = raw_rows, eff_rows
+            for b in sorted(log.coeff_record):
                 idx = np.flatnonzero(owners[b])
                 for k in idx:
                     for kp in idx:
                         writer.writerow([log.round, b, int(k), int(kp),
-                                         repr(float(raw[k, kp])), repr(float(eff[k, kp]))])
+                                         repr(float(raw[b][k, kp])), repr(float(eff[b][k, kp]))])
 
 
 def test_coefficients_csv_bytes_match_the_csv_writer_reference(tmp_path):
@@ -433,7 +438,7 @@ def test_round_schedule_and_gains_csv_bytes_match_the_csv_writer_references(tmp_
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def synthetic_log(round_, snapshot=None, metric_values=None):
+def synthetic_log(round_, record=None, metric_values=None):
     """A 4-device RoundLog with what the schedule and coefficient writers
     read filled in; the other fields are zeros."""
     zeros = np.zeros(4)
@@ -442,7 +447,7 @@ def synthetic_log(round_, snapshot=None, metric_values=None):
                     scheduled={1: np.array([1, 0, 1, 0], dtype=np.int8)},
                     staleness={1: np.array([0, 3, 0, 1])}, metric_values=metric_values or {},
                     train_loss=zeros, test_accuracy=zeros, mean_accuracy=0.0,
-                    weight_rows_used=[], coeff_snapshot=snapshot)
+                    weight_rows_used=[], coeff_record=record)
 
 
 def test_schedule_csv_leaves_the_metric_cell_empty_for_devices_without_one(tmp_path):
@@ -470,28 +475,38 @@ def _coefficient_scenarios():
     other_raw, other_eff = rng.normal(size=(4, 4)), rng.random((4, 4))
     off_owners = raw.copy()
     off_owners[1, :] = off_owners[:, 1] = 9.0  # only cells of device 1, which block 2 skips
-    both = lambda r, e: {1: (r, e), 2: (r, e)}
+
+    def rows(r, e, ks):
+        ks = np.array(ks, dtype=np.intp)
+        return ks, r[ks], e[ks]
+
+    def both(r, e, ks=(0, 1, 2, 3)):
+        return {1: rows(r, e, ks), 2: rows(r, e, [k for k in ks if k != 1])}
+
     return {
-        "row unchanged across rounds": [both(raw, eff), both(raw.copy(), eff.copy()),
-                                        both(raw, eff)],
-        "one cell flips between 0.0 and -0.0": [both(raw, eff), both(signed, eff),
-                                                both(raw, eff), both(signed, eff)],
-        "raw unchanged while effective changes": [both(raw, eff), both(raw, eff_moved),
-                                                  both(raw, eff)],
-        "row changes then reverts": [both(raw, eff), both(other_raw, other_eff),
-                                     both(raw, eff)],
-        "no snapshot between recorded rounds": [both(raw, eff), None, both(signed, eff_moved),
-                                                None, both(raw, eff)],
+        "row unchanged across rounds": [both(raw, eff), both(raw, eff, ()),
+                                        both(raw.copy(), eff.copy(), (1, 2))],
+        "one cell flips between 0.0 and -0.0": [both(raw, eff), both(signed, eff, (2,)),
+                                                both(raw, eff, (2,)), both(signed, eff, (2,))],
+        "raw unchanged while effective changes": [both(raw, eff), both(raw, eff_moved, (0,)),
+                                                  both(raw, eff, (0,))],
+        "row changes then reverts": [both(raw, eff), both(other_raw, other_eff, (0, 3)),
+                                     both(raw, eff, (0, 3))],
+        "no snapshot between recorded rounds": [both(raw, eff), None,
+                                                both(signed, eff_moved, (0, 2)), None,
+                                                both(raw, eff, (2,))],
         "block owned by only some devices": [both(raw, eff),
-                                             {1: (raw, eff), 2: (off_owners, eff)},
-                                             {2: (off_owners, eff_moved)}, both(raw, eff)],
+                                             {1: rows(raw, eff, ()),
+                                              2: rows(off_owners, eff, (0, 2, 3))},
+                                             {2: rows(off_owners, eff_moved, (0,))},
+                                             both(raw, eff, (0, 3))],
     }
 
 
 @pytest.mark.parametrize("scenario", list(_coefficient_scenarios()))
 def test_coefficients_csv_reuses_only_bit_equal_rows(tmp_path, scenario):
-    snapshots = _coefficient_scenarios()[scenario]
-    logs = [synthetic_log(r, snapshot=s) for r, s in enumerate(snapshots, start=1)]
+    records = _coefficient_scenarios()[scenario]
+    logs = [synthetic_log(r, record=rec) for r, rec in enumerate(records, start=1)]
     write_coefficients_csv(tmp_path / "fast.csv", logs, SYNTHETIC_OWNERS)
     coefficients_csv_reference(tmp_path / "ref.csv", logs, SYNTHETIC_OWNERS)
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

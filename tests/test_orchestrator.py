@@ -290,6 +290,32 @@ def test_each_round_schedules_with_the_current_effective_self_weights(seed):
         sim.step()
 
 
+@pytest.mark.parametrize("k", [9, 90])
+def test_coefficient_records_hold_exactly_the_rows_that_changed(k):
+    def run(record):
+        return Simulation(desk_config(seed=4, num_devices=k, quota=min(k, 30), local_iters=1,
+                                      rounds=5, record_coefficients=record))
+
+    sim = run(True)
+    coeffs = sim.server.coeffs
+    before = {b: m.copy() for b, m in coeffs.raw.items()}
+    for t in range(1, 6):
+        log = sim.step()
+        assert sorted(log.coeff_record) == sim.block_ids
+        for b, (rows, raw, eff) in log.coeff_record.items():
+            changed = (coeffs.raw[b].view(np.uint64) != before[b].view(np.uint64)).any(axis=1)
+            expected = sim.owners[b] if t == 1 else changed
+            assert rows.tolist() == np.flatnonzero(expected).tolist()
+            assert raw.tobytes() == coeffs.raw[b][rows].tobytes()
+            full = agg.effective_rows(coeffs, b, sim.owners[b])
+            assert eff.tobytes() == full[rows].tobytes()
+            assert np.array_equal(sim.self_weights[b], np.diag(full))
+            before[b] = coeffs.raw[b].copy()
+    quiet = run(False)
+    assert all(log.coeff_record is None for log in quiet.run().logs)
+    assert all(np.array_equal(quiet.server.coeffs.raw[b], coeffs.raw[b]) for b in sim.block_ids)
+
+
 def test_simulated_training_time_sums_rounds():
     def fake(round_time):
         return RoundLog(round=1, gains=np.ones(1), t_download=np.zeros(1),
@@ -297,7 +323,7 @@ def test_simulated_training_time_sums_rounds():
                         round_time=round_time, scheduled={}, staleness={},
                         metric_values={}, train_loss=np.zeros(1),
                         test_accuracy=np.zeros(1), mean_accuracy=0.0,
-                        weight_rows_used=[], coeff_snapshot=None)
+                        weight_rows_used=[], coeff_record=None)
     assert simulated_training_time([fake(1.5)]) == 1.5
     assert simulated_training_time([fake(1.5), fake(2.0)]) == 3.5
 

@@ -109,7 +109,8 @@ def coeff_grad_reference(entry, i, grad_block):
 
 
 def update_weights_reference(state, prev, indicators, fresh_values, eta, num_iters, mode):
-    """One gradient estimate, weight-row gradient and descent step per (device, block)."""
+    """One gradient estimate, weight-row gradient and descent step per (device, block);
+    returns the stepped devices of each block that has any, ascending."""
     grads = {}
     for b, entry in prev.items():
         for i, k in enumerate(entry.uploaders.tolist()):
@@ -118,9 +119,11 @@ def update_weights_reference(state, prev, indicators, fresh_values, eta, num_ite
             est = agg.estimate_block_gradient(entry.aggregated[i], fresh_values[b][k],
                                               eta, num_iters, mode=mode)
             grads[(k, b)] = coeff_grad_reference(entry, i, est)
+    stepped = {}
     for (k, b) in sorted(grads):
         state.raw[b][k] = state.raw[b][k] - state.lr * np.asarray(grads[(k, b)])
-    return state
+        stepped.setdefault(b, []).append(k)
+    return stepped
 
 
 # ----------------------------- generated rounds -----------------------------
@@ -252,10 +255,15 @@ def test_update_weights_matches_the_per_row_loop(case, length, mode):
     eta, iters = float(rng.uniform(1e-4, 0.5)), int(rng.integers(1, 13))
     states = [agg.CoefficientState({b: m.copy() for b, m in raw.items()}, lr=0.01)
               for _ in range(2)]
-    update_weights_reference(states[0], prev, indicators, fresh_values, eta, iters, mode)
-    agg.update_weights(states[1], prev, fresh, indicators, eta, iters, mode=mode)
+    expected = update_weights_reference(states[0], prev, indicators, fresh_values, eta, iters,
+                                        mode)
+    stepped = agg.update_weights(states[1], prev, fresh, indicators, eta, iters, mode=mode)
+    assert {b: ks.tolist() for b, ks in stepped.items()} == expected
     for b in owners:
         assert np.array_equal(states[1].raw[b], states[0].raw[b])
+        # a stepped row may keep its bits (a zero gradient); no other row changes
+        changed = np.flatnonzero((states[1].raw[b] != raw[b]).any(axis=1))
+        assert set(changed.tolist()) <= set(expected.get(b, []))
 
 
 def test_coeff_grad_rows_are_bit_equal_to_one_device_at_a_time():
