@@ -2,23 +2,26 @@
 
 The server keeps one unconstrained K-by-K weight matrix per block. Row k is
 turned into aggregation weights for device k by one softmax over the devices
-that both own the block and uploaded it this round; every other entry is
-exactly zero. This equals a softmax over the owners followed by a
-renormalization over the round's uploaders, but takes one pass per row and
-cannot lose the whole row to underflow. A block is aggregated for all its
-uploaders in one product, `rows[:, uploaders] @ U`, with `U` the
-(uploaders, P_b) rows of the uploaders' flat block vectors, gathered by the
-caller in one indexing step from the array that holds the block for every
-device; aggregates and gradient estimates are plain float64 arrays. The raw
-matrices are trained by gradient descent through the softmax, using its
-closed-form vector-Jacobian product, O(K) per row; the loss gradient at the
-aggregated point is estimated from the parameter delta the device uploads
-one round later. The weight update of a block runs once for all its
-devices with a fresh upload: one stacked gradient estimate, one stacked
-product with `U` and one descent step on their raw rows.
-`masked_renormalize` and `coeff_jacobian` spell out the two-stage transform
-and its full Jacobian; the round loop does not call them, and the tests
-check the one-stage path against them.
+that uploaded the block this round; every other entry is exactly zero. This
+equals a softmax over the owners followed by a renormalization over the
+round's uploaders, but takes one pass per row and cannot lose the whole row
+to underflow. A block is aggregated for all its uploaders in one product,
+`rows[:, uploaders] @ U`, with `U` the (uploaders, P_b) rows of the
+uploaders' flat block vectors, gathered by the caller in one indexing step
+from the array that holds the block for every device; aggregates and
+gradient estimates are plain float64 arrays. The raw matrices are trained by
+gradient descent through the softmax, using its closed-form vector-Jacobian
+product, O(K) per row; the loss gradient at the aggregated point is
+estimated from the parameter delta the device uploads one round later. The
+weight update of a block runs once for all its devices with a fresh upload:
+one stacked gradient estimate, one stacked product with `U` and one descent
+step on their raw rows.
+
+The round loop's functions check nothing per call. `scheduler.schedule_block`
+alone decides who uploads a block, and its indicators are zero off the
+owners; `Simulation.step` gathers `U` one row per uploader. The tests'
+references `masked_renormalize` and `coeff_jacobian` spell out the two-stage
+transform and its Jacobian, and check their masks.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AggregationError, ShapeMismatchError
+from .errors import AggregationError
 
 GRADIENT_ESTIMATES = ("descent_normalized", "raw_delta")
 
@@ -76,16 +79,14 @@ def softmax_row(raw_rows: np.ndarray, participants: np.ndarray) -> np.ndarray:
     """Softmax of each row restricted to its participating devices; exactly zero elsewhere.
 
     raw_rows is one (K,) row or an (n, K) stack; participants is a (K,) mask
-    shared by every row or one mask per row. Subtracting each row's largest
-    participating entry guards against overflow and leaves that entry at
-    exp(0) = 1, so no row can underflow to zero; each row sums to one over
-    its participants.
+    shared by every row or one mask per row. Every row needs a participant:
+    the round loop's masks hold each row's own device (the uploaders in
+    `Simulation.step`, the owners in `effective_rows`). Subtracting each
+    row's largest participating entry guards against overflow and leaves that
+    entry at exp(0) = 1, so no row can underflow to zero; each row sums to
+    one over its participants.
     """
-    raw = np.asarray(raw_rows, dtype=np.float64)
-    p = np.broadcast_to(np.asarray(participants, dtype=bool), raw.shape)
-    if not p.any(axis=-1).all():
-        raise AggregationError("no participating devices in row")
-    z = np.where(p, raw, -np.inf)
+    z = np.where(participants, raw_rows, -np.inf)
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -118,20 +119,13 @@ def aggregate(rows: np.ndarray, uploaders: np.ndarray, U: np.ndarray) -> CacheEn
 
     rows is one (K,) weight row or an (n, K) stack; uploaders are the devices
     that uploaded, ascending, and U is the (len(uploaders), P_b) stack of
-    their flat block vectors in that order. The entry keeps U as given (not a
-    copy), and row i of its `aggregated` is rows[i, uploaders] @ U.
+    their flat block vectors in that order. Nothing is checked: the rows must
+    be zero off the uploaders, as `softmax_row` over the uploaders makes
+    them, and `Simulation.step` gathers U one row per uploader. The entry
+    keeps U as given (not a copy), and row i of its `aggregated` is
+    rows[i, uploaders] @ U.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-    uploaders = np.asarray(uploaders, dtype=np.intp)
-    if U.ndim != 2 or U.shape[0] != uploaders.shape[0]:
-        raise AggregationError(
-            f"uploads of shape {U.shape} do not stack one row per uploader "
-            f"({uploaders.shape[0]})")
-    silent = np.ones(rows.shape[1], dtype=bool)
-    silent[uploaders] = False
-    missing = np.flatnonzero(silent & (rows > 0.0).any(axis=0))
-    if missing.size:
-        raise AggregationError(f"positive weight but no upload from devices {missing.tolist()}")
+    rows = np.atleast_2d(rows)
     return CacheEntry(uploaders=uploaders, U=U, rows=rows, aggregated=rows[:, uploaders] @ U)
 
 
@@ -164,12 +158,11 @@ def estimate_block_gradient(w_prev: np.ndarray, w_new: np.ndarray, eta: float,
     (w_prev - w_new) / (eta * num_iters) points along the gradient and keeps
     the weight update a descent step. "raw_delta" exposes the unscaled
     difference w_new - w_prev instead, for ablation. Both are elementwise:
-    w_prev and w_new may be one flat block or an (n, P_b) stack of them.
-    `validate_config` checks that mode is a GRADIENT_ESTIMATES name and that
-    eta and num_iters are positive.
+    w_prev and w_new are one flat block each or two (n, P_b) stacks of
+    them, of one shape: `update_weights` takes one row of each per stepped
+    device. `validate_config` checks that mode is a GRADIENT_ESTIMATES name
+    and that eta and num_iters are positive.
     """
-    if np.shape(w_prev) != np.shape(w_new):
-        raise ShapeMismatchError("block lengths differ")
     if mode == "raw_delta":
         return w_new - w_prev
     return (w_prev - w_new) / (eta * num_iters)

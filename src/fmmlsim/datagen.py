@@ -56,11 +56,14 @@ class DeviceDataset:
 
 
 def make_class_means(rng: np.random.Generator, num_classes: int,
-                     input_dims: Sequence[int], separation: float = 3.0):
-    """Class cluster centres: unit Gaussian draws scaled by the separation."""
-    return tuple(
-        tuple(separation * rng.normal(size=d) for d in input_dims)
-        for _ in range(num_classes))
+                     input_dims: Sequence[int], separation: float = 3.0) -> list[np.ndarray]:
+    """Class cluster centres: unit Gaussian draws scaled by the separation.
+
+    Returns one (num_classes, d_m) matrix per modality, row c class c's
+    centre. The draws run class by class, modality by modality within a class.
+    """
+    draws = separation * rng.normal(size=(num_classes, sum(input_dims)))
+    return np.split(draws, np.cumsum(input_dims)[:-1], axis=1)
 
 
 def default_modality_profile(num_devices: int, num_modalities: int) -> list[tuple[int, int]]:
@@ -126,19 +129,20 @@ def partition_labels(scheme: PartitionScheme, num_classes: int, count: int,
     return labels
 
 
-def generate_device_data(class_means: Sequence[Sequence[np.ndarray]], noise_std: float,
+def generate_device_data(class_means: Sequence[np.ndarray], noise_std: float,
                          train_fraction: float, labels: np.ndarray, owned: Sequence[int],
                          rng: np.random.Generator) -> DeviceDataset:
     """Materialize Gaussian samples for one device and split train/test.
 
-    class_means[c][m - 1] is class c's centre in modality m (`make_class_means`).
+    class_means[m - 1] is modality m's (C, d_m) matrix of class centres
+    (`make_class_means`).
     """
     owned = tuple(sorted(owned))
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
     features = {}
     for m in owned:
-        means = np.stack([class_mean[m - 1] for class_mean in class_means])
+        means = class_means[m - 1]
         features[m] = means[labels] + rng.normal(0.0, noise_std, size=(n, means.shape[1]))
     n_train = int(round(train_fraction * n))
     n_train = min(max(n_train, 1), n - 1)

@@ -18,7 +18,7 @@ class NumericOverflowError(FmmlError):
 
 
 class AggregationError(FmmlError):
-    """Aggregation weights and uploads are inconsistent."""
+    """A mask leaves an aggregation weight row with no weight."""
 
 
 class SchedulingError(FmmlError):

@@ -275,8 +275,8 @@ class Simulation:
             store, at = self.store[b], self.store_row[b][ks]
             U = store[at]
             if cfg.algorithm == "proposed":
-                # every uploader's row is a softmax over this round's uploading owners
-                uploading = (indicators[b] != 0) & self.owners[b]
+                # each uploader's row is a softmax over this round's uploaders, all owners
+                uploading = indicators[b] != 0
                 rows = agg.softmax_row(self.server.coeffs.raw[b][ks], uploading)
                 entry = agg.aggregate(rows, ks, U)
                 new_cache[b] = entry

@@ -52,7 +52,8 @@ def schedule_block(ids: np.ndarray, metric: np.ndarray, staleness: np.ndarray, q
     The top min(quota, eligible) devices by `metric` (ties broken by
     ascending id) upload and reset their staleness; the rest age by one
     round, and anyone at or past the threshold is forced in afterwards,
-    possibly exceeding the quota.
+    possibly exceeding the quota. The indicators are zero off `ids`, the
+    block's owners: the round loop aggregates exactly the devices they set.
     """
     indicators = np.zeros(staleness.shape[0], dtype=np.int8)
     stale = staleness.copy()

@@ -10,7 +10,7 @@ from fmmlsim.aggregation import (aggregate, block_owners,
                                  coeff_update, effective_rows,
                                  estimate_block_gradient, init_coeffs,
                                  masked_renormalize, softmax_row)
-from fmmlsim.errors import AggregationError, ShapeMismatchError
+from fmmlsim.errors import AggregationError
 
 
 def vec_block(values):
@@ -136,12 +136,6 @@ def test_batched_softmax_rows_equal_single_row_calls():
         np.testing.assert_array_equal(batched[i], softmax_row(raw[i], owners))
 
 
-def test_softmax_row_rejects_a_row_without_participants():
-    masks = np.array([[True, False], [False, False]])
-    with pytest.raises(AggregationError):
-        softmax_row(np.zeros((2, 2)), masks)
-
-
 # ----------------------------- masking -----------------------------
 
 def test_masked_renormalize_hand_value():
@@ -224,21 +218,6 @@ def test_batched_aggregate_matches_the_per_row_loop():
             ref = aggregate_loop(rows[i], uploads)
             worst = max(worst, np.abs(out.aggregated[i] - ref).max() / np.abs(ref).max())
     assert worst <= 1e-14
-
-
-def test_aggregate_missing_upload_raises():
-    with pytest.raises(AggregationError):
-        aggregate(np.array([0.5, 0.5]), *stacked({0: vec_block([1.0, 2.0])}))
-    rows = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5]])
-    with pytest.raises(AggregationError, match=r"devices \[2\]"):
-        aggregate(rows, *stacked({0: vec_block([1.0]), 1: vec_block([2.0])}))
-
-
-def test_aggregate_structure_mismatch_raises():
-    # U must be (len(uploaders), P): one stacked row per uploader
-    for U in (np.zeros((3, 2)), np.zeros((1, 2)), np.zeros(2), np.zeros((2, 1, 2))):
-        with pytest.raises(AggregationError, match="one row per uploader"):
-            aggregate(np.array([0.5, 0.5]), np.array([0, 1]), U)
 
 
 def test_aggregate_keeps_the_given_stack():
@@ -337,11 +316,6 @@ def test_estimate_raw_delta_mode():
     w0, w1 = vec_block([1.0, 1.0]), vec_block([0.0, 3.0])
     est = estimate_block_gradient(w0, w1, 0.1, 2, mode="raw_delta")
     np.testing.assert_array_equal(est, [-1.0, 2.0])
-
-
-def test_estimate_structure_mismatch_raises():
-    with pytest.raises(ShapeMismatchError):
-        estimate_block_gradient(vec_block([1.0]), vec_block([1.0, 2.0]), 0.1, 1)
 
 
 # ----------------------------- weight-row gradient -----------------------------

@@ -89,7 +89,7 @@ def test_tiny_noise_recovers_class_means():
         for m in (1, 2):
             for i, y in enumerate(split.labels):
                 np.testing.assert_allclose(
-                    split.features[m][i], means[y][m - 1], atol=1e-6)
+                    split.features[m][i], means[m - 1][y], atol=1e-6)
 
 
 def test_split_sizes_sum_and_modality_consistency():
@@ -112,8 +112,8 @@ def test_nearest_centroid_oracle_on_generated_data():
     def nearest_mean(x1, x2):
         best, besty = np.inf, -1
         for c in range(3):
-            d = float(np.sum((x1 - means[c][0]) ** 2)
-                      + np.sum((x2 - means[c][1]) ** 2))
+            d = float(np.sum((x1 - means[0][c]) ** 2)
+                      + np.sum((x2 - means[1][c]) ** 2))
             if d < best:
                 best, besty = d, c
         return besty
@@ -144,3 +144,16 @@ def test_label_support_property():
     rng.shuffle(labels)
     ds = generate_device_data(small_means(), 0.5, 0.8, labels, (1,), rng)
     assert ds.label_support == (0, 2)
+
+
+def test_class_means_keep_the_class_then_modality_draw_order():
+    # one (C, d_m) matrix per modality, bit-equal to drawing class by class
+    # and, within a class, modality by modality
+    dims = (4, 6, 3)
+    rng, ref = np.random.default_rng(21), np.random.default_rng(21)
+    means = make_class_means(rng, 5, dims, 2.5)
+    nested = [[2.5 * ref.normal(size=d) for d in dims] for _ in range(5)]
+    assert [m.shape for m in means] == [(5, d) for d in dims]
+    for m in range(len(dims)):
+        assert np.array_equal(means[m], np.stack([per_class[m] for per_class in nested]))
+    assert rng.normal() == ref.normal()  # both leave the stream at the same place

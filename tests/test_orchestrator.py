@@ -431,6 +431,57 @@ def test_set_up_fixes_every_input_the_kernel_trusts(overrides):
             assert 0 <= split.labels.min() and split.labels.max() < arch.num_classes
 
 
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"num_devices": 12, "num_modalities": 3, "data": {"input_dims": [16, 24, 12]}},
+    {"quota": 1, "staleness_threshold": 2},  # every other round, staleness forces the rest in
+    {"lr": 1e6},                              # raw weights reach about 6e5
+], ids=["desk", "three_modalities", "forced_uploads", "huge_step_size"])
+def test_the_round_loop_fixes_every_input_aggregation_trusts(overrides, monkeypatch):
+    # softmax_row, aggregate and estimate_block_gradient check none of these facts
+    aggregate, estimate = agg.aggregate, agg.estimate_block_gradient
+    estimates = []
+
+    def checked_aggregate(rows, uploaders, U):
+        assert U.ndim == 2 and U.shape[0] == rows.shape[0] == uploaders.size
+        return aggregate(rows, uploaders, U)
+
+    def checked_estimate(w_prev, w_new, *args, **kwargs):
+        assert np.shape(w_prev) == np.shape(w_new)
+        estimates.append(np.shape(w_prev))
+        return estimate(w_prev, w_new, *args, **kwargs)
+
+    monkeypatch.setattr(agg, "aggregate", checked_aggregate)
+    monkeypatch.setattr(agg, "estimate_block_gradient", checked_estimate)
+    sim = Simulation(desk_config(0, algorithm="proposed", **overrides))
+    K = sim.cfg.num_devices
+    for _ in range(6):
+        log = sim.step()
+        used = iter(log.weight_rows_used)
+        for b in sim.block_ids:
+            indicators = log.scheduled[b]
+            assert not indicators[~sim.owners[b]].any()
+            uploaders = np.flatnonzero(indicators)
+            if not uploaders.size:
+                assert b not in sim.server.cache
+                continue
+            entry = sim.server.cache[b]
+            assert np.array_equal(entry.uploaders, uploaders)
+            assert entry.U.shape == (uploaders.size, sim.store[b].shape[1])
+            assert entry.rows.shape == (uploaders.size, K)
+            for row, k in zip(entry.rows, uploaders):
+                # the softmax mask is exactly the uploaders, the row's own
+                # device among them; at huge raw weights its own entry can
+                # underflow to 0.0, so the row is positive somewhere on the mask
+                logged_b, logged_k, logged_row, mask = next(used)
+                assert (logged_b, logged_k) == (b, k) and np.array_equal(logged_row, row)
+                assert np.array_equal(mask, indicators != 0) and mask[k] == 1
+                assert (row >= 0.0).all() and (row[mask == 0] == 0.0).all()
+                assert row[mask == 1].max() > 0.0 and abs(row.sum() - 1.0) < 1e-12
+        assert next(used, None) is None
+    assert estimates  # the weight update ran
+
+
 def test_huge_step_size_keeps_every_weight_row_finite():
     # raw weights reach about 6e5 in magnitude; a softmax over the owners
     # followed by renormalization over the uploaders underflowed to an
