@@ -150,7 +150,7 @@ def coeff_jacobian(raw_row: np.ndarray, mask_row: np.ndarray,
 
 
 def estimate_block_gradient(w_prev: np.ndarray, w_new: np.ndarray, eta: float,
-                            num_iters: int, mode: str = "descent_normalized") -> np.ndarray:
+                            num_iters: int, mode: str) -> np.ndarray:
     """Loss-gradient proxy at the previously aggregated block.
 
     A device that starts from w_prev and runs num_iters steps of step size
@@ -202,7 +202,7 @@ def coeff_update(state: CoefficientState,
 
 def update_weights(state: CoefficientState, prev: GradCache, fresh: GradCache,
                    indicators: Mapping[int, np.ndarray], eta: float, num_iters: int,
-                   mode: str = "descent_normalized") -> dict[int, np.ndarray]:
+                   mode: str) -> dict[int, np.ndarray]:
     """One descent step on the raw rows that last round's aggregation can teach.
 
     prev holds last round's aggregation of each block, fresh this round's.

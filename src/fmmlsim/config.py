@@ -1,15 +1,19 @@
-"""Run configuration: JSON loading, validation, defaults, serialization."""
+"""Run configuration: JSON loading, validation, defaults, serialization.
+
+The dataclasses own the field list and every run default; the simulator's
+functions take those values as required arguments.
+"""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 from .aggregation import GRADIENT_ESTIMATES
-from .datagen import PartitionScheme, assign_modalities
+from .datagen import PARTITIONS, assign_modalities
 from .errors import ConfigError
 from .scheduler import METRIC_KINDS
 
@@ -174,12 +178,9 @@ def validate_config(cfg: RunConfig) -> None:
     _require(cfg.num_modalities >= 1, "num_modalities: must be >= 1")
     _require(cfg.algorithm in ALGORITHMS, f"algorithm: must be one of {ALGORITHMS}")
     _require(cfg.fedprox_mu >= 0, "fedprox_mu: must be >= 0")
-    try:
-        scheme = PartitionScheme(cfg.partition)
-    except ValueError:
-        raise ConfigError(f"partition: unknown scheme {cfg.partition!r}") from None
+    _require(cfg.partition in PARTITIONS, f"partition: unknown scheme {cfg.partition!r}")
     _require(cfg.data.num_classes >= 2, "data.num_classes: must be >= 2")
-    if scheme is PartitionScheme.NONIID1:
+    if cfg.partition == "noniid1":
         _require(cfg.data.num_classes >= 3, "data.num_classes: noniid1 needs >= 3 classes")
     _require(len(cfg.data.input_dims) == cfg.num_modalities,
              "data.input_dims: needs one entry per modality")
@@ -224,22 +225,9 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def config_to_dict(cfg: RunConfig) -> dict[str, Any]:
-    def as_plain(obj):
-        if isinstance(obj, tuple):
-            return list(obj)
-        if isinstance(obj, list):
-            return [as_plain(v) for v in obj]
-        return obj
-
-    out: dict[str, Any] = {}
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if f.name in _NESTED:
-            out[f.name] = {sf.name: as_plain(getattr(value, sf.name))
-                           for sf in fields(type(value))}
-        else:
-            out[f.name] = as_plain(value)
-    return out
+    """The config as nested plain dicts, one key per dataclass field; tuples
+    stay tuples, which `json` writes as lists."""
+    return asdict(cfg)
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -3,17 +3,17 @@
 Classes are Gaussian clusters: one mean vector per (class, modality), the
 same means for every device, plus per-sample noise. Device heterogeneity
 comes from two places: which modalities a device owns, and which label
-distribution its local data follows. The generators take plain values and
-trust them: `config.validate_config` checks the partition scheme, class
-count, noise level, sample count and train fraction once, at the config
-boundary.
+distribution its local data follows. The label-skew schemes are named by
+`PARTITIONS`, a tuple of names like the config's other choices. The
+generators take plain values and trust them: `config.validate_config`
+checks the partition name, class count, noise level, sample count and train
+fraction once, at the config boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -21,16 +21,11 @@ import numpy as np
 from .errors import ConfigError
 
 
-class PartitionScheme(str, Enum):
-    """Label-skew styles: 3-category support, 50% dominant, 30% dominant."""
-
-    NONIID1 = "noniid1"
-    NONIID2 = "noniid2"
-    NONIID3 = "noniid3"
-
-
-DOMINANT_FRACTION = {PartitionScheme.NONIID2: 0.5, PartitionScheme.NONIID3: 0.3}
-SUPPORT_SIZE = 3  # categories per device under NONIID1
+# Label-skew styles by name: noniid1 gives each device a 3-category support;
+# the others give one dominant class this share of its samples.
+DOMINANT_FRACTION = {"noniid2": 0.5, "noniid3": 0.3}
+PARTITIONS = ("noniid1", *DOMINANT_FRACTION)
+SUPPORT_SIZE = 3  # categories per device under noniid1
 
 
 @dataclass
@@ -56,7 +51,7 @@ class DeviceDataset:
 
 
 def make_class_means(rng: np.random.Generator, num_classes: int,
-                     input_dims: Sequence[int], separation: float = 3.0) -> list[np.ndarray]:
+                     input_dims: Sequence[int], separation: float) -> list[np.ndarray]:
     """Class cluster centres: unit Gaussian draws scaled by the separation.
 
     Returns one (num_classes, d_m) matrix per modality, row c class c's
@@ -106,10 +101,10 @@ def assign_modalities(num_devices: int, num_modalities: int,
     return owned
 
 
-def partition_labels(scheme: PartitionScheme, num_classes: int, count: int,
+def partition_labels(scheme: str, num_classes: int, count: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Draw one device's label multiset under the given skew scheme."""
-    if scheme is PartitionScheme.NONIID1:
+    """Draw one device's label multiset under the named skew scheme (`PARTITIONS`)."""
+    if scheme == "noniid1":
         support = np.sort(rng.choice(num_classes, size=SUPPORT_SIZE, replace=False))
         if count >= SUPPORT_SIZE:
             # one forced sample per category keeps the support exact

@@ -7,25 +7,26 @@ averaged and diffed without caring about layer layout. A device's model is a
 plain dict of blocks: its owned modalities in ascending order, then the head
 (`ArchSpec.shared_block_id`). A block vector may be a row view of a larger
 array that stacks one block for many devices. A `ParamBlock` checks its
-vector and builds its layer views once, when it is built; its fields cannot
-be rebound, so the views stay valid for its lifetime. Gradients are flat
-arrays keyed by block, written through the views of a caller's reused
-workspace of gradient blocks or of fresh zeroed ones, and `sgd_step`
-updates the block vectors in place, so the views, and the rows they belong
-to, follow. Every matrix product whose output is contiguous goes through
-`np.dot`, the cheapest call per product at these sizes; the rest use
-`np.matmul(..., out=)`. The classifier always consumes a fixed-width
-concatenation of all modality feature slots; slots for modalities a device
-does not own stay zero, which keeps the head block structurally identical
-across devices. The kernel trusts what set-up fixes before round 1: each
-device's block set, the width of each modality's features and the label
-range. It checks only for non-finite values.
+vector and cuts its layer views from its shapes, the layout's one statement,
+once, when it is built; its fields cannot be rebound, so the views stay
+valid for its lifetime. Gradients are flat arrays keyed by block, written
+through the views of a caller's reused workspace of gradient blocks or of
+fresh zeroed ones, and `sgd_step` updates the block vectors in place, so the
+views, and the rows they belong to, follow. Every matrix product whose
+output is contiguous goes through `np.dot`, the cheapest call per product at
+these sizes; the rest use `np.matmul(..., out=)`. The classifier always
+consumes a fixed-width concatenation of all modality feature slots; slots
+for modalities a device does not own stay zero, which keeps the head block
+structurally identical across devices. The kernel trusts what set-up fixes
+before round 1: each device's block set, the width of each modality's
+features and the label range. It checks only for non-finite values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,28 +35,6 @@ from .errors import NumericOverflowError, ShapeMismatchError
 
 BITS_PER_PARAM = 32   # single precision on the wire
 FLOPS_PER_PARAM = 6   # fwd + bwd multiply-accumulate budget per sample
-
-Layout = tuple[tuple[tuple[int, int, tuple[int, ...]], ...], int]
-
-
-@lru_cache(maxsize=256)
-def block_layout(shapes: tuple[tuple[int, ...], ...]) -> Layout:
-    """Where each layer of a flat block lives: ((start, stop, shape), ...), total.
-
-    `shapes` is a tuple of shape tuples, as `ArchSpec.block_shapes` returns.
-    Computed once per distinct shapes value; every block of one architecture
-    shares the answer.
-    """
-    spans, off = [], 0
-    for shape in shapes:
-        size = int(np.prod(shape))
-        spans.append((off, off + size, shape))
-        off += size
-    return tuple(spans), off
-
-
-def _layer_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    return [flat[start:stop].reshape(shape) for start, stop, shape in block_layout(shapes)[0]]
 
 
 @dataclass(frozen=True)
@@ -67,10 +46,10 @@ class ArchSpec:
     """
 
     input_dims: tuple[int, ...]
-    encoder_hidden: int = 16
-    feature_len: int = 8
-    classifier_hidden: tuple[int, ...] = (16,)
-    num_classes: int = 6
+    encoder_hidden: int
+    feature_len: int
+    classifier_hidden: tuple[int, ...]
+    num_classes: int
 
     @property
     def num_modalities(self) -> int:
@@ -100,7 +79,7 @@ class ArchSpec:
         raise ShapeMismatchError(f"unknown block id {block_id}")
 
     def block_param_count(self, block_id: int) -> int:
-        return block_layout(self.block_shapes(block_id))[1]
+        return sum(math.prod(s) for s in self.block_shapes(block_id))
 
 
 @dataclass(frozen=True)
@@ -114,14 +93,19 @@ class ParamBlock:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        expected = block_layout(self.shapes)[1]
+        sizes = [math.prod(shape) for shape in self.shapes]
+        expected = sum(sizes)
         if values.ndim != 1 or values.shape[0] != expected:
             raise ShapeMismatchError(
                 f"block {self.block_id}: {values.size} values, shapes imply {expected}")
         if not np.isfinite(values).all():
             raise NumericOverflowError(f"block {self.block_id} holds non-finite values")
+        views, off = [], 0
+        for shape, size in zip(self.shapes, sizes):
+            views.append(values[off:off + size].reshape(shape))
+            off += size
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_views", tuple(_layer_views(values, self.shapes)))
+        object.__setattr__(self, "_views", tuple(views))
 
     def __deepcopy__(self, memo):
         return ParamBlock(self.block_id, self.values.copy(), self.shapes)
@@ -280,11 +264,6 @@ def sgd_step(params: Mapping[int, ParamBlock], grad: Mapping[int, np.ndarray], e
         values -= eta * grad[b]
         if not np.logical_and.reduce(np.isfinite(values)):
             raise NumericOverflowError(f"block {b} holds non-finite values")
-
-
-def param_size_bits(block: ParamBlock) -> int:
-    """Wire size of one block."""
-    return BITS_PER_PARAM * block.param_count
 
 
 def flops_per_iteration(arch: ArchSpec, owned: Sequence[int], batch_size: int) -> dict[int, int]:

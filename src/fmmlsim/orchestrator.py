@@ -167,11 +167,10 @@ class Simulation:
         owned_sets = datagen.assign_modalities(cfg.num_devices, cfg.num_modalities, profile)
         means = datagen.make_class_means(
             data_rng, cfg.data.num_classes, cfg.data.input_dims, cfg.data.mean_separation)
-        scheme = datagen.PartitionScheme(cfg.partition)
         datasets = []
         for k in range(cfg.num_devices):
             labels = datagen.partition_labels(
-                scheme, cfg.data.num_classes, cfg.data.samples_per_device, data_rng)
+                cfg.partition, cfg.data.num_classes, cfg.data.samples_per_device, data_rng)
             datasets.append(datagen.generate_device_data(
                 means, cfg.data.noise_std, cfg.data.train_fraction, labels, owned_sets[k],
                 data_rng))
@@ -192,7 +191,8 @@ class Simulation:
             for k in range(cfg.num_devices)])
         self.owners = agg.block_owners(owned_sets, cfg.num_modalities)
         self.block_ids = sorted(self.owners)
-        self.sizes_bits = {b: nn_core.param_size_bits(full[b]) for b in self.block_ids}
+        self.sizes_bits = {b: nn_core.BITS_PER_PARAM * self.arch.block_param_count(b)
+                           for b in self.block_ids}
         # one array per block, a row per device that holds it (every device for
         # the head); store_row[b][k] is owner k's row, and each device's
         # ParamBlock values are views of its rows

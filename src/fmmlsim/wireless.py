@@ -18,8 +18,7 @@ import numpy as np
 from .errors import NumericOverflowError, StalledLinkError
 
 
-def place_devices(rng: np.random.Generator, num_devices: int,
-                  radius_m: float = 50.0) -> np.ndarray:
+def place_devices(rng: np.random.Generator, num_devices: int, radius_m: float) -> np.ndarray:
     """Distances of devices dropped uniformly in a disc around the server."""
     d = radius_m * np.sqrt(rng.uniform(size=num_devices))
     return np.maximum(d, 1e-3)

@@ -289,12 +289,12 @@ def test_jacobian_matches_finite_differences():
 
 def test_estimate_identities():
     w = vec_block([1.0, 2.0, 3.0])
-    same = estimate_block_gradient(w, w, 0.1, 4)
+    same = estimate_block_gradient(w, w, 0.1, 4, mode="descent_normalized")
     np.testing.assert_array_equal(same, np.zeros(3))
     # one exact step recovers the gradient
     g = np.array([0.5, -0.25, 1.0])
     w_new = vec_block(w - 0.1 * g)
-    est = estimate_block_gradient(w, w_new, 0.1, 1)
+    est = estimate_block_gradient(w, w_new, 0.1, 1, mode="descent_normalized")
     np.testing.assert_allclose(est, g, atol=1e-12)
 
 
@@ -307,7 +307,8 @@ def test_estimate_quadratic_model():
     w = w0.copy()
     for _ in range(iters):
         w = w - eta * (w - a)
-    est = estimate_block_gradient(vec_block(w0), vec_block(w), eta, iters)
+    est = estimate_block_gradient(vec_block(w0), vec_block(w), eta, iters,
+                                  mode="descent_normalized")
     true = w0 - a
     assert np.abs(est - true).max() / np.abs(true).max() < 0.10
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fmmlsim import datagen
-from fmmlsim.datagen import (PartitionScheme, assign_modalities,
+from fmmlsim.datagen import (PARTITIONS, assign_modalities,
                              default_modality_profile, generate_device_data,
                              make_class_means, partition_labels)
 from fmmlsim.errors import ConfigError
@@ -53,13 +53,13 @@ def test_profile_inconsistencies_raise():
 def test_noniid1_support_is_three_categories():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        labels = partition_labels(PartitionScheme.NONIID1, 6, 120, rng)
+        labels = partition_labels("noniid1", 6, 120, rng)
         assert len(set(labels.tolist())) == 3
         assert labels.shape == (120,)
 
 
-@pytest.mark.parametrize("scheme,frac", [(PartitionScheme.NONIID2, 0.5),
-                                         (PartitionScheme.NONIID3, 0.3)])
+@pytest.mark.parametrize("scheme,frac", [("noniid2", 0.5),
+                                         ("noniid3", 0.3)])
 def test_dominant_category_counts(scheme, frac):
     rng = np.random.default_rng(1)
     for count in (100, 300, 77):
@@ -70,14 +70,16 @@ def test_dominant_category_counts(scheme, frac):
 
 def test_noniid2_example_exact_count():
     rng = np.random.default_rng(2)
-    labels = partition_labels(PartitionScheme.NONIID2, 6, 100, rng)
+    labels = partition_labels("noniid2", 6, 100, rng)
     assert np.bincount(labels, minlength=6).max() == 50
 
 
 def test_partition_determinism():
-    a = partition_labels(PartitionScheme.NONIID1, 6, 200, np.random.default_rng(42))
-    b = partition_labels(PartitionScheme.NONIID1, 6, 200, np.random.default_rng(42))
-    assert np.array_equal(a, b)
+    assert PARTITIONS == ("noniid1", "noniid2", "noniid3")
+    for scheme in PARTITIONS:
+        a = partition_labels(scheme, 6, 200, np.random.default_rng(42))
+        b = partition_labels(scheme, 6, 200, np.random.default_rng(42))
+        assert np.array_equal(a, b)
 
 
 def test_tiny_noise_recovers_class_means():
@@ -94,7 +96,7 @@ def test_tiny_noise_recovers_class_means():
 
 def test_split_sizes_sum_and_modality_consistency():
     rng = np.random.default_rng(4)
-    labels = partition_labels(PartitionScheme.NONIID2, 3, 50, rng)
+    labels = partition_labels("noniid2", 3, 50, rng)
     ds = generate_device_data(small_means(), 0.5, 0.8, labels, (2,), rng)
     assert len(ds.train) + len(ds.test) == 50
     assert set(ds.train.features) == {2}
@@ -129,7 +131,7 @@ def test_seed_determinism_full_pipeline():
     for _ in range(2):
         rng = np.random.default_rng(99)
         means = small_means(seed=99)
-        labels = partition_labels(PartitionScheme.NONIID3, 3, 60, rng)
+        labels = partition_labels("noniid3", 3, 60, rng)
         out.append(generate_device_data(means, 0.5, 0.8, labels, (1, 2), rng))
     a, b = out
     assert np.array_equal(a.train.labels, b.train.labels)

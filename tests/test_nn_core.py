@@ -6,9 +6,9 @@ import pytest
 
 from fmmlsim import nn_core
 from fmmlsim.errors import NumericOverflowError, ShapeMismatchError
-from fmmlsim.nn_core import (ArchSpec, ParamBlock, block_layout,
+from fmmlsim.nn_core import (ArchSpec, ParamBlock,
                              forward_batch, loss_and_grad, sgd_step,
-                             param_size_bits, flops_per_iteration,
+                             flops_per_iteration,
                              init_full_params, slice_device_params)
 
 
@@ -21,7 +21,7 @@ def zero_params(arch, owned):
     blocks = {}
     for b in (*owned, arch.shared_block_id):
         shapes = arch.block_shapes(b)
-        blocks[b] = ParamBlock(b, np.zeros(block_layout(shapes)[1]), shapes)
+        blocks[b] = ParamBlock(b, np.zeros(arch.block_param_count(b)), shapes)
     return blocks
 
 
@@ -225,14 +225,6 @@ def test_sgd_step_raises_when_a_step_leaves_a_value_non_finite(value, step):
         sgd_step(params, grad, 10.0)
 
 
-def test_param_size_bits():
-    assert param_size_bits(ParamBlock(1, np.zeros(10), ((10,),))) == 320
-    assert param_size_bits(ParamBlock(1, np.zeros(0), ())) == 0
-    # one 4x4 layer plus 4 biases -> 20 values -> 640 bits
-    block = ParamBlock(2, np.zeros(20), ((4, 4), (4,)))
-    assert param_size_bits(block) == 640
-
-
 def test_flops_per_iteration():
     arch = toy_arch()
     # formula check: 6 * params * batch
@@ -299,13 +291,16 @@ def test_param_block_rejects_wrong_length_non_vector_and_non_finite_values():
 
 
 def test_block_layout_accepts_every_shapes_value_a_block_takes():
-    as_tuples = ((2, 3), (2,), ())
-    layout, total = block_layout(as_tuples)
-    assert layout == ((0, 6, (2, 3)), (6, 8, (2,)), (8, 9, ()))
-    assert total == 9
-    assert block_layout(()) == ((), 0)
-    block = ParamBlock(1, np.arange(9.0), as_tuples)
-    assert [a.shape for a in block.arrays()] == [(2, 3), (2,), ()]
+    # a matrix, a vector and a scalar layer: the views cut 0:6, 6:8 and 8:9
+    block = ParamBlock(1, np.arange(9.0), ((2, 3), (2,), ()))
+    w, bias, scale = block.arrays()
+    assert (w.shape, bias.shape, scale.shape) == ((2, 3), (2,), ())
+    assert np.array_equal(w.ravel(), np.arange(6.0))
+    assert np.array_equal(bias, [6.0, 7.0]) and scale == 8.0
+    assert all(np.shares_memory(a, block.values) for a in block.arrays())
+    assert ParamBlock(1, np.zeros(0), ()).arrays() == ()
+    with pytest.raises(ShapeMismatchError, match="shapes imply 9"):
+        ParamBlock(1, np.zeros(8), ((2, 3), (2,), ()))
 
 
 @pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])
@@ -314,12 +309,12 @@ def test_block_layout_partitions_every_block(hidden):
                     classifier_hidden=hidden, num_classes=5)
     full = init_full_params(arch, np.random.default_rng(0))
     for b in range(1, arch.shared_block_id + 1):
-        layout, total = block_layout(arch.block_shapes(b))
-        assert total == sum(stop - start for start, stop, _ in layout)
-        assert total == arch.block_param_count(b)
         arrays = full[b].arrays()
         assert [a.shape for a in arrays] == list(arch.block_shapes(b))
+        assert sum(a.size for a in arrays) == arch.block_param_count(b)
+        # the views tile values in storage order, with no gap or overlap
         assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), full[b].values)
+        assert all(np.shares_memory(a, full[b].values) for a in arrays)
 
 
 def test_arrays_are_writable_views_of_values():

@@ -211,6 +211,7 @@ def test_every_device_block_is_a_row_of_its_store(algorithm):
                                data={"input_dims": [4, 5, 3]}))
     for b in sim.block_ids:
         assert sim.store[b].shape == (int(sim.owners[b].sum()), sim.arch.block_param_count(b))
+        assert sim.sizes_bits[b] == nn_core.BITS_PER_PARAM * sim.arch.block_param_count(b)
     for _ in range(2):
         for dev in sim.devices:
             for b, p in dev.params.items():
@@ -614,19 +615,3 @@ def test_local_update_into_the_workspace_matches_the_fresh_path(prox_mu):
         assert loss == local_update_phase(sim.arch, twin, 0.05, 5, 32, prox_mu=prox_mu)
         for b, p in twin.params.items():
             assert np.array_equal(dev.params[b].values, p.values)
-
-
-@pytest.mark.parametrize("algorithm", ["proposed", "fedprox"])
-def test_a_round_builds_no_layer_views(monkeypatch, algorithm):
-    sim = Simulation(quick_cfg(seed=2, algorithm=algorithm))
-    calls = []
-    layer_views = nn_core._layer_views
-
-    def counting(*args):
-        calls.append(args)
-        return layer_views(*args)
-
-    monkeypatch.setattr(nn_core, "_layer_views", counting)
-    sim.step()
-    sim.step()
-    assert calls == []

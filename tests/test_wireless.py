@@ -140,7 +140,7 @@ def test_dimensional_walkthrough_full_round():
     # bits / (bits/s) + flops / (flops/s) + bits / (bits/s) must be seconds
     link = LinkConfig()
     rng = np.random.default_rng(3)
-    d = place_devices(rng, 1)[0]
+    d = place_devices(rng, 1, link.cell_radius_m)[0]
     g = sample_gain(rng, float(d), link.carrier_ghz)
     down = link_rate(link.server_power_w, g, link.bandwidth_hz, link.noise_density)
     up = link_rate(link.device_power_w, g, link.bandwidth_hz, link.noise_density)
