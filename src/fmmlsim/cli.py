@@ -6,7 +6,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ALGORITHMS, config_from_dict, load_config, config_to_dict
+from .config import ALGORITHMS, config_from_dict, read_config_file
 from .errors import ConfigError, FmmlError
 from .orchestrator import Simulation
 from .scheduler import METRIC_KINDS
@@ -21,34 +21,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None, help="JSON config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--rounds", type=int, default=None)
-    parser.add_argument("--algo", choices=ALGORITHMS, default=None)
-    parser.add_argument("--khat", type=int, default=None,
+    parser.add_argument("--algo", dest="algorithm", choices=ALGORITHMS, default=None)
+    parser.add_argument("--khat", dest="quota", metavar="KHAT", type=int, default=None,
                         help="per-block upload quota")
     parser.add_argument("--metric", choices=METRIC_KINDS, default=None)
     parser.add_argument("--alpha", type=float, default=None,
                         help="latency weight of the linear metric")
-    parser.add_argument("--ath", type=int, default=None,
-                        help="staleness threshold forcing an upload")
-    parser.add_argument("--out", type=str, default=None, help="output directory")
+    parser.add_argument("--ath", dest="staleness_threshold", metavar="ATH", type=int,
+                        default=None, help="staleness threshold forcing an upload")
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", type=str, default=None,
+                        help="output directory")
     return parser
 
 
-_FLAG_TO_KEY = {"seed": "seed", "rounds": "rounds", "algo": "algorithm",
-                "khat": "quota", "metric": "metric", "alpha": "alpha",
-                "ath": "staleness_threshold", "out": "out_dir"}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    flags = vars(build_parser().parse_args(argv))
+    path = flags.pop("config")
     try:
-        if args.config is not None:
-            payload = config_to_dict(load_config(args.config))
-        else:
-            payload = {}
-        for flag, key in _FLAG_TO_KEY.items():
-            value = getattr(args, flag)
-            if value is not None:
-                payload[key] = value
+        # each flag's dest is its config key; a flag replaces the file's value
+        # before the one validation, and a file that is not an object fails there
+        payload = {} if path is None else read_config_file(path)
+        if isinstance(payload, dict):
+            payload.update((key, value) for key, value in flags.items() if value is not None)
         cfg = config_from_dict(payload)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

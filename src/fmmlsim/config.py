@@ -1,7 +1,9 @@
 """Run configuration: JSON loading, validation, defaults, serialization.
 
 The dataclasses own the field list and every run default; the simulator's
-functions take those values as required arguments.
+functions take those values as required arguments. Each field's annotation
+owns its JSON type and the form the field keeps (`_TYPE_CHECKS`), which one
+walk over a payload applies; `validate_config` checks ranges and relations.
 """
 
 from __future__ import annotations
@@ -90,35 +92,6 @@ class RunConfig:
 
 
 _NESTED = {"data": DataConfig, "arch": ArchConfig, "link": LinkConfig, "compute": ComputeConfig}
-_TUPLE_FIELDS = {"input_dims", "classifier_hidden"}
-
-
-def _build(cls, payload: dict, path: str):
-    if not isinstance(payload, dict):
-        raise ConfigError(f"{path or 'config'}: expected an object")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        where = f"{path}." if path else ""
-        raise ConfigError(f"unknown key {where}{unknown[0]}")
-    kwargs = {}
-    for name, value in payload.items():
-        sub = _NESTED.get(name)
-        if cls is RunConfig and sub is not None:
-            kwargs[name] = _build(sub, value, name)
-        elif name in _TUPLE_FIELDS and isinstance(value, list):
-            kwargs[name] = tuple(value)
-        elif name == "modality_profile" and isinstance(value, list):
-            kwargs[name] = [tuple(p) if isinstance(p, list) else p for p in value]
-        else:
-            kwargs[name] = value
-    return cls(**kwargs)
-
-
-def config_from_dict(payload: dict[str, Any]) -> RunConfig:
-    cfg = _build(RunConfig, payload, "")
-    validate_config(cfg)
-    return cfg
 
 
 def _require(cond: bool, message: str):
@@ -146,32 +119,55 @@ def _int_sequence(value, length: int | None = None) -> bool:
             and all(_is_int(v) for v in value))
 
 
-# What each field annotation of the config dataclasses accepts.
+def _as_tuple(value):
+    return tuple(value) if isinstance(value, list) else value
+
+
+# What each field annotation of the config dataclasses accepts, and the form
+# the field keeps; a value takes that form before it is checked.
 _TYPE_CHECKS = {
-    "int": (_is_int, "an integer"),
-    "float": (_is_finite_number, "a finite number"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "tuple[int, ...]": (_int_sequence, "a list of integers"),
+    "int": (_is_int, "an integer", None),
+    "float": (_is_finite_number, "a finite number", None),
+    "bool": (lambda v: isinstance(v, bool), "true or false", None),
+    "str": (lambda v: isinstance(v, str), "a string", None),
+    "tuple[int, ...]": (_int_sequence, "a list of integers", _as_tuple),
     "list[tuple[int, int]]": (lambda v: isinstance(v, list) and all(_int_sequence(p, 2) for p in v),
-                              "a list of [count, modalities] integer pairs"),
+                              "a list of [count, modalities] integer pairs",
+                              lambda v: [_as_tuple(p) for p in v] if isinstance(v, list) else v),
 }
 
 
-def _check_types(obj, path: str = "") -> None:
-    """Every field must hold the JSON type its annotation names."""
-    for f in fields(obj):
-        value, name = getattr(obj, f.name), path + f.name
-        kind = f.type.removesuffix(" | None")
-        if f.name in _NESTED and not path:
-            _check_types(value, f"{f.name}.")
-        elif value is not None or kind == f.type:
-            accepts, what = _TYPE_CHECKS[kind]
-            _require(accepts(value), f"{name}: must be {what}, got {value!r}")
+def _build(cls, payload: dict, path: str):
+    """The dataclass `cls` from a JSON object, each value typed by `_TYPE_CHECKS`."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object")
+    annotations = {f.name: f.type for f in fields(cls)}
+    where = f"{path}." if path else ""
+    unknown = sorted(set(payload) - set(annotations))
+    if unknown:
+        raise ConfigError(f"unknown key {where}{unknown[0]}")
+    kwargs = {}
+    for name, value in payload.items():
+        kind = annotations[name].removesuffix(" | None")
+        if name in _NESTED:
+            value = _build(_NESTED[name], value, name)
+        elif value is not None or kind == annotations[name]:
+            accepts, what, form = _TYPE_CHECKS[kind]
+            value = form(value) if form else value
+            _require(accepts(value), f"{where}{name}: must be {what}, got {value!r}")
+        kwargs[name] = value
+    return cls(**kwargs)
+
+
+def config_from_dict(payload: dict[str, Any]) -> RunConfig:
+    cfg = _build(RunConfig, payload, "")
+    validate_config(cfg)
+    return cfg
 
 
 def validate_config(cfg: RunConfig) -> None:
-    _check_types(cfg)
+    """Range and cross-field checks. They trust the field types of a config
+    built by `config_from_dict`, whose walk checked them."""
     _require(cfg.seed >= 0, "seed: must be >= 0")
     _require(cfg.rounds >= 0, "rounds: must be >= 0")
     _require(cfg.num_devices >= 1, "num_devices: must be >= 1")
@@ -197,9 +193,8 @@ def validate_config(cfg: RunConfig) -> None:
     _require(cfg.coeff_lr >= 0, "coeff_lr: must be >= 0")
     _require(cfg.local_iters >= 1, "local_iters: must be >= 1")
     _require(cfg.batch_size >= 1, "batch_size: must be >= 1")
-    if cfg.quota is not None:
-        _require(1 <= cfg.quota <= cfg.num_devices,
-                 f"quota: must lie in 1..{cfg.num_devices}")
+    _require(cfg.quota is None or 1 <= cfg.quota <= cfg.num_devices,
+             f"quota: must lie in 1..{cfg.num_devices}")
     _require(cfg.staleness_threshold >= 1, "staleness_threshold: must be >= 1")
     _require(cfg.metric in METRIC_KINDS, f"metric: must be one of {METRIC_KINDS}")
     _require(cfg.alpha >= 0, "alpha: must be >= 0")
@@ -207,13 +202,8 @@ def validate_config(cfg: RunConfig) -> None:
              f"gradient_estimate: must be one of {GRADIENT_ESTIMATES}")
     _require(cfg.baseline_scheduler in BASELINE_SCHEDULERS,
              f"baseline_scheduler: must be one of {BASELINE_SCHEDULERS}")
-    for name, value in (("bandwidth_hz", cfg.link.bandwidth_hz),
-                        ("noise_density", cfg.link.noise_density),
-                        ("device_power_w", cfg.link.device_power_w),
-                        ("server_power_w", cfg.link.server_power_w),
-                        ("carrier_ghz", cfg.link.carrier_ghz),
-                        ("cell_radius_m", cfg.link.cell_radius_m)):
-        _require(value > 0, f"link.{name}: must be positive")
+    for f in fields(LinkConfig):
+        _require(getattr(cfg.link, f.name) > 0, f"link.{f.name}: must be positive")
     _require(cfg.compute.cycles_per_s > 0, "compute.cycles_per_s: must be positive")
     _require(cfg.compute.flops_per_cycle > 0, "compute.flops_per_cycle: must be positive")
     _require(cfg.compute.heterogeneity >= 1.0, "compute.heterogeneity: must be >= 1")
@@ -230,12 +220,16 @@ def config_to_dict(cfg: RunConfig) -> dict[str, Any]:
     return asdict(cfg)
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a JSON config file; unknown keys are rejected."""
+def read_config_file(path: str | Path) -> Any:
+    """The parsed JSON of a config file, whatever its top-level type."""
     try:
-        payload = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad text, JSON or number, or nesting too deep
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(payload)
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Parse and validate a JSON config file; unknown keys are rejected."""
+    return config_from_dict(read_config_file(path))

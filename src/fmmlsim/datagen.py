@@ -7,7 +7,8 @@ distribution its local data follows. The label-skew schemes are named by
 `PARTITIONS`, a tuple of names like the config's other choices. The
 generators take plain values and trust them: `config.validate_config`
 checks the partition name, class count, noise level, sample count and train
-fraction once, at the config boundary.
+fraction once, at the config boundary. `assign_modalities` alone applies
+the default modality profile.
 """
 
 from __future__ import annotations
@@ -78,14 +79,15 @@ def default_modality_profile(num_devices: int, num_modalities: int) -> list[tupl
 
 
 def assign_modalities(num_devices: int, num_modalities: int,
-                      profile: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
-    """Assign each device its owned modality set according to the profile.
+                      profile: Sequence[tuple[int, int]] | None) -> list[tuple[int, ...]]:
+    """Assign each device its owned modality set by the profile (None: the default).
 
     Within a group the subsets of the requested size rotate through all
     combinations, so ownership stays balanced across modalities.
     """
     from itertools import combinations
 
+    profile = default_modality_profile(num_devices, num_modalities) if profile is None else profile
     counts = [int(c) for c, _ in profile]
     if sum(counts) != num_devices or any(c < 0 for c in counts):
         raise ConfigError(f"profile group sizes {counts} do not partition {num_devices} devices")

@@ -162,9 +162,8 @@ class Simulation:
         self.rng_channel = np.random.default_rng(channel_ss)
         self.rng_sched = np.random.default_rng(sched_ss)
 
-        profile = cfg.modality_profile or datagen.default_modality_profile(
-            cfg.num_devices, cfg.num_modalities)
-        owned_sets = datagen.assign_modalities(cfg.num_devices, cfg.num_modalities, profile)
+        owned_sets = datagen.assign_modalities(
+            cfg.num_devices, cfg.num_modalities, cfg.modality_profile)
         means = datagen.make_class_means(
             data_rng, cfg.data.num_classes, cfg.data.input_dims, cfg.data.mean_separation)
         datasets = []

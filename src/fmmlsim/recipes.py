@@ -9,7 +9,7 @@ class clusters to show the same relative trends inside 50 rounds.
 
 from __future__ import annotations
 
-from .config import _NESTED, RunConfig, config_from_dict
+from .config import RunConfig, config_from_dict
 
 RECIPE_NAMES = ("table1_trend", "table3_trend", "table4_trend", "table5_trend", "fig3_trend")
 
@@ -44,13 +44,11 @@ _DESK_BASE = {
 
 
 def desk_config(seed: int = 0, **overrides) -> RunConfig:
-    """One desk-scale run config; keyword overrides patch the base recipe."""
+    """One desk-scale run config; keyword overrides patch the base recipe, dicts its sections."""
     payload: dict = {**_DESK_BASE, "seed": seed}
     for key, value in overrides.items():
-        if key in _NESTED and isinstance(value, dict):
-            payload[key] = {**payload.get(key, {}), **value}
-        else:
-            payload[key] = value
+        section = isinstance(value, dict) and isinstance(payload.get(key), dict)
+        payload[key] = {**payload[key], **value} if section else value
     return config_from_dict(payload)
 
 

@@ -198,6 +198,30 @@ def test_cli_gains_trace(tmp_path):
     assert len(lines) == 1 + 2 * 9  # two rounds, nine devices
 
 
+@pytest.mark.parametrize("file_value, flag, key, flag_value", [
+    ({"rounds": -1}, "--rounds", "rounds", 1),
+    ({"quota": 12}, "--khat", "quota", 3),
+], ids=["rounds", "quota"])
+def test_cli_flag_replaces_an_invalid_file_value(tmp_path, file_value, flag, key, flag_value):
+    write_cfg(tmp_path, {**small_payload(), **file_value}, "base.json")
+    out = tmp_path / "out"
+    code = main(["--config", str(tmp_path / "base.json"), flag, str(flag_value),
+                 "--out", str(out)])
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text())["config"][key] == flag_value
+
+
+def test_cli_rejects_a_file_that_is_not_an_object_also_with_flags(tmp_path, capsys):
+    (tmp_path / "base.json").write_text("[1]")
+    code = main(["--config", str(tmp_path / "base.json"), "--rounds", "1",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config: expected an object")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_config_error_exit_code(tmp_path):
     write_cfg(tmp_path, {"quota": 99}, "base.json")
     code = main(["--config", str(tmp_path / "base.json")])
@@ -524,6 +548,12 @@ def test_recipe_suites_validate_and_count():
         for label, cfg in recipe_suite(name):
             validate_config(cfg)  # must not raise
             assert label
+
+
+def test_desk_config_patches_a_section_key_by_key():
+    cfg = desk_config(compute={"heterogeneity": 2.0})
+    assert cfg.compute.heterogeneity == 2.0
+    assert cfg.compute.cycles_per_s == 7e5  # the base's, not the library default
 
 
 def test_recipe_unknown_name():

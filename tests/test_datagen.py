@@ -41,6 +41,12 @@ def test_default_profiles():
     assert default_modality_profile(4, 1) == [(4, 1)]
 
 
+@pytest.mark.parametrize("num_devices, num_modalities", [(9, 2), (18, 3), (4, 1)])
+def test_no_profile_assigns_by_the_default_profile(num_devices, num_modalities):
+    assert assign_modalities(num_devices, num_modalities, None) == assign_modalities(
+        num_devices, num_modalities, default_modality_profile(num_devices, num_modalities))
+
+
 def test_profile_inconsistencies_raise():
     with pytest.raises(ConfigError):
         assign_modalities(9, 2, [(3, 2), (5, 1)])  # sizes do not sum to K

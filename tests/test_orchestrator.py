@@ -413,9 +413,8 @@ def test_set_up_fixes_every_input_the_kernel_trusts(overrides):
     cfg = desk_config(0, **overrides)
     sim = Simulation(cfg)
     arch, head = sim.arch, sim.arch.shared_block_id
-    profile = cfg.modality_profile or datagen.default_modality_profile(
-        cfg.num_devices, cfg.num_modalities)
-    assigned = datagen.assign_modalities(cfg.num_devices, cfg.num_modalities, profile)
+    assigned = datagen.assign_modalities(cfg.num_devices, cfg.num_modalities,
+                                         cfg.modality_profile)
     for dev in sim.devices:
         owned = dev.dataset.owned
         assert owned == tuple(sorted(assigned[dev.device_id]))
