@@ -117,15 +117,14 @@ def build_round_mask(indicators: np.ndarray, participants: np.ndarray) -> np.nda
 def aggregate(rows: np.ndarray, uploaders: np.ndarray, U: np.ndarray) -> CacheEntry:
     """Convex combination of the uploaded blocks for every weight row at once.
 
-    rows is one (K,) weight row or an (n, K) stack; uploaders are the devices
-    that uploaded, ascending, and U is the (len(uploaders), P_b) stack of
-    their flat block vectors in that order. Nothing is checked: the rows must
-    be zero off the uploaders, as `softmax_row` over the uploaders makes
-    them, and `Simulation.step` gathers U one row per uploader. The entry
-    keeps U as given (not a copy), and row i of its `aggregated` is
+    rows is an (n, K) stack of weight rows; uploaders are the devices that
+    uploaded, ascending, and U is the (len(uploaders), P_b) stack of their
+    flat block vectors in that order. Nothing is checked: the rows must be
+    zero off the uploaders, as `softmax_row` over the uploaders makes them,
+    and `Simulation.step` gathers U one row per uploader. The entry keeps U
+    as given (not a copy), and row i of its `aggregated` is
     rows[i, uploaders] @ U.
     """
-    rows = np.atleast_2d(rows)
     return CacheEntry(uploaders=uploaders, U=U, rows=rows, aggregated=rows[:, uploaders] @ U)
 
 
@@ -229,13 +228,8 @@ def update_weights(state: CoefficientState, prev: GradCache, fresh: GradCache,
 
 
 def effective_rows(state: CoefficientState, block: int, owners: np.ndarray,
-                   rows: np.ndarray | None = None) -> np.ndarray:
+                   rows: np.ndarray) -> np.ndarray:
     """Structural aggregation weights (full participation, no round mask):
     each owner's row is a softmax of its own raw row over the owners. Returns
-    the (len(rows), K) rows of the owner ids `rows`, by default the whole
-    (K, K) matrix, zero off the owners."""
-    if rows is not None:
-        return softmax_row(state.raw[block][rows], owners)
-    out = np.zeros_like(state.raw[block])
-    out[owners] = softmax_row(state.raw[block][owners], owners)
-    return out
+    the (len(rows), K) rows of the owner ids `rows`, zero off the owners."""
+    return softmax_row(state.raw[block][rows], owners)

@@ -55,8 +55,7 @@ def main(argv=None) -> int:
         result = sim.run()
         reporting.write_rounds_csv(out_dir / "rounds.csv", result.logs, cfg.num_devices)
         reporting.write_schedule_csv(out_dir / "schedule.csv", result.logs, sim.owners)
-        logs = result.logs if cfg.record_coefficients else []
-        reporting.write_coefficients_csv(out_dir / "coefficients.csv", logs, sim.owners)
+        reporting.write_coefficients_csv(out_dir / "coefficients.csv", result.logs, sim.owners)
         if cfg.record_gains:
             reporting.write_gains_csv(out_dir / "gains.csv", result.logs, cfg.num_devices)
         reporting.write_summary_json(out_dir / "summary.json", result.summary)

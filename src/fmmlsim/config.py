@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+import reprlib
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
@@ -91,7 +92,8 @@ class RunConfig:
         return self.quota
 
 
-_NESTED = {"data": DataConfig, "arch": ArchConfig, "link": LinkConfig, "compute": ComputeConfig}
+# the sections: the fields whose default is a config dataclass of its own
+_NESTED = {f.name: f.default_factory for f in fields(RunConfig) if is_dataclass(f.default_factory)}
 
 
 def _require(cond: bool, message: str):
@@ -154,7 +156,7 @@ def _build(cls, payload: dict, path: str):
         elif value is not None or kind == annotations[name]:
             accepts, what, form = _TYPE_CHECKS[kind]
             value = form(value) if form else value
-            _require(accepts(value), f"{where}{name}: must be {what}, got {value!r}")
+            _require(accepts(value), f"{where}{name}: must be {what}, got {reprlib.repr(value)}")
         kwargs[name] = value
     return cls(**kwargs)
 

@@ -10,16 +10,16 @@ array that stacks one block for many devices. A `ParamBlock` checks its
 vector and cuts its layer views from its shapes, the layout's one statement,
 once, when it is built; its fields cannot be rebound, so the views stay
 valid for its lifetime. Gradients are flat arrays keyed by block, written
-through the views of a caller's reused workspace of gradient blocks or of
-fresh zeroed ones, and `sgd_step` updates the block vectors in place, so the
-views, and the rows they belong to, follow. Every matrix product whose
-output is contiguous goes through `np.dot`, the cheapest call per product at
-these sizes; the rest use `np.matmul(..., out=)`. The classifier always
-consumes a fixed-width concatenation of all modality feature slots; slots
-for modalities a device does not own stay zero, which keeps the head block
-structurally identical across devices. The kernel trusts what set-up fixes
-before round 1: each device's block set, the width of each modality's
-features and the label range. It checks only for non-finite values.
+through the views of a caller's workspace of gradient blocks, and `sgd_step`
+updates the block vectors in place, so the views, and the rows they belong
+to, follow. Every matrix product whose output is contiguous goes through
+`np.dot`, the cheapest call per product at these sizes; the rest use
+`np.matmul(..., out=)`. The classifier always consumes a fixed-width
+concatenation of all modality feature slots; slots for modalities a device
+does not own stay zero, which keeps the head block structurally identical
+across devices. The kernel trusts what set-up fixes before round 1: each
+device's block set, the width of each modality's features and the label
+range. It checks only for non-finite values.
 """
 
 from __future__ import annotations
@@ -195,19 +195,17 @@ def forward_batch(arch: ArchSpec, params: Mapping[int, ParamBlock],
 
 def loss_and_grad(arch: ArchSpec, params: Mapping[int, ParamBlock],
                   features: Mapping[int, np.ndarray], labels: np.ndarray,
-                  out: Mapping[int, ParamBlock] | None = None
-                  ) -> tuple[float, dict[int, np.ndarray]]:
+                  out: Mapping[int, ParamBlock]) -> tuple[float, dict[int, np.ndarray]]:
     """Mean softmax cross-entropy over the batch and its exact gradient.
 
     The log-sum-exp is computed with max subtraction, so large scores do not
     overflow. The gradient maps each block of params to one flat array laid
-    out like that block's values. With `out`, a workspace of gradient blocks
-    covering params, each layer is written in place through its views and the
-    arrays returned are the workspace's `values`, overwritten by the next such
-    call; without it every call returns new arrays. Not re-checked here: the
-    features are float64 (B, d_m) arrays, B >= 1, for exactly the modality
-    blocks of params, and labels holds B ints in 0..C-1. Non-finite class
-    scores raise NumericOverflowError.
+    out like that block's values, written in place through the layer views of
+    `out`, a workspace of gradient blocks covering params: the arrays returned
+    are its `values`, overwritten by the next call into it. Not re-checked
+    here: the features are float64 (B, d_m) arrays, B >= 1, for exactly the
+    modality blocks of params, and labels holds B ints in 0..C-1. Non-finite
+    class scores raise NumericOverflowError.
     """
     scores, enc_cache, layers, acts = _forward_cached(arch, params, features)
     batch = scores.shape[0]
@@ -225,8 +223,6 @@ def loss_and_grad(arch: ArchSpec, params: Mapping[int, ParamBlock],
     flat[picks] -= 1.0
     d /= batch
 
-    if out is None:
-        out = {b: ParamBlock(b, np.zeros(p.param_count), p.shapes) for b, p in params.items()}
     gviews = out[arch.shared_block_id].arrays()
     np.dot(d.T, acts[-1], out=gviews[-2])
     np.add.reduce(d, axis=0, out=gviews[-1])

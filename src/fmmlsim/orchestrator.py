@@ -80,17 +80,16 @@ class RunResult:
 
 
 def local_update_phase(arch: ArchSpec, device: DeviceState, lr: float,
-                       local_iters: int, batch_size: int, prox_mu: float = 0.0,
-                       grad_out: dict[int, ParamBlock] | None = None) -> float:
+                       local_iters: int, batch_size: int, prox_mu: float,
+                       grad_out: dict[int, ParamBlock]) -> float:
     """Run the device's local SGD steps for one round, in place on device.params.
 
     Batches cycle through a fresh shuffle of the train split. With a positive
     prox_mu the gradient gains mu * (w - anchor), pulling the iterates back
     toward the round-start parameters (the anchor). Gradients are written
-    into the `grad_out` workspace when given. Returns the mean loss. A
-    floating-point overflow anywhere in the steps, even one that tanh would
-    saturate back to finite scores, raises NumericOverflowError naming the
-    device.
+    into the `grad_out` workspace. Returns the mean loss. A floating-point
+    overflow anywhere in the steps, even one that tanh would saturate back
+    to finite scores, raises NumericOverflowError naming the device.
     """
     train = device.dataset.train
     n = len(train)

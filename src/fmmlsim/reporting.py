@@ -145,6 +145,7 @@ def _helper_pipe(lines: Iterable[str]) -> Iterator[int]:
 def write_coefficients_csv(path: str | Path, logs: Sequence[RoundLog],
                            owners: dict[int, np.ndarray]) -> None:
     """Raw and structural (full-participation) weights per participant pair,
+    from the logs that hold a coefficient record (none: the header alone),
     written by one process or, as the module says, two; both give the same
     bytes. A helper that fails raises ChildProcessError (an OSError) once it
     is reaped; no helper outlives the call.

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from fmmlsim import desk_config, nn_core
-from fmmlsim.aggregation import (block_owners, coeff_jacobian, effective_rows, init_coeffs,
+from fmmlsim.aggregation import (block_owners, coeff_jacobian, init_coeffs,
                                  masked_renormalize, softmax_row)
 from fmmlsim.cli import main
 from fmmlsim.config import config_to_dict
 from fmmlsim.orchestrator import Simulation
 from fmmlsim.scheduler import schedule_round
 from fmmlsim.wireless import mean_gain, path_loss_db, sample_round_gains
+from forms import owner_matrix, zero_grads
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -144,7 +145,7 @@ def test_criterion_03_model_gradient_oracle():
         params = nn_core.slice_device_params(full, owned, arch.shared_block_id)
         feats = {m: rng.normal(size=(5, arch.input_dims[m - 1])) for m in owned}
         labels = rng.integers(0, 4, size=5)
-        _, grad = nn_core.loss_and_grad(arch, params, feats, labels)
+        _, grad = nn_core.loss_and_grad(arch, params, feats, labels, out=zero_grads(params))
         step = 1e-4
         for b, block in params.items():
             an = grad[b]
@@ -160,9 +161,9 @@ def test_criterion_03_model_gradient_oracle():
                 blocks_lo = dict(params)
                 blocks_lo[b] = nn_core.ParamBlock(b, lo, block.shapes)
                 lhi, _ = nn_core.loss_and_grad(
-                    arch, blocks_hi, feats, labels)
+                    arch, blocks_hi, feats, labels, out=zero_grads(blocks_hi))
                 llo, _ = nn_core.loss_and_grad(
-                    arch, blocks_lo, feats, labels)
+                    arch, blocks_lo, feats, labels, out=zero_grads(blocks_lo))
                 fd = (lhi - llo) / (2 * step)
                 worst = max(worst, abs(fd - an[i]) / abs(an[i]))
                 checked += 1
@@ -208,8 +209,8 @@ def test_criterion_06_coefficient_trend(trend_battery):
         owners = block_owners(result.summary["owned_modalities"], cfg.num_modalities)
         # round 1 steps no raw row, so its effective rows are the initial ones
         start = init_coeffs(cfg.num_devices, sorted(owners), cfg.coeff_lr)
-        first = {b: effective_rows(start, b, owners[b]) for b in owners}
-        last = {b: effective_rows(result.server.coeffs, b, owners[b]) for b in owners}
+        first = {b: owner_matrix(start, b, owners[b]) for b in owners}
+        last = {b: owner_matrix(result.server.coeffs, b, owners[b]) for b in owners}
         all_blocks_rise = True
         for b in first:
             eff1 = first[b]

@@ -11,6 +11,7 @@ from fmmlsim.aggregation import (aggregate, block_owners,
                                  estimate_block_gradient, init_coeffs,
                                  masked_renormalize, softmax_row)
 from fmmlsim.errors import AggregationError
+from forms import owner_matrix
 
 
 def vec_block(values):
@@ -60,7 +61,7 @@ def test_effective_rows_are_owner_softmax_rows():
     state = init_coeffs(3, (1, 2), lr=0.01)
     state.raw[1][0] = [0.5, -2.0, 1.0]
     owners = np.array([True, False, True])
-    rows = effective_rows(state, 1, owners)
+    rows = owner_matrix(state, 1, owners)
     np.testing.assert_array_equal(rows[0], softmax_row(state.raw[1][0], owners))
     np.testing.assert_array_equal(rows[1], np.zeros(3))
     np.testing.assert_allclose(rows[2], [0.5, 0.0, 0.5])
@@ -176,21 +177,21 @@ def aggregate_loop(weight_row, uploads):
 
 def test_aggregate_one_hot_returns_own_upload():
     uploads = {0: vec_block([1.0, 2.0]), 1: vec_block([5.0, -5.0])}
-    out = aggregate(np.array([0.0, 1.0]), *stacked(uploads))
+    out = aggregate(np.array([0.0, 1.0])[None], *stacked(uploads))
     np.testing.assert_array_equal(out.aggregated[0], [5.0, -5.0])
 
 
 def test_aggregate_uniform_equals_mean():
     rng = np.random.default_rng(1)
     uploads = {k: vec_block(rng.normal(size=4)) for k in range(5)}
-    out = aggregate(np.full(5, 0.2), *stacked(uploads))
+    out = aggregate(np.full(5, 0.2)[None], *stacked(uploads))
     expected = np.mean([uploads[k] for k in range(5)], axis=0)
     np.testing.assert_allclose(out.aggregated[0], expected, atol=1e-12)
 
 
 def test_aggregate_hand_value():
     uploads = {0: vec_block([1.0, 1.0]), 1: vec_block([3.0, -1.0])}
-    out = aggregate(np.array([0.625, 0.375]), *stacked(uploads))
+    out = aggregate(np.array([0.625, 0.375])[None], *stacked(uploads))
     np.testing.assert_allclose(out.aggregated[0], [1.75, 0.25], atol=1e-12)
 
 
@@ -222,7 +223,7 @@ def test_batched_aggregate_matches_the_per_row_loop():
 
 def test_aggregate_keeps_the_given_stack():
     uploaders, U = stacked({0: vec_block([1.0, 2.0]), 2: vec_block([3.0, 4.0])})
-    out = aggregate(np.array([0.5, 0.0, 0.5]), uploaders, U)
+    out = aggregate(np.array([0.5, 0.0, 0.5])[None], uploaders, U)
     assert out.U is U
     np.testing.assert_array_equal(out.uploaders, [0, 2])
     np.testing.assert_array_equal(out.aggregated, [[2.0, 3.0]])
@@ -324,7 +325,7 @@ def test_estimate_raw_delta_mode():
 def entry_for(raw_row, mask_row, participants, uploads):
     """One device's cached aggregation: its row is the softmax over participants and mask."""
     allowed = np.asarray(participants, dtype=bool) & (np.asarray(mask_row) > 0)
-    return aggregate(softmax_row(raw_row, allowed),
+    return aggregate(softmax_row(raw_row, allowed)[None],
                      *stacked({k: vec_block(v) for k, v in uploads.items()}))
 
 
@@ -395,7 +396,7 @@ def test_coeff_grad_picks_the_entry_row():
     rows = np.array([[0.5, 0.5], [0.25, 0.75]])
     entry = aggregate(rows, *stacked(uploads))
     for i in range(2):
-        single = aggregate(rows[i], *stacked(uploads))
+        single = aggregate(rows[i][None], *stacked(uploads))
         np.testing.assert_array_equal(grad_row(entry, i, vec_block([0.7])),
                                       grad_row(single, 0, vec_block([0.7])))
 
@@ -476,7 +477,7 @@ def test_fedavg_reduction_uniform_weights():
     uploads = {k: vec_block(rng.normal(size=10)) for k in range(n)}
     mask = build_round_mask(np.ones(n, dtype=int), owners)
     row = masked_renormalize(softmax_row(state.raw[1][0], owners), mask[0])
-    out = aggregate(row, *stacked(uploads))
+    out = aggregate(row[None], *stacked(uploads))
     expected = np.mean([uploads[k] for k in range(n)], axis=0)
     assert np.abs(out.aggregated[0] - expected).max() < 1e-9
 

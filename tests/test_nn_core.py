@@ -10,6 +10,7 @@ from fmmlsim.nn_core import (ArchSpec, ParamBlock,
                              forward_batch, loss_and_grad, sgd_step,
                              flops_per_iteration,
                              init_full_params, slice_device_params)
+from forms import zero_grads
 
 
 def toy_arch():
@@ -95,7 +96,8 @@ def test_uniform_scores_give_log_c_loss():
     params = zero_params(arch, (1, 2))
     rng = np.random.default_rng(0)
     feats = random_features(arch, (1, 2), 8, rng)
-    loss, _ = loss_and_grad(arch, params, feats, rng.integers(0, 6, size=8))
+    loss, _ = loss_and_grad(arch, params, feats, rng.integers(0, 6, size=8),
+                            out=zero_grads(params))
     assert loss == pytest.approx(np.log(6.0), rel=1e-12)
 
 
@@ -109,7 +111,7 @@ def central_difference_grad(arch, params, feats, labels, step=1e-4):
                 vals[i] += sign * step
                 shifted = {bb: (ParamBlock(bb, vals, block.shapes) if bb == b else pb)
                            for bb, pb in params.items()}
-                loss, _ = loss_and_grad(arch, shifted, feats, labels)
+                loss, _ = loss_and_grad(arch, shifted, feats, labels, out=zero_grads(shifted))
                 g[i] += sign * loss / (2.0 * step)
         fd[b] = g
     return fd
@@ -123,7 +125,7 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     feats = random_features(arch, (1, 2), 6, rng)
     labels = rng.integers(0, 3, size=6)
-    _, grad = loss_and_grad(arch, params, feats, labels)
+    _, grad = loss_and_grad(arch, params, feats, labels, out=zero_grads(params))
     fd = central_difference_grad(arch, params, feats, labels)
     for b in params:
         an = grad[b]
@@ -144,7 +146,7 @@ def test_gradient_check_random_small_nets():
         params = random_params(arch, owned, seed=trial)
         feats = random_features(arch, owned, 4, rng)
         labels = rng.integers(0, arch.num_classes, size=4)
-        _, grad = loss_and_grad(arch, params, feats, labels)
+        _, grad = loss_and_grad(arch, params, feats, labels, out=zero_grads(params))
         fd = central_difference_grad(arch, params, feats, labels)
         for b in params:
             an = grad[b]
@@ -160,9 +162,10 @@ def test_duplicated_batch_leaves_loss_and_grad_unchanged():
     rng = np.random.default_rng(4)
     feats = random_features(arch, (1, 2), 5, rng)
     labels = rng.integers(0, 6, size=5)
-    loss1, grad1 = loss_and_grad(arch, params, feats, labels)
+    loss1, grad1 = loss_and_grad(arch, params, feats, labels, out=zero_grads(params))
     doubled = {m: np.concatenate([x, x]) for m, x in feats.items()}
-    loss2, grad2 = loss_and_grad(arch, params, doubled, np.concatenate([labels, labels]))
+    loss2, grad2 = loss_and_grad(arch, params, doubled, np.concatenate([labels, labels]),
+                                 out=zero_grads(params))
     assert loss1 == pytest.approx(loss2, rel=1e-12)
     for b in grad1:
         np.testing.assert_allclose(grad1[b], grad2[b], atol=1e-14)
@@ -174,8 +177,8 @@ def test_loss_nonnegative_and_deterministic():
     rng = np.random.default_rng(8)
     feats = random_features(arch, (1, 2), 16, rng)
     labels = rng.integers(0, 6, size=16)
-    loss1, grad1 = loss_and_grad(arch, params, feats, labels)
-    loss2, grad2 = loss_and_grad(arch, params, feats, labels)
+    loss1, grad1 = loss_and_grad(arch, params, feats, labels, out=zero_grads(params))
+    loss2, grad2 = loss_and_grad(arch, params, feats, labels, out=zero_grads(params))
     assert loss1 >= 0.0
     assert loss1 == loss2
     for b in grad1:
@@ -255,7 +258,8 @@ def test_structure_preserved_by_sgd():
     params = random_params(arch, (1, 2), seed=12)
     rng = np.random.default_rng(13)
     feats = random_features(arch, (1, 2), 4, rng)
-    _, grad = loss_and_grad(arch, params, feats, rng.integers(0, 6, size=4))
+    _, grad = loss_and_grad(arch, params, feats, rng.integers(0, 6, size=4),
+                            out=zero_grads(params))
     out = copy.deepcopy(params)
     sgd_step(out, grad, 0.01)
     assert set(out) == set(params)
@@ -373,7 +377,7 @@ def test_loss_and_grad_is_bit_identical_to_concatenated_assembly(owned, hidden):
     for batch in (1, 32):
         feats = random_features(arch, owned, batch, rng)
         labels = rng.integers(0, arch.num_classes, size=batch)
-        loss, grad = loss_and_grad(arch, params, feats, labels)
+        loss, grad = loss_and_grad(arch, params, feats, labels, out=zero_grads(params))
         ref_loss, ref_grad = concatenated_loss_and_grad(arch, params, feats, labels)
         assert loss == ref_loss
         assert set(grad) == set(ref_grad)
@@ -435,13 +439,13 @@ def test_views_of_a_deep_copy_follow_the_copy_not_the_original():
     for b, p in clone.items():
         assert all(np.shares_memory(a, p.values) for a in p.arrays())
         assert not any(np.shares_memory(a, params[b].values) for a in p.arrays())
-    _, grad = loss_and_grad(arch, clone, feats, labels)
+    _, grad = loss_and_grad(arch, clone, feats, labels, out=zero_grads(clone))
     sgd_step(clone, grad, 0.5)
     for b, p in clone.items():
         assert all(np.shares_memory(a, p.values) for a in p.arrays())
     fresh = {b: ParamBlock(b, p.values.copy(), p.shapes) for b, p in clone.items()}
-    loss, grad = loss_and_grad(arch, clone, feats, labels)
-    ref_loss, ref_grad = loss_and_grad(arch, fresh, feats, labels)
+    loss, grad = loss_and_grad(arch, clone, feats, labels, out=zero_grads(clone))
+    ref_loss, ref_grad = loss_and_grad(arch, fresh, feats, labels, out=zero_grads(fresh))
     assert loss == ref_loss
     for b in fresh:
         assert np.array_equal(grad[b], ref_grad[b])
@@ -483,7 +487,7 @@ def test_loss_and_grad_into_a_workspace_matches_the_fresh_path(owned, hidden):
         feats = random_features(arch, owned, batch, rng)
         labels = rng.integers(0, arch.num_classes, size=batch)
         loss, grad = loss_and_grad(arch, params, feats, labels, out=out)
-        fresh_loss, fresh = loss_and_grad(arch, params, feats, labels)
+        fresh_loss, fresh = loss_and_grad(arch, params, feats, labels, out=zero_grads(params))
         ref_loss, ref = concatenated_loss_and_grad(arch, params, feats, labels)
         assert loss == fresh_loss == ref_loss
         assert list(grad) == list(params)
@@ -511,6 +515,6 @@ def test_a_device_with_fewer_modalities_gets_only_its_own_blocks_from_a_shared_w
     _, grad = loss_and_grad(arch, narrow, feats, labels, out=out)
     assert list(grad) == [2, arch.shared_block_id]
     sgd_step(narrow, grad, 0.1)
-    sgd_step(twin, loss_and_grad(arch, twin, feats, labels)[1], 0.1)
+    sgd_step(twin, loss_and_grad(arch, twin, feats, labels, out=zero_grads(twin))[1], 0.1)
     for b in narrow:
         assert np.array_equal(narrow[b].values, twin[b].values)

@@ -14,6 +14,7 @@ from fmmlsim.errors import StalledLinkError
 from fmmlsim.orchestrator import (RoundLog, Simulation, evaluate_personalized,
                                   local_update_phase, run_training,
                                   simulated_training_time)
+from forms import owner_matrix, zero_grads
 
 
 def quick_cfg(**over):
@@ -37,11 +38,13 @@ def test_single_iteration_matches_one_sgd_step():
     rng_copy = copy.deepcopy(dev.rng)
     expected = copy.deepcopy(dev.params)
     mean_loss = local_update_phase(
-        sim.arch, dev, lr=0.1, local_iters=1, batch_size=n)
+        sim.arch, dev, lr=0.1, local_iters=1, batch_size=n, prox_mu=0.0,
+        grad_out=zero_grads(dev.params))
     perm = rng_copy.permutation(n)
     feats = {m: dev.dataset.train.features[m][perm] for m in dev.dataset.owned}
     loss, grad = nn_core.loss_and_grad(sim.arch, expected, feats,
-                                       dev.dataset.train.labels[perm])
+                                       dev.dataset.train.labels[perm],
+                                       out=zero_grads(expected))
     nn_core.sgd_step(expected, grad, 0.1)
     assert mean_loss == pytest.approx(loss)
     for b in expected:
@@ -59,7 +62,8 @@ def test_multi_iteration_update_matches_per_iteration_gather(prox_mu):
     rng_copy = copy.deepcopy(dev.rng)
     anchor = copy.deepcopy(dev.params)
     mean_loss = local_update_phase(
-        sim.arch, dev, lr=0.1, local_iters=iters, batch_size=batch, prox_mu=prox_mu)
+        sim.arch, dev, lr=0.1, local_iters=iters, batch_size=batch, prox_mu=prox_mu,
+        grad_out=zero_grads(dev.params))
 
     # reference: gather each iteration's batch from the shuffle on its own
     perm = rng_copy.permutation(n)
@@ -68,7 +72,8 @@ def test_multi_iteration_update_matches_per_iteration_gather(prox_mu):
         idx = perm[np.arange(i * batch, (i + 1) * batch) % n]
         feats = {m: dev.dataset.train.features[m][idx] for m in dev.dataset.owned}
         loss, grad = nn_core.loss_and_grad(sim.arch, params, feats,
-                                           dev.dataset.train.labels[idx])
+                                           dev.dataset.train.labels[idx],
+                                           out=zero_grads(params))
         if prox_mu > 0.0:
             grad = {b: g + prox_mu * (params[b].values - anchor[b].values)
                     for b, g in grad.items()}
@@ -90,7 +95,8 @@ def local_update_round_gather(arch, device, lr, local_iters, batch_size):
     for i in range(local_iters):
         rows = idx[i * batch_size:(i + 1) * batch_size]
         feats = {m: train.features[m][rows] for m in device.dataset.owned}
-        loss, grad = nn_core.loss_and_grad(arch, device.params, feats, train.labels[rows])
+        loss, grad = nn_core.loss_and_grad(arch, device.params, feats, train.labels[rows],
+                                           out=zero_grads(device.params))
         nn_core.sgd_step(device.params, grad, lr)
         losses.append(loss)
     return float(np.add.reduce(losses) / local_iters)
@@ -107,7 +113,8 @@ def test_round_batch_gather_matches_the_modulo_gather(regime):
     assert (iters * batch <= n) == (regime != "wraps around the shuffle")
     for dev in sim.devices[:3]:
         twin = copy.deepcopy(dev)
-        loss = local_update_phase(sim.arch, dev, 0.05, iters, batch)
+        loss = local_update_phase(sim.arch, dev, 0.05, iters, batch, 0.0,
+                                  zero_grads(dev.params))
         ref = local_update_round_gather(sim.arch, twin, 0.05, iters, batch)
         assert loss == ref
         for b, p in twin.params.items():
@@ -166,9 +173,12 @@ def test_local_update_descends_on_average():
         sim = Simulation(quick_cfg(seed=seed, algorithm="local"))
         dev = sim.devices[0]
         train = dev.dataset.train
-        loss0, _ = nn_core.loss_and_grad(sim.arch, dev.params, train.features, train.labels)
-        local_update_phase(sim.arch, dev, lr=0.02, local_iters=10, batch_size=32)
-        loss1, _ = nn_core.loss_and_grad(sim.arch, dev.params, train.features, train.labels)
+        loss0, _ = nn_core.loss_and_grad(sim.arch, dev.params, train.features, train.labels,
+                                         out=zero_grads(dev.params))
+        local_update_phase(sim.arch, dev, lr=0.02, local_iters=10, batch_size=32, prox_mu=0.0,
+                           grad_out=zero_grads(dev.params))
+        loss1, _ = nn_core.loss_and_grad(sim.arch, dev.params, train.features, train.labels,
+                                         out=zero_grads(dev.params))
         drops.append(loss0 - loss1)
     assert np.mean(drops) > 0
 
@@ -286,7 +296,7 @@ def test_each_round_schedules_with_the_current_effective_self_weights(seed):
     sim = Simulation(quick_cfg(seed=seed, algorithm="proposed"))
     for _ in range(3):
         for b in sim.block_ids:
-            diag = np.diag(agg.effective_rows(sim.server.coeffs, b, sim.owners[b]))
+            diag = np.diag(owner_matrix(sim.server.coeffs, b, sim.owners[b]))
             assert np.array_equal(sim.self_weights[b], diag)
         sim.step()
 
@@ -308,7 +318,7 @@ def test_coefficient_records_hold_exactly_the_rows_that_changed(k):
             expected = sim.owners[b] if t == 1 else changed
             assert rows.tolist() == np.flatnonzero(expected).tolist()
             assert raw.tobytes() == coeffs.raw[b][rows].tobytes()
-            full = agg.effective_rows(coeffs, b, sim.owners[b])
+            full = owner_matrix(coeffs, b, sim.owners[b])
             assert eff.tobytes() == full[rows].tobytes()
             assert np.array_equal(sim.self_weights[b], np.diag(full))
             before[b] = coeffs.raw[b].copy()
@@ -611,6 +621,7 @@ def test_local_update_into_the_workspace_matches_the_fresh_path(prox_mu):
         twin = copy.deepcopy(dev)
         loss = local_update_phase(sim.arch, dev, 0.05, 5, 32, prox_mu=prox_mu,
                                   grad_out=sim.grad_workspace)
-        assert loss == local_update_phase(sim.arch, twin, 0.05, 5, 32, prox_mu=prox_mu)
+        assert loss == local_update_phase(sim.arch, twin, 0.05, 5, 32, prox_mu=prox_mu,
+                                          grad_out=zero_grads(twin.params))
         for b, p in twin.params.items():
             assert np.array_equal(dev.params[b].values, p.values)

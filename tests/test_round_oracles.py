@@ -1,10 +1,11 @@
 """The round's array code against the per-device loops it replaced.
 
 Latency accounting, scheduling and the aggregation-weight update run once
-per round or per block over (K,) arrays and stacked products. The loops
-below are the per-device and per-row code they replaced, kept as oracles:
-on every generated case the array code must give bit-equal arrays, equal
-metric dicts (key order included) and the same error message.
+per round or per block over (K,) arrays and stacked products. The
+per-device loops of `reference.py` and the per-row loops below are the code
+they replaced, kept as oracles: on every generated case the array code must
+give bit-equal arrays, equal metric dicts (key order included) and the same
+error message.
 """
 
 import re
@@ -18,87 +19,10 @@ from fmmlsim import aggregation as agg
 from fmmlsim.errors import SchedulingError, StalledLinkError
 from fmmlsim.scheduler import schedule_round
 from fmmlsim.wireless import download_latency, upload_latency
+from reference import (download_latency_reference, schedule_round_reference,
+                       upload_latency_reference)
 
-# ----------------------------- per-device references -----------------------------
-
-
-def transfer_time_reference(bits, rate, link):
-    if bits == 0:
-        return 0.0
-    if rate <= 0:
-        raise StalledLinkError(f"{bits} bits scheduled on a zero-rate {link}")
-    return bits / rate
-
-
-def download_latency_reference(prev_indicators, owners, sizes_bits, rates_down):
-    """Per device: fetch the blocks it owns and uploaded last round."""
-    out = np.zeros(len(rates_down))
-    for k in range(len(rates_down)):
-        bits = sum(sizes_bits[b] for b, ind in prev_indicators.items()
-                   if owners[b][k] and int(ind[k]))
-        out[k] = transfer_time_reference(bits, float(rates_down[k]), "downlink")
-    return out
-
-
-def upload_latency_reference(indicators, sizes_bits, rates_up):
-    """Per device: ship every block scheduled for it this round."""
-    out = np.zeros(len(rates_up))
-    for k in range(len(rates_up)):
-        bits = sum(sizes_bits[b] for b, ind in indicators.items() if int(ind[k]))
-        out[k] = transfer_time_reference(bits, float(rates_up[k]), "uplink")
-    return out
-
-
-def metric_reference(kind, alpha, self_weight, t_down, t_cmp, t_up):
-    total = t_down + t_cmp + t_up
-    if kind == "ratio":
-        if total <= 0:
-            raise SchedulingError("ratio metric needs a positive latency denominator")
-        return (1.0 - self_weight) / total
-    return (1.0 - self_weight) - alpha * total
-
-
-def schedule_block_reference(metrics, staleness, quota, threshold):
-    indicators = np.zeros(staleness.shape[0], dtype=np.int8)
-    stale = staleness.copy()
-    eligible = sorted(metrics)
-    order = sorted(eligible, key=lambda k: (-metrics[k], k))
-    chosen = set(order[:min(quota, len(eligible))])
-    for k in eligible:
-        if k in chosen:
-            indicators[k] = 1
-            stale[k] = 0
-        else:
-            stale[k] += 1
-    for k in eligible:
-        if stale[k] >= threshold:
-            indicators[k] = 1
-            stale[k] = 0
-    return indicators, stale
-
-
-def schedule_round_reference(self_weights, t_down, t_cmp, sizes_bits, up_rates, owners,
-                             kind, alpha, staleness, quota, threshold, selection="metric",
-                             rng=None):
-    """One metric (and one cumulative upload time) per device per block."""
-    indicators, new_stale, values = {}, {}, {}
-    for block in sorted(owners):
-        eligible = [int(k) for k in np.flatnonzero(owners[block])]
-        metrics = {}
-        for k in eligible:
-            if selection == "random":
-                metrics[k] = float(rng.uniform())
-                continue
-            bits = sizes_bits[block] + sum(
-                sizes_bits[b] for b in indicators if b < block and int(indicators[b][k]))
-            t_up = transfer_time_reference(bits, float(up_rates[k]), "uplink")
-            metrics[k] = metric_reference(
-                kind, alpha, float(self_weights[block][k]), float(t_down[k]), float(t_cmp[k]),
-                t_up)
-        indicators[block], new_stale[block] = schedule_block_reference(
-            metrics, staleness[block], quota, threshold)
-        values[block] = metrics
-    return indicators, new_stale, values
+# ----------------------------- per-row references -----------------------------
 
 
 def coeff_grad_reference(entry, i, grad_block):
