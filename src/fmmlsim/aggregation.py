@@ -159,8 +159,8 @@ def estimate_block_gradient(w_prev: np.ndarray, w_new: np.ndarray, eta: float,
     difference w_new - w_prev instead, for ablation. Both are elementwise:
     w_prev and w_new are one flat block each or two (n, P_b) stacks of
     them, of one shape: `update_weights` takes one row of each per stepped
-    device. `validate_config` checks that mode is a GRADIENT_ESTIMATES name
-    and that eta and num_iters are positive.
+    device. The config's field declarations check that mode is a
+    GRADIENT_ESTIMATES name and that eta and num_iters are positive.
     """
     if mode == "raw_delta":
         return w_new - w_prev

@@ -13,8 +13,13 @@ from .scheduler import METRIC_KINDS
 from . import reporting
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed flag is a config error (exit 1), not argparse's exit 2
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fmmlsim",
         description="Simulate personalized federated multi-modal training "
                     "over a modelled wireless network.")
@@ -35,9 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    flags = vars(build_parser().parse_args(argv))
-    path = flags.pop("config")
     try:
+        flags = vars(build_parser().parse_args(argv))
+        path = flags.pop("config")
         # each flag's dest is its config key; a flag replaces the file's value
         # before the one validation, and a file that is not an object fails there
         payload = {} if path is None else read_config_file(path)

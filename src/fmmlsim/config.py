@@ -1,9 +1,10 @@
 """Run configuration: JSON loading, validation, defaults, serialization.
 
-The dataclasses own the field list and every run default; the simulator's
-functions take those values as required arguments. Each field's annotation
-owns its JSON type and the form the field keeps (`_TYPE_CHECKS`), which one
-walk over a payload applies; `validate_config` checks ranges and relations.
+The dataclasses own the field list, every run default and each field's
+range (`_ranged`); the simulator's functions take those values as required
+arguments. Each field's annotation owns its JSON type and the form the field
+keeps (`_TYPE_CHECKS`). One walk over a payload checks each given value's
+type and range; `validate_config` checks the relations between fields.
 """
 
 from __future__ import annotations
@@ -24,64 +25,85 @@ ALGORITHMS = ("proposed", "fedavg", "local", "fedprox")
 BASELINE_SCHEDULERS = ("channel_aware", "random")
 
 
+def _ranged(default, accepts, what: str):
+    """A field whose given values must satisfy `accepts`, else `must be {what}`."""
+    return field(default=default, metadata={"range": (accepts, what)})
+
+
+def _at_least(default, low):
+    return _ranged(default, lambda v: v >= low, f">= {low}")
+
+
+def _positive(default):
+    return _ranged(default, lambda v: v > 0, "positive")
+
+
+def _one_of(default, names: tuple[str, ...]):
+    return _ranged(default, lambda v: v in names, f"one of {names}")
+
+
+def _each_at_least_one(default: tuple[int, ...]):
+    return _ranged(default, lambda v: all(d >= 1 for d in v), ">= 1 in every entry")
+
+
 @dataclass
 class DataConfig:
-    num_classes: int = 6
-    input_dims: tuple[int, ...] = (16, 24)
-    noise_std: float = 1.0
-    mean_separation: float = 3.0
-    samples_per_device: int = 300
-    train_fraction: float = 0.8
+    num_classes: int = _at_least(6, 2)
+    input_dims: tuple[int, ...] = _each_at_least_one((16, 24))
+    noise_std: float = _positive(1.0)
+    mean_separation: float = _positive(3.0)
+    samples_per_device: int = _at_least(300, 2)
+    train_fraction: float = _ranged(0.8, lambda v: 0 < v < 1, "in (0, 1)")
 
 
 @dataclass
 class ArchConfig:
-    encoder_hidden: int = 16
-    feature_len: int = 8
-    classifier_hidden: tuple[int, ...] = (16,)
+    encoder_hidden: int = _at_least(16, 1)
+    feature_len: int = _at_least(8, 1)
+    classifier_hidden: tuple[int, ...] = _each_at_least_one((16,))
 
 
 @dataclass
 class LinkConfig:
-    bandwidth_hz: float = 1e6
-    noise_density: float = 1e-17
-    device_power_w: float = 0.1
-    server_power_w: float = 1.0
-    carrier_ghz: float = 2.6
-    cell_radius_m: float = 50.0
+    bandwidth_hz: float = _positive(1e6)
+    noise_density: float = _positive(1e-17)
+    device_power_w: float = _positive(0.1)
+    server_power_w: float = _positive(1.0)
+    carrier_ghz: float = _positive(2.6)
+    cell_radius_m: float = _positive(50.0)
 
 
 @dataclass
 class ComputeConfig:
-    cycles_per_s: float = 1e8
-    flops_per_cycle: float = 2.0
-    heterogeneity: float = 1.0  # slowest device is this many times slower
+    cycles_per_s: float = _positive(1e8)
+    flops_per_cycle: float = _positive(2.0)
+    heterogeneity: float = _at_least(1.0, 1)  # slowest device is this many times slower
 
 
 @dataclass
 class RunConfig:
-    seed: int = 0
-    rounds: int = 50
-    num_devices: int = 9
-    num_modalities: int = 2
+    seed: int = _at_least(0, 0)
+    rounds: int = _at_least(50, 0)
+    num_devices: int = _at_least(9, 1)
+    num_modalities: int = _at_least(2, 1)
     modality_profile: list[tuple[int, int]] | None = None
-    partition: str = "noniid1"
-    algorithm: str = "proposed"
-    fedprox_mu: float = 0.01
+    partition: str = _one_of("noniid1", PARTITIONS)
+    algorithm: str = _one_of("proposed", ALGORITHMS)
+    fedprox_mu: float = _at_least(0.01, 0)
     data: DataConfig = field(default_factory=DataConfig)
     arch: ArchConfig = field(default_factory=ArchConfig)
     link: LinkConfig = field(default_factory=LinkConfig)
     compute: ComputeConfig = field(default_factory=ComputeConfig)
-    lr: float = 2e-4
-    coeff_lr: float = 0.01
-    local_iters: int = 5
-    batch_size: int = 32
+    lr: float = _positive(2e-4)
+    coeff_lr: float = _at_least(0.01, 0)
+    local_iters: int = _at_least(5, 1)
+    batch_size: int = _at_least(32, 1)
     quota: int | None = None            # None -> ceil(K / 3)
-    staleness_threshold: int = 10
-    metric: str = "ratio"
-    alpha: float = 0.0
-    gradient_estimate: str = "descent_normalized"
-    baseline_scheduler: str = "channel_aware"
+    staleness_threshold: int = _at_least(10, 1)
+    metric: str = _one_of("ratio", METRIC_KINDS)
+    alpha: float = _at_least(0.0, 0)
+    gradient_estimate: str = _one_of("descent_normalized", GRADIENT_ESTIMATES)
+    baseline_scheduler: str = _one_of("channel_aware", BASELINE_SCHEDULERS)
     record_coefficients: bool = False
     record_gains: bool = False
     out_dir: str | None = None
@@ -140,23 +162,27 @@ _TYPE_CHECKS = {
 
 
 def _build(cls, payload: dict, path: str):
-    """The dataclass `cls` from a JSON object, each value typed by `_TYPE_CHECKS`."""
+    """The dataclass `cls` from a JSON object, each value checked for type, then range."""
     if not isinstance(payload, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
-    annotations = {f.name: f.type for f in fields(cls)}
+    declared = {f.name: f for f in fields(cls)}
     where = f"{path}." if path else ""
-    unknown = sorted(set(payload) - set(annotations))
+    unknown = sorted(set(payload) - set(declared))
     if unknown:
         raise ConfigError(f"unknown key {where}{unknown[0]}")
     kwargs = {}
     for name, value in payload.items():
-        kind = annotations[name].removesuffix(" | None")
+        spec = declared[name]
+        kind = spec.type.removesuffix(" | None")
         if name in _NESTED:
             value = _build(_NESTED[name], value, name)
-        elif value is not None or kind == annotations[name]:
+        elif value is not None or kind == spec.type:
             accepts, what, form = _TYPE_CHECKS[kind]
             value = form(value) if form else value
             _require(accepts(value), f"{where}{name}: must be {what}, got {reprlib.repr(value)}")
+            if "range" in spec.metadata:
+                in_range, what = spec.metadata["range"]
+                _require(in_range(value), f"{where}{name}: must be {what}")
         kwargs[name] = value
     return cls(**kwargs)
 
@@ -168,47 +194,14 @@ def config_from_dict(payload: dict[str, Any]) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Range and cross-field checks. They trust the field types of a config
-    built by `config_from_dict`, whose walk checked them."""
-    _require(cfg.seed >= 0, "seed: must be >= 0")
-    _require(cfg.rounds >= 0, "rounds: must be >= 0")
-    _require(cfg.num_devices >= 1, "num_devices: must be >= 1")
-    _require(cfg.num_modalities >= 1, "num_modalities: must be >= 1")
-    _require(cfg.algorithm in ALGORITHMS, f"algorithm: must be one of {ALGORITHMS}")
-    _require(cfg.fedprox_mu >= 0, "fedprox_mu: must be >= 0")
-    _require(cfg.partition in PARTITIONS, f"partition: unknown scheme {cfg.partition!r}")
-    _require(cfg.data.num_classes >= 2, "data.num_classes: must be >= 2")
+    """The relations between fields. They trust each field's type and range,
+    which the walk of `config_from_dict` checked."""
     if cfg.partition == "noniid1":
         _require(cfg.data.num_classes >= 3, "data.num_classes: noniid1 needs >= 3 classes")
     _require(len(cfg.data.input_dims) == cfg.num_modalities,
              "data.input_dims: needs one entry per modality")
-    _require(all(d >= 1 for d in cfg.data.input_dims), "data.input_dims: all dims >= 1")
-    _require(cfg.data.noise_std > 0, "data.noise_std: must be positive")
-    _require(cfg.data.mean_separation > 0, "data.mean_separation: must be positive")
-    _require(cfg.data.samples_per_device >= 2, "data.samples_per_device: must be >= 2")
-    _require(0.0 < cfg.data.train_fraction < 1.0, "data.train_fraction: must lie in (0, 1)")
-    _require(cfg.arch.encoder_hidden >= 1 and cfg.arch.feature_len >= 1,
-             "arch: encoder_hidden and feature_len must be >= 1")
-    _require(all(h >= 1 for h in cfg.arch.classifier_hidden),
-             "arch.classifier_hidden: all sizes >= 1")
-    _require(cfg.lr > 0, "lr: must be positive")
-    _require(cfg.coeff_lr >= 0, "coeff_lr: must be >= 0")
-    _require(cfg.local_iters >= 1, "local_iters: must be >= 1")
-    _require(cfg.batch_size >= 1, "batch_size: must be >= 1")
     _require(cfg.quota is None or 1 <= cfg.quota <= cfg.num_devices,
              f"quota: must lie in 1..{cfg.num_devices}")
-    _require(cfg.staleness_threshold >= 1, "staleness_threshold: must be >= 1")
-    _require(cfg.metric in METRIC_KINDS, f"metric: must be one of {METRIC_KINDS}")
-    _require(cfg.alpha >= 0, "alpha: must be >= 0")
-    _require(cfg.gradient_estimate in GRADIENT_ESTIMATES,
-             f"gradient_estimate: must be one of {GRADIENT_ESTIMATES}")
-    _require(cfg.baseline_scheduler in BASELINE_SCHEDULERS,
-             f"baseline_scheduler: must be one of {BASELINE_SCHEDULERS}")
-    for f in fields(LinkConfig):
-        _require(getattr(cfg.link, f.name) > 0, f"link.{f.name}: must be positive")
-    _require(cfg.compute.cycles_per_s > 0, "compute.cycles_per_s: must be positive")
-    _require(cfg.compute.flops_per_cycle > 0, "compute.flops_per_cycle: must be positive")
-    _require(cfg.compute.heterogeneity >= 1.0, "compute.heterogeneity: must be >= 1")
     if cfg.modality_profile is not None:
         try:
             assign_modalities(cfg.num_devices, cfg.num_modalities, cfg.modality_profile)

@@ -5,10 +5,10 @@ same means for every device, plus per-sample noise. Device heterogeneity
 comes from two places: which modalities a device owns, and which label
 distribution its local data follows. The label-skew schemes are named by
 `PARTITIONS`, a tuple of names like the config's other choices. The
-generators take plain values and trust them: `config.validate_config`
-checks the partition name, class count, noise level, sample count and train
-fraction once, at the config boundary. `assign_modalities` alone applies
-the default modality profile.
+generators take plain values and trust them: the config's field
+declarations check the partition name, class count, noise level, sample
+count and train fraction once, at the config boundary. `assign_modalities`
+alone applies the default modality profile.
 """
 
 from __future__ import annotations

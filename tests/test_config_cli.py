@@ -1,6 +1,9 @@
 import csv
 import json
+import math
+import re
 import warnings
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 
 from fmmlsim import desk_config, orchestrator, recipe_suite
 from fmmlsim.cli import main
-from fmmlsim.config import (config_from_dict, config_to_dict, load_config,
+from fmmlsim.config import (RunConfig, config_from_dict, config_to_dict, load_config,
                             validate_config)
 from fmmlsim.errors import ConfigError
 from fmmlsim.recipes import RECIPE_NAMES
@@ -63,44 +66,80 @@ def test_config_round_trip(tmp_path):
     assert config_to_dict(again) == config_to_dict(cfg)
 
 
+# One value just outside each declared field range, with the dotted path that
+# rejects it; the data generators, the kernel, the scheduler and the link model
+# trust these values, so the config boundary is their only check.
+OUT_OF_RANGE = [
+    ({"seed": -1}, "seed"),
+    ({"rounds": -1}, "rounds"),
+    ({"num_devices": 0}, "num_devices"),
+    ({"num_modalities": 0}, "num_modalities"),
+    ({"partition": "iid"}, "partition"),
+    ({"algorithm": "fedsgd"}, "algorithm"),
+    ({"fedprox_mu": math.nextafter(0.0, -1.0)}, "fedprox_mu"),
+    ({"data": {"num_classes": 1}}, "data.num_classes"),
+    ({"data": {"input_dims": [0, 24]}}, "data.input_dims"),
+    ({"data": {"noise_std": 0.0}}, "data.noise_std"),
+    ({"data": {"mean_separation": 0.0}}, "data.mean_separation"),
+    ({"data": {"samples_per_device": 1}}, "data.samples_per_device"),
+    ({"data": {"train_fraction": 0.0}}, "data.train_fraction"),
+    ({"data": {"train_fraction": 1.0}}, "data.train_fraction"),
+    ({"arch": {"encoder_hidden": 0}}, "arch.encoder_hidden"),
+    ({"arch": {"feature_len": 0}}, "arch.feature_len"),
+    ({"arch": {"classifier_hidden": [0]}}, "arch.classifier_hidden"),
+    ({"arch": {"classifier_hidden": [16, 0]}}, "arch.classifier_hidden"),
+    ({"link": {"bandwidth_hz": 0.0}}, "link.bandwidth_hz"),
+    ({"link": {"noise_density": 0}}, "link.noise_density"),
+    ({"link": {"device_power_w": 0.0}}, "link.device_power_w"),
+    ({"link": {"server_power_w": 0.0}}, "link.server_power_w"),
+    ({"link": {"carrier_ghz": 0}}, "link.carrier_ghz"),
+    ({"link": {"cell_radius_m": 0.0}}, "link.cell_radius_m"),
+    ({"compute": {"cycles_per_s": 0.0}}, "compute.cycles_per_s"),
+    ({"compute": {"cycles_per_s": -1.0}}, "compute.cycles_per_s"),
+    ({"compute": {"flops_per_cycle": 0.0}}, "compute.flops_per_cycle"),
+    ({"compute": {"heterogeneity": math.nextafter(1.0, 0.0)}}, "compute.heterogeneity"),
+    ({"lr": 0}, "lr"),
+    ({"coeff_lr": math.nextafter(0.0, -1.0)}, "coeff_lr"),
+    ({"local_iters": 0}, "local_iters"),
+    ({"batch_size": 0}, "batch_size"),
+    ({"staleness_threshold": 0}, "staleness_threshold"),
+    ({"metric": "harmonic"}, "metric"),
+    ({"alpha": -1}, "alpha"),
+    ({"alpha": math.nextafter(0.0, -1.0)}, "alpha"),
+    ({"gradient_estimate": "exact"}, "gradient_estimate"),
+    ({"baseline_scheduler": "uniform"}, "baseline_scheduler"),
+]
+
+
 def test_validation_catches_inconsistencies():
     with pytest.raises(ConfigError, match="input_dims"):
         config_from_dict({"num_modalities": 3})
     with pytest.raises(ConfigError, match="noniid1"):
         config_from_dict({"partition": "noniid1", "data": {"num_classes": 2}})
-    with pytest.raises(ConfigError, match="partition"):
-        config_from_dict({"partition": "iid"})
     with pytest.raises(ConfigError, match="modality_profile"):
         config_from_dict({"modality_profile": [[4, 1]]})
-    with pytest.raises(ConfigError, match="link.bandwidth_hz"):
-        config_from_dict({"link": {"bandwidth_hz": 0.0}})
-    with pytest.raises(ConfigError, match="compute.cycles_per_s"):
-        config_from_dict({"compute": {"cycles_per_s": -1.0}})
-    # the data generators trust these values; the config boundary is their only check
     with pytest.raises(ConfigError, match="data.num_classes: must be >= 2"):
         config_from_dict({"partition": "noniid2", "data": {"num_classes": 1}})
-    with pytest.raises(ConfigError, match="data.noise_std"):
-        config_from_dict({"data": {"noise_std": 0.0}})
-    for fraction in (0.0, 1.0):
-        with pytest.raises(ConfigError, match="data.train_fraction"):
-            config_from_dict({"data": {"train_fraction": fraction}})
-    with pytest.raises(ConfigError, match="baseline_scheduler"):
-        config_from_dict({"baseline_scheduler": "uniform"})
-    with pytest.raises(ConfigError, match="gradient_estimate"):
-        config_from_dict({"gradient_estimate": "exact"})
-    # the kernel, scheduler and link model trust these values; this is their only check
-    for payload, field in (({"lr": 0}, "lr"),
-                           ({"batch_size": 0}, "batch_size"),
-                           ({"local_iters": 0}, "local_iters"),
-                           ({"metric": "harmonic"}, "metric"),
-                           ({"alpha": -1}, "alpha"),
-                           ({"link": {"noise_density": 0}}, "link.noise_density"),
-                           ({"link": {"carrier_ghz": 0}}, "link.carrier_ghz"),
-                           ({"data": {"input_dims": [0, 24]}}, "data.input_dims"),
-                           ({"arch": {"feature_len": 0}}, "feature_len"),
-                           ({"arch": {"classifier_hidden": [0]}}, "arch.classifier_hidden")):
-        with pytest.raises(ConfigError, match=field):
+    for payload, path in OUT_OF_RANGE:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: must be "):
             config_from_dict(payload)
+
+
+def _declared_ranges(cls=RunConfig, where=""):
+    """(dotted path, default, (accepts, what)) of each ranged config field."""
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            yield from _declared_ranges(f.default_factory, f"{f.name}.")
+        elif "range" in f.metadata:
+            yield where + f.name, f.default, f.metadata["range"]
+
+
+def test_every_declared_range_accepts_its_default_and_has_an_out_of_range_row():
+    # the walk checks given values only, so a default outside its range would pass unseen
+    ranged = list(_declared_ranges())
+    for path, default, (accepts, what) in ranged:
+        assert accepts(default), f"{path}: default {default!r} is not {what}"
+    assert {path for path, _, _ in ranged} == {path for _, path in OUT_OF_RANGE}
 
 
 @pytest.mark.parametrize("payload, field", [

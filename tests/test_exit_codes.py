@@ -51,12 +51,20 @@ ROWS = {
     "wrong_json_type": (patched(rounds="2"), [], 1),
     "integer_beyond_float": (patched(lr=10 ** 400), [], 1),
     "quota_above_devices": (patched(quota=10), [], 1),
+    "partition_5000_chars": (patched(partition="x" * 5000), [], 1),
+    # malformed flags are config errors too, not argparse's exit 2
+    "flag_algo_unknown": (patched(), ["--algo", "bogus"], 1),
+    "flag_seed_not_an_integer": (patched(), ["--seed", "abc"], 1),
+    "flag_rounds_not_an_integer": (patched(), ["--rounds", "1.5"], 1),
+    "flag_unknown": (patched(), ["--bogus", "1"], 1),
+    "flag_khat_without_value": (patched(), ["--khat"], 1),
     # a flag replaces an invalid file value before validation
     "flag_replaces_rounds": (patched(rounds=-1), ["--rounds", "1"], 0),
     "flag_replaces_quota": (patched(quota=12), ["--khat", "3"], 0),
 }
-# a rejected value is echoed abridged, so a 401-digit integer still leaves a short line
-SHORT_ERROR_ROWS = {"integer_beyond_float"}
+# a rejected value is echoed abridged or not at all, so a 401-digit integer or a
+# 5000-character name still leaves a short line
+SHORT_ERROR_ROWS = {"integer_beyond_float", "partition_5000_chars"}
 
 
 def _no_constants(name):
