@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import re
+import reprlib
 import sys
 from pathlib import Path
 
@@ -15,6 +17,11 @@ from . import reporting
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a malformed flag is a config error (exit 1), not argparse's exit 2
+        # argparse quotes a rejected value whole; a long one is abridged as config
+        # values are, and what follows it (the choices --help lists) is dropped
+        value = re.search(r"'[^']{31,}'|\"[^\"]{31,}\"", message)
+        if value:
+            message = message[:value.start()] + reprlib.repr(value[0][1:-1])
         raise ConfigError(message)
 
 

@@ -12,21 +12,21 @@ once, when it is built; its fields cannot be rebound, so the views stay
 valid for its lifetime. Gradients are flat arrays keyed by block, written
 through the views of a caller's workspace of gradient blocks, and `sgd_step`
 updates the block vectors in place, so the views, and the rows they belong
-to, follow. Every matrix product whose output is contiguous goes through
-`np.dot`, the cheapest call per product at these sizes; the rest use
-`np.matmul(..., out=)`. The classifier always consumes a fixed-width
-concatenation of all modality feature slots; slots for modalities a device
-does not own stay zero, which keeps the head block structurally identical
-across devices. The kernel trusts what set-up fixes before round 1: each
-device's block set, the width of each modality's features and the label
-range. It checks only for non-finite values.
+to, follow. Every matrix product whose output is contiguous calls `a.dot(b)`,
+`np.dot`'s BLAS product without its Python dispatch and the cheapest call per
+product at these sizes; the rest use `np.matmul(..., out=)`. The classifier
+always consumes a fixed-width concatenation of all modality feature slots;
+slots for modalities a device does not own stay zero, which keeps the head
+block structurally identical across devices. The kernel trusts what set-up
+fixes before round 1: each device's block set, the width of each modality's
+features and the label range. It checks only for non-finite values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -59,7 +59,7 @@ class ArchSpec:
     def shared_block_id(self) -> int:
         return self.num_modalities + 1
 
-    @property
+    @cached_property  # read on every kernel call
     def fusion_width(self) -> int:
         return self.num_modalities * self.feature_len
 
@@ -155,6 +155,14 @@ def slice_device_params(full: Mapping[int, ParamBlock], owned: Sequence[int],
             for b in (*sorted(owned), shared_id)}
 
 
+@lru_cache(maxsize=16)
+def _pick_base(batch: int, classes: int) -> np.ndarray:
+    """Flat index of each row's first class score in a (batch, classes) buffer; read-only."""
+    base = np.arange(0, batch * classes, classes)
+    base.flags.writeable = False
+    return base
+
+
 def _forward_cached(arch: ArchSpec, params: Mapping[int, ParamBlock],
                     features: Mapping[int, np.ndarray]):
     f = arch.feature_len
@@ -162,7 +170,7 @@ def _forward_cached(arch: ArchSpec, params: Mapping[int, ParamBlock],
     enc_cache = {}
     for m, x in features.items():
         w1, b1, w2, b2 = params[m].arrays()
-        h = np.dot(x, w1.T)
+        h = x.dot(w1.T)
         h += b1
         np.tanh(h, out=h)
         feat = fused[:, (m - 1) * f: m * f]
@@ -174,13 +182,12 @@ def _forward_cached(arch: ArchSpec, params: Mapping[int, ParamBlock],
     acts = [fused]
     a = fused
     for v, u in layers[:-1]:
-        a = np.dot(a, v.T)
+        a = a.dot(v.T)
         a += u
         np.tanh(a, out=a)
         acts.append(a)
-    v_out, u_out = layers[-1]
-    scores = np.dot(a, v_out.T)
-    scores += u_out
+    scores = a.dot(arrs[-2].T)
+    scores += arrs[-1]
     if not np.logical_and.reduce(np.isfinite(scores), axis=None):
         raise NumericOverflowError("non-finite class scores")
     return scores, enc_cache, layers, acts
@@ -211,7 +218,7 @@ def loss_and_grad(arch: ArchSpec, params: Mapping[int, ParamBlock],
     batch = scores.shape[0]
 
     # each row's label entry, as an index into the flat (B*C) score buffer
-    picks = np.arange(0, batch * arch.num_classes, arch.num_classes) + labels
+    picks = _pick_base(batch, arch.num_classes) + labels
     shifted = scores  # the scores are not returned, so they are shifted in place
     shifted -= np.maximum.reduce(scores, axis=1, keepdims=True)
     log_norm = np.log(np.add.reduce(np.exp(shifted), axis=1))
@@ -224,26 +231,26 @@ def loss_and_grad(arch: ArchSpec, params: Mapping[int, ParamBlock],
     d /= batch
 
     gviews = out[arch.shared_block_id].arrays()
-    np.dot(d.T, acts[-1], out=gviews[-2])
+    d.T.dot(acts[-1], out=gviews[-2])
     np.add.reduce(d, axis=0, out=gviews[-1])
-    d = np.dot(d, layers[-1][0])
+    d = d.dot(layers[-1][0])
     for i in range(len(layers) - 2, -1, -1):
         a = acts[i + 1]
         d *= 1.0 - a * a
-        np.dot(d.T, acts[i], out=gviews[2 * i])
+        d.T.dot(acts[i], out=gviews[2 * i])
         np.add.reduce(d, axis=0, out=gviews[2 * i + 1])
-        d = np.dot(d, layers[i][0])
+        d = d.dot(layers[i][0])
 
     f = arch.feature_len
     for m, (x, h) in enc_cache.items():
         w2 = params[m].arrays()[2]
         gw1, gb1, gw2, gb2 = out[m].arrays()
         dfeat = d[:, (m - 1) * f: m * f]
-        np.dot(dfeat.T, h, out=gw2)
+        dfeat.T.dot(h, out=gw2)
         np.add.reduce(dfeat, axis=0, out=gb2)
-        dpre = np.dot(dfeat, w2)
+        dpre = dfeat.dot(w2)
         dpre *= 1.0 - h * h
-        np.dot(dpre.T, x, out=gw1)
+        dpre.T.dot(x, out=gw1)
         np.add.reduce(dpre, axis=0, out=gb1)
     return loss, {b: out[b].values for b in params}
 

@@ -370,19 +370,22 @@ def concatenated_loss_and_grad(arch, params, features, labels):
 @pytest.mark.parametrize("owned", [(2,), (1, 3), (1, 2, 3)])
 @pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])
 def test_loss_and_grad_is_bit_identical_to_concatenated_assembly(owned, hidden):
-    arch = ArchSpec(input_dims=(16, 24, 12), encoder_hidden=16, feature_len=8,
-                    classifier_hidden=hidden, num_classes=6)
-    params = random_params(arch, owned, seed=len(owned))
-    rng = np.random.default_rng(21)
-    for batch in (1, 32):
-        feats = random_features(arch, owned, batch, rng)
-        labels = rng.integers(0, arch.num_classes, size=batch)
-        loss, grad = loss_and_grad(arch, params, feats, labels, out=zero_grads(params))
-        ref_loss, ref_grad = concatenated_loss_and_grad(arch, params, feats, labels)
-        assert loss == ref_loss
-        assert set(grad) == set(ref_grad)
-        for b, g in ref_grad.items():
-            assert np.array_equal(grad[b], g)
+    # two class counts at the same batch sizes, back to back in one process:
+    # a kernel cache keyed on too little hands the second the first's entry
+    for classes in (6, 3):
+        arch = ArchSpec(input_dims=(16, 24, 12), encoder_hidden=16, feature_len=8,
+                        classifier_hidden=hidden, num_classes=classes)
+        params = random_params(arch, owned, seed=len(owned))
+        rng = np.random.default_rng(21)
+        for batch in (1, 32):
+            feats = random_features(arch, owned, batch, rng)
+            labels = rng.integers(0, arch.num_classes, size=batch)
+            loss, grad = loss_and_grad(arch, params, feats, labels, out=zero_grads(params))
+            ref_loss, ref_grad = concatenated_loss_and_grad(arch, params, feats, labels)
+            assert loss == ref_loss
+            assert set(grad) == set(ref_grad)
+            for b, g in ref_grad.items():
+                assert np.array_equal(grad[b], g)
 
 
 def matmul_forward(arch, params, features):
@@ -405,18 +408,19 @@ def matmul_forward(arch, params, features):
 @pytest.mark.parametrize("owned", [(2,), (1, 3), (1, 2, 3)])
 @pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])
 def test_forward_batch_is_bit_identical_to_matmul_reference(owned, hidden):
-    arch = ArchSpec(input_dims=(16, 24, 12), encoder_hidden=16, feature_len=8,
-                    classifier_hidden=hidden, num_classes=6)
-    params = random_params(arch, owned, seed=len(owned) + 7)
-    rng = np.random.default_rng(22)
-    for p in params.values():  # nonzero biases too
-        p.values[:] += rng.normal(scale=0.3, size=p.values.shape)
-    for batch in (1, 32, 60):
-        feats = random_features(arch, owned, batch, rng)
-        scores = forward_batch(arch, params, feats)
-        want = matmul_forward(arch, params, feats)
-        assert scores.shape == (batch, arch.num_classes)
-        assert scores.tobytes() == want.tobytes()
+    for classes in (6, 3):  # two class counts at the same batch sizes, as above
+        arch = ArchSpec(input_dims=(16, 24, 12), encoder_hidden=16, feature_len=8,
+                        classifier_hidden=hidden, num_classes=classes)
+        params = random_params(arch, owned, seed=len(owned) + 7)
+        rng = np.random.default_rng(22)
+        for p in params.values():  # nonzero biases too
+            p.values[:] += rng.normal(scale=0.3, size=p.values.shape)
+        for batch in (1, 32, 60):
+            feats = random_features(arch, owned, batch, rng)
+            scores = forward_batch(arch, params, feats)
+            want = matmul_forward(arch, params, feats)
+            assert scores.shape == (batch, arch.num_classes)
+            assert scores.tobytes() == want.tobytes()
 
 
 def test_arrays_returns_the_views_built_with_the_block():
