@@ -17,11 +17,12 @@ from . import reporting
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a malformed flag is a config error (exit 1), not argparse's exit 2
-        # argparse quotes a rejected value whole; a long one is abridged as config
-        # values are, and what follows it (the choices --help lists) is dropped
-        value = re.search(r"'[^']{31,}'|\"[^\"]{31,}\"", message)
+        # argparse quotes a rejected value whole and lists unrecognized tokens bare;
+        # a long one is abridged as config values are, and what follows it (the
+        # choices --help lists, the other tokens) is dropped
+        value = re.search(r"'([^']{31,})'|\"([^\"]{31,})\"|(\S{31,})", message)
         if value:
-            message = message[:value.start()] + reprlib.repr(value[0][1:-1])
+            message = message[:value.start()] + reprlib.repr(value[1] or value[2] or value[3])
         raise ConfigError(message)
 
 

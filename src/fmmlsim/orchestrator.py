@@ -11,9 +11,10 @@ a device's model is a dict of ParamBlocks over its rows, trained in place,
 its gradients written into one workspace block per block id
 (`grad_workspace`). Uploads of a block are one row gather from its array,
 downloads one row scatter back into it. The server keeps the aggregation
-weights, the last round's aggregation, the upload indicators and staleness
-counters, not the models. A `proposed` round's log can record the weight
-rows it recomputed; replayed from round 1 they give every round's matrices.
+weights, the last round's aggregation, the bits each device shipped in it
+(the scheduler's count, downloaded next round) and staleness counters, not
+the models. A `proposed` round's log can record the weight rows it
+recomputed; replayed from round 1 they give every round's matrices.
 Rounds are synchronous: the round wall time is the slowest device's
 download + compute + upload.
 """
@@ -44,7 +45,7 @@ class DeviceState:
 class ServerState:
     coeffs: agg.CoefficientState | None
     cache: agg.GradCache
-    indicators: dict[int, np.ndarray]  # block -> (K,) int8 uploads of the last round
+    bits: np.ndarray                   # (K,) int64 shipped last round, downloaded this round
     staleness: dict[int, np.ndarray]   # block -> (K,) int64 rounds since the last upload
     round: int = 0
 
@@ -214,7 +215,7 @@ class Simulation:
         self.server = ServerState(
             coeffs=coeffs,
             cache={},
-            indicators={b: np.zeros(cfg.num_devices, dtype=np.int8) for b in self.block_ids},
+            bits=np.zeros(cfg.num_devices, dtype=np.int64),
             staleness={b: np.zeros(cfg.num_devices, dtype=np.int64) for b in self.block_ids})
         # The scheduler's self-weights, 1/owners as a uniform weight row gives
         # (so also `proposed`'s, as init_coeffs makes every raw entry equal);
@@ -239,15 +240,14 @@ class Simulation:
                 grad_out=self.grad_workspace)
 
         # latency inputs for this round; a device downloads the blocks it
-        # uploaded last round (the indicators are zero off each block's owners)
+        # uploaded last round, as many bits as the scheduler counted then
         down_rates = np.array([wireless.link_rate(
             cfg.link.server_power_w, g, cfg.link.bandwidth_hz, cfg.link.noise_density)
             for g in gains.tolist()])
         up_rates = np.array([wireless.link_rate(
             cfg.link.device_power_w, g, cfg.link.bandwidth_hz, cfg.link.noise_density)
             for g in gains.tolist()])
-        t_down = wireless.download_latency(
-            self.server.indicators, self.sizes_bits, down_rates)
+        t_down = wireless.download_latency(self.server.bits, down_rates)
         t_cmp = self.t_compute.copy()
 
         # scheduling
@@ -255,10 +255,11 @@ class Simulation:
             indicators = {b: np.zeros(K, dtype=np.int8) for b in self.block_ids}
             staleness = {b: self.server.staleness[b].copy() for b in self.block_ids}
             metric_values: dict[int, dict[int, float]] = {b: {} for b in self.block_ids}
+            bits = np.zeros(K, np.int64)
         else:
             # baselines may schedule at random; `proposed` always uses the metric
             at_random = cfg.algorithm != "proposed" and cfg.baseline_scheduler == "random"
-            indicators, staleness, metric_values = scheduler.schedule_round(
+            indicators, staleness, metric_values, bits = scheduler.schedule_round(
                 self.self_weights, t_down, t_cmp, self.sizes_bits, up_rates,
                 self.owners, cfg.metric, cfg.alpha, self.server.staleness, cfg.effective_quota(),
                 cfg.staleness_threshold, rng=self.rng_sched if at_random else None)
@@ -310,10 +311,10 @@ class Simulation:
                     record[b] = (ks, self.server.coeffs.raw[b][ks], eff)
 
         # realized upload time: all blocks the device shipped this round
-        t_up = wireless.upload_latency(indicators, self.sizes_bits, up_rates)
+        t_up = wireless.upload_latency(bits, up_rates)
         round_time = float((t_down + t_cmp + t_up).max())
 
-        self.server.indicators = indicators
+        self.server.bits = bits
         self.server.staleness = staleness
         self.server.round = t
 

@@ -78,10 +78,12 @@ def schedule_round(self_weights: Mapping[int, np.ndarray],
     Blocks are processed smallest id first so that a device's projected
     upload time for block m already includes the blocks it was scheduled
     for earlier in the same round: one (K,) count of the bits scheduled so
-    far grows after each block. Returns (indicators, staleness, metric
-    values) keyed by block; a block's metric values map each eligible
-    device, ascending, to its metric. Selection is random exactly when `rng`
-    is given: each eligible device then draws its metric from `rng.uniform`.
+    far, forced uploads included, grows after each block. Returns
+    (indicators, staleness, metric values) keyed by block and that count,
+    the (K,) int64 bits each device ships this round and downloads the
+    next; a block's metric values map each eligible device, ascending, to
+    its metric. Selection is random exactly when `rng` is given: each
+    eligible device then draws its metric from `rng.uniform`.
     """
     indicators: dict[int, np.ndarray] = {}
     new_stale: dict[int, np.ndarray] = {}
@@ -99,4 +101,4 @@ def schedule_round(self_weights: Mapping[int, np.ndarray],
             ids, metrics, staleness[block], quota, threshold)
         bits_so_far[indicators[block] != 0] += sizes_bits[block]
         values[block] = dict(zip(ids.tolist(), metrics.tolist()))
-    return indicators, new_stale, values
+    return indicators, new_stale, values, bits_so_far

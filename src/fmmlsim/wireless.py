@@ -4,14 +4,13 @@ Links are orthogonal (each device has its own bandwidth slice), gains follow
 a Rayleigh draw whose mean equals the free-space attenuation of the device's
 distance, and one gain per device per round covers both link directions.
 Sizes are counted in bits, rates in bits/s, times in seconds. Latencies are
-computed for all devices at once: a schedule maps each block to a (K,) flag
-array, and each device's bit total is divided by its own rate.
+computed for all devices at once from a (K,) array of each device's bit
+total, the one the scheduler counts, each divided by the device's own rate.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping
 
 import numpy as np
 
@@ -62,15 +61,6 @@ def link_rate(power_w: float, gain: float, bandwidth_hz: float,
     return rate
 
 
-def _scheduled_bits(schedule: Mapping[int, np.ndarray], sizes_bits: Mapping[int, int],
-                   num_devices: int) -> np.ndarray:
-    """(K,) int64 total size of the blocks flagged for each device in `schedule`."""
-    bits = np.zeros(num_devices, dtype=np.int64)
-    for b, flags in schedule.items():
-        bits += np.where(flags, sizes_bits[b], 0)
-    return bits
-
-
 def _transfer_times(bits: np.ndarray, rates: np.ndarray, link: str) -> np.ndarray:
     """Seconds for each device to move its `bits` at its rate; zero bits take 0 s.
 
@@ -84,17 +74,13 @@ def _transfer_times(bits: np.ndarray, rates: np.ndarray, link: str) -> np.ndarra
     return np.divide(bits, rates, out=np.zeros(bits.shape), where=busy)
 
 
-def download_latency(prev_schedule: Mapping[int, np.ndarray], sizes_bits: Mapping[int, int],
-                     rates_down: np.ndarray) -> np.ndarray:
-    """(K,) time to fetch every block scheduled for each device last round."""
-    bits = _scheduled_bits(prev_schedule, sizes_bits, len(rates_down))
+def download_latency(bits: np.ndarray, rates_down: np.ndarray) -> np.ndarray:
+    """(K,) time to fetch the `bits` each device shipped last round."""
     return _transfer_times(bits, rates_down, "downlink")
 
 
-def upload_latency(schedule: Mapping[int, np.ndarray], sizes_bits: Mapping[int, int],
-                   rates_up: np.ndarray) -> np.ndarray:
-    """(K,) time to ship every block scheduled for each device this round."""
-    bits = _scheduled_bits(schedule, sizes_bits, len(rates_up))
+def upload_latency(bits: np.ndarray, rates_up: np.ndarray) -> np.ndarray:
+    """(K,) time to ship the `bits` scheduled for each device this round."""
     return _transfer_times(bits, rates_up, "uplink")
 
 

@@ -39,23 +39,26 @@ def transfer_time_reference(bits, rate, link):
     return bits / rate
 
 
+def scheduled_bits_reference(indicators, owners, sizes_bits):
+    """Per device: the total size of the blocks it owns and is flagged for."""
+    num_devices = len(next(iter(owners.values())))
+    return np.array([sum(sizes_bits[b] for b, ind in indicators.items()
+                         if owners[b][k] and int(ind[k]))
+                     for k in range(num_devices)], dtype=np.int64)
+
+
 def download_latency_reference(prev_indicators, owners, sizes_bits, rates_down):
     """Per device: fetch the blocks it owns and uploaded last round."""
-    out = np.zeros(len(rates_down))
-    for k in range(len(rates_down)):
-        bits = sum(sizes_bits[b] for b, ind in prev_indicators.items()
-                   if owners[b][k] and int(ind[k]))
-        out[k] = transfer_time_reference(bits, float(rates_down[k]), "downlink")
-    return out
+    bits = scheduled_bits_reference(prev_indicators, owners, sizes_bits).tolist()
+    return np.array([transfer_time_reference(bits[k], float(rates_down[k]), "downlink")
+                     for k in range(len(rates_down))])
 
 
-def upload_latency_reference(indicators, sizes_bits, rates_up):
-    """Per device: ship every block scheduled for it this round."""
-    out = np.zeros(len(rates_up))
-    for k in range(len(rates_up)):
-        bits = sum(sizes_bits[b] for b, ind in indicators.items() if int(ind[k]))
-        out[k] = transfer_time_reference(bits, float(rates_up[k]), "uplink")
-    return out
+def upload_latency_reference(indicators, owners, sizes_bits, rates_up):
+    """Per device: ship every block it owns and is scheduled for this round."""
+    bits = scheduled_bits_reference(indicators, owners, sizes_bits).tolist()
+    return np.array([transfer_time_reference(bits[k], float(rates_up[k]), "uplink")
+                     for k in range(len(rates_up))])
 
 
 def metric_reference(kind, alpha, self_weight, t_down, t_cmp, t_up):
@@ -305,7 +308,7 @@ class ReferenceRun:
                                       - cfg.coeff_lr * self.weight_step(b, k, fresh[b][k]))
         self.cache = cache
 
-        t_up = upload_latency_reference(indicators, self.sizes, up)
+        t_up = upload_latency_reference(indicators, self.owners, self.sizes, up)
         self.indicators, self.staleness = indicators, staleness
         return {
             "scheduled": indicators,

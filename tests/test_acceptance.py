@@ -317,7 +317,7 @@ def test_criterion_09_scheduler_exactness():
                       for b in blocks}
         kind = "ratio" if rng.uniform() < 0.5 else "linear"
         alpha = float(rng.uniform(0.0, 0.5))
-        ind, stale, _ = schedule_round(
+        ind, stale, _, _ = schedule_round(
             self_w, t_down, t_cmp, sizes, up_rates, owners,
             kind, alpha, staleness0, quota, threshold)
         bf_ind, bf_stale = brute_force_schedule(

@@ -267,6 +267,18 @@ def test_cli_config_error_exit_code(tmp_path):
     assert code == 1
 
 
+def test_cli_help_exits_0_with_the_usage_on_stdout(capsys):
+    # --help is argparse's own exit 0, not the config error of a malformed flag
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    out, err = capsys.readouterr()
+    assert exit_info.value.code == 0 and err == ""
+    assert out.startswith("usage: fmmlsim [-h] [--config CONFIG]")
+    for flag in ("--seed", "--rounds", "--algo", "--khat", "--metric", "--alpha", "--ath",
+                 "--out"):
+        assert f"  {flag} " in out
+
+
 @pytest.mark.parametrize("text", [
     b"\xff\xfe{}",                        # not UTF-8
     b"[" * 200_000,                        # nested deeper than the JSON decoder recurses

@@ -60,14 +60,18 @@ ROWS = {
     "flag_khat_without_value": (patched(), ["--khat"], 1),
     "flag_algo_5000_chars": (patched(), ["--algo", "x" * 5000], 1),
     "flag_seed_5000_chars": (patched(), ["--seed", "1" * 4999 + "x"], 1),
+    "flag_unknown_5000_chars": (patched(), ["--" + "x" * 5000, "1"], 1),
+    "positional_5000_chars": (patched(), ["x" * 5000], 1),
     # a flag replaces an invalid file value before validation
     "flag_replaces_rounds": (patched(rounds=-1), ["--rounds", "1"], 0),
     "flag_replaces_quota": (patched(quota=12), ["--khat", "3"], 0),
 }
 # a rejected value is echoed abridged or not at all, so a 401-digit integer or a
-# 5000-character name, in the file or as a flag, still leaves a short line
+# 5000-character name, in the file, as a flag's value or as an unrecognized
+# flag or positional, still leaves a short line
 SHORT_ERROR_ROWS = {"integer_beyond_float", "partition_5000_chars",
-                    "flag_algo_5000_chars", "flag_seed_5000_chars"}
+                    "flag_algo_5000_chars", "flag_seed_5000_chars",
+                    "flag_unknown_5000_chars", "positional_5000_chars"}
 
 
 def _no_constants(name):

@@ -20,7 +20,7 @@ from fmmlsim.errors import SchedulingError, StalledLinkError
 from fmmlsim.scheduler import schedule_round
 from fmmlsim.wireless import download_latency, upload_latency
 from reference import (download_latency_reference, schedule_round_reference,
-                       upload_latency_reference)
+                       scheduled_bits_reference, upload_latency_reference)
 
 # ----------------------------- per-row references -----------------------------
 
@@ -104,11 +104,13 @@ def test_latency_arrays_match_the_per_device_loops(case):
     prev, now = random_indicators(rng, owners), random_indicators(rng, owners)
     down = stall_some(rng, rng.uniform(1e3, 1e8, size=num_devices))
     up = stall_some(rng, rng.uniform(1e3, 1e8, size=num_devices))
+    prev_bits = scheduled_bits_reference(prev, owners, sizes)
+    now_bits = scheduled_bits_reference(now, owners, sizes)
     for expected, got in (
             same_outcome(lambda: download_latency_reference(prev, owners, sizes, down),
-                         lambda: download_latency(prev, sizes, down)),
-            same_outcome(lambda: upload_latency_reference(now, sizes, up),
-                         lambda: upload_latency(now, sizes, up))):
+                         lambda: download_latency(prev_bits, down)),
+            same_outcome(lambda: upload_latency_reference(now, owners, sizes, up),
+                         lambda: upload_latency(now_bits, up))):
         if expected is not None:
             assert got.dtype == np.float64 and np.array_equal(got, expected)
 
@@ -152,6 +154,9 @@ def test_schedule_round_matches_the_per_device_loop(case, kind, selection, coars
             assert have[b].dtype == want[b].dtype and np.array_equal(have[b], want[b])
         assert list(got[2][b].items()) == list(expected[2][b].items())
     assert list(got[0]) == list(expected[0]) and list(got[2]) == list(expected[2])
+    # the bits each device ships, forced uploads included, counted once
+    bits = scheduled_bits_reference(expected[0], owners, sizes)
+    assert got[3].dtype == np.int64 and np.array_equal(got[3], bits)
     # the same number of draws: the next round's random selection is unchanged too
     assert rngs[0].uniform() == rngs[1].uniform()
 

@@ -79,7 +79,7 @@ def setup_round(num_devices=3, blocks=(1, 2)):
 
 def test_schedule_round_full_quota_schedules_everything():
     owners, self_w, staleness = setup_round()
-    ind, stale, vals = schedule_round(
+    ind, stale, vals, _ = schedule_round(
         self_w, np.zeros(3), np.full(3, 0.5), {1: 1000, 2: 1000},
         np.full(3, 1000.0), owners, "ratio", 0.0, staleness, 3, 10)
     for b in (1, 2):
@@ -90,7 +90,7 @@ def test_schedule_round_full_quota_schedules_everything():
 
 def test_schedule_round_cumulative_upload_lowers_later_metric():
     owners, self_w, staleness = setup_round(num_devices=2, blocks=(1, 2))
-    ind, _, vals = schedule_round(
+    ind, _, vals, _ = schedule_round(
         self_w, np.zeros(2), np.full(2, 0.1), {1: 5000, 2: 5000},
         np.array([1000.0, 1000.0]), owners, "ratio", 0.0, staleness, 1, 10)
     scheduled_first = int(np.flatnonzero(ind[1])[0])
@@ -105,7 +105,7 @@ def test_schedule_round_never_schedules_nonowners():
     self_w = {1: np.array([0.5, 0.0, 0.5]), 2: np.full(3, 1 / 3)}
     staleness = {1: np.zeros(3, dtype=np.int64), 2: np.zeros(3, dtype=np.int64)}
     for _ in range(5):
-        ind, staleness, _ = schedule_round(
+        ind, staleness, _, _ = schedule_round(
             self_w, np.zeros(3), np.full(3, 1.0), {1: 100, 2: 100},
             np.full(3, 100.0), owners, "ratio", 0.0, staleness, 1, 2)
         assert ind[1][1] == 0
@@ -127,7 +127,7 @@ def test_schedule_round_random_selection_respects_quota_and_ownership():
     self_w = {1: np.zeros(3), 2: np.zeros(3)}
     staleness = {1: np.zeros(3, dtype=np.int64), 2: np.zeros(3, dtype=np.int64)}
     rng = np.random.default_rng(0)
-    ind, _, _ = schedule_round(
+    ind, _, _, _ = schedule_round(
         self_w, np.zeros(3), np.full(3, 0.5), {1: 1, 2: 1}, np.full(3, 1.0),
         owners, "ratio", 0.0, staleness, 1, 10, rng=rng)
     assert ind[1].sum() == 1 and ind[1][2] == 0
@@ -197,7 +197,7 @@ def test_schedule_round_matches_brute_force_small_case():
     inst = random_instance(rng)
     (owners, self_w, t_down, t_cmp, sizes, up_rates, quota, threshold,
      staleness0, kind, alpha) = inst
-    ind, stale, _ = schedule_round(
+    ind, stale, _, _ = schedule_round(
         self_w, t_down, t_cmp, sizes, up_rates, owners,
         kind, alpha, staleness0, quota, threshold)
     bf_ind, bf_stale = brute_force_lines_5_to_9(*inst)

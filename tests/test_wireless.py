@@ -89,9 +89,9 @@ def test_link_rate_values():
     assert link_rate(0.1, 2 * g, b, n0) > link_rate(0.1, g, b, n0)
 
 
-def one(flags):
-    """A one-device schedule: each block's flag as a (1,) array."""
-    return {b: np.array([f], dtype=np.int8) for b, f in flags.items()}
+def bits(n):
+    """One device's bit total, as the scheduler counts it."""
+    return np.array([n], dtype=np.int64)
 
 
 def rate(r):
@@ -100,22 +100,22 @@ def rate(r):
 
 def test_download_latency():
     sizes = {1: 3_200_000, 2: 1_000_000}
-    assert download_latency(one({1: 0, 2: 0}), sizes, rate(1e6)) == 0.0
-    assert download_latency(one({1: 1, 2: 0}), sizes, rate(1e6)) == pytest.approx(3.2)
-    both = download_latency(one({1: 1, 2: 1}), sizes, rate(1e6))
-    assert both > download_latency(one({1: 1, 2: 0}), sizes, rate(1e6))
+    assert download_latency(bits(0), rate(1e6)) == 0.0
+    assert download_latency(bits(sizes[1]), rate(1e6)) == pytest.approx(3.2)
+    both = download_latency(bits(sizes[1] + sizes[2]), rate(1e6))
+    assert both > download_latency(bits(sizes[1]), rate(1e6))
     with pytest.raises(StalledLinkError):
-        download_latency(one({1: 1}), sizes, rate(0.0))
-    assert download_latency(one({1: 0}), sizes, rate(0.0)) == 0.0
+        download_latency(bits(sizes[1]), rate(0.0))
+    assert download_latency(bits(0), rate(0.0)) == 0.0
 
 
 def test_upload_latency():
     sizes = {1: 3_200_000, 2: 1_000_000}
-    assert upload_latency(one({1: 0, 2: 0}), sizes, rate(1e6)) == 0.0
-    assert upload_latency(one({1: 1, 2: 1}), sizes, rate(1e6)) == pytest.approx(4.2)
+    assert upload_latency(bits(0), rate(1e6)) == 0.0
+    assert upload_latency(bits(sizes[1] + sizes[2]), rate(1e6)) == pytest.approx(4.2)
     with pytest.raises(StalledLinkError):
-        upload_latency(one({1: 0, 2: 1}), sizes, rate(0.0))
-    assert upload_latency(one({1: 0, 2: 0}), sizes, rate(0.0)) == 0.0
+        upload_latency(bits(sizes[2]), rate(0.0))
+    assert upload_latency(bits(0), rate(0.0)) == 0.0
 
 
 def test_compute_latency():
@@ -145,7 +145,7 @@ def test_dimensional_walkthrough_full_round():
     down = link_rate(link.server_power_w, g, link.bandwidth_hz, link.noise_density)
     up = link_rate(link.device_power_w, g, link.bandwidth_hz, link.noise_density)
     sizes = {1: 13_056, 2: 8_896}
-    total = (download_latency(one({1: 1, 2: 1}), sizes, rate(down))
+    total = (download_latency(bits(sizes[1] + sizes[2]), rate(down))
              + compute_latency(5, 78_336 + 53_376, 1e7, 2.0)
              + cumulative_upload_latency(np.array([sizes[1]]), sizes[2], rate(up)))
     assert total.shape == (1,) and total.dtype == np.float64
