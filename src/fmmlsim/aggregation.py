@@ -79,16 +79,19 @@ def softmax_row(raw_rows: np.ndarray, participants: np.ndarray) -> np.ndarray:
     """Softmax of each row restricted to its participating devices; exactly zero elsewhere.
 
     raw_rows is one (K,) row or an (n, K) stack; participants is a (K,) mask
-    shared by every row or one mask per row. Every row needs a participant:
-    the round loop's masks hold each row's own device (the uploaders in
-    `Simulation.step`, the owners in `effective_rows`). Subtracting each
-    row's largest participating entry guards against overflow and leaves that
-    entry at exp(0) = 1, so no row can underflow to zero; each row sums to
-    one over its participants.
+    shared by every row. Every row needs a participant: the round loop's
+    masks hold each row's own device (the uploaders in `Simulation.step`,
+    the owners in `effective_rows`). Only the participating entries are
+    exponentiated, into a zero-filled row. Subtracting each row's largest
+    participating entry guards against overflow and leaves that entry at
+    exp(0) = 1, so no row can underflow to zero; each row sums to one over
+    its participants.
     """
-    z = np.where(participants, raw_rows, -np.inf)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    z = raw_rows[..., participants]
+    e = np.zeros_like(raw_rows)
+    e[..., participants] = np.exp(z - z.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def masked_renormalize(soft_row: np.ndarray, mask_row: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ download + compute + upload.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -202,8 +203,8 @@ class Simulation:
         dev_rngs = [np.random.default_rng(s) for s in dev_ss.spawn(cfg.num_devices)]
         self.devices = []
         for k in range(cfg.num_devices):
-            params = {b: ParamBlock(b, self.store[b][int(self.store_row[b][k])], full[b].shapes)
-                      for b in (*sorted(owned_sets[k]), shared)}
+            params = self._row_blocks(k, {b: full[b].shapes
+                                          for b in (*sorted(owned_sets[k]), shared)})
             self.devices.append(DeviceState(k, params, datasets[k], dev_rngs[k]))
         # one gradient block per block id, shared by the devices as they train in turn
         self.grad_workspace = {b: ParamBlock(b, np.zeros(full[b].param_count), full[b].shapes)
@@ -221,6 +222,24 @@ class Simulation:
         # (so also `proposed`'s, as init_coeffs makes every raw entry equal);
         # `proposed` then takes the diagonal entry of each row it recomputes.
         self.self_weights = {b: self.owners[b] / self.owners[b].sum() for b in self.block_ids}
+
+    def _row_blocks(self, k: int, shapes: dict[int, tuple[tuple[int, ...], ...]]
+                    ) -> dict[int, ParamBlock]:
+        """Device k's blocks, one per key of `shapes`, in that order, as views
+        of its rows of `store`; every device shares one shapes tuple per block."""
+        return {b: ParamBlock(b, self.store[b][int(self.store_row[b][k])], s)
+                for b, s in shapes.items()}
+
+    def __deepcopy__(self, memo):
+        """A deep copy whose devices' blocks view the copy's own `store` rows,
+        as the original's blocks view its `store`. A `ParamBlock` deep-copied
+        on its own still gets a standalone vector."""
+        clone = memo[id(self)] = object.__new__(type(self))
+        clone.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        for dev in clone.devices:
+            dev.params = clone._row_blocks(dev.device_id,
+                                           {b: p.shapes for b, p in dev.params.items()})
+        return clone
 
     # ----------------------------- one round -----------------------------
 

@@ -7,13 +7,17 @@ no field can need quoting, floats are `repr(float)` and every line ends in
 `coefficients.csv` (about K² rows per block per round) is formatted from
 the rounds' coefficient records (`RoundLog.coeff_record`), which hold only
 the weight rows a round recomputed; its writer must be given the logs from
-round 1 on. When `os.fork` exists, at least 2 CPUs are usable and at least
-2 rounds hold a record, one forked helper process replays the first half
-of those rounds, formats the second half and sends the bytes through a
-pipe while this process writes the first half; the file has the same bytes
-either way. The helper is always reaped before the writer returns or
-raises, and a helper that fails raises ChildProcessError, which the
-command line reports as a failed run.
+round 1 on. A raw entry of a recorded row is formatted only when its bits
+changed since its row's last record; effective entries, which a new raw
+row moves, are formatted afresh; a row of one bit pattern is formatted
+once.
+When `os.fork` exists, at least 2 CPUs are usable and at least 2 rounds
+hold a record, one forked helper process replays the first half of those
+rounds, formats the second half and sends the bytes through a pipe while
+this process writes the first half; the file has the same bytes either
+way. The helper is always reaped before the writer returns or raises, and
+a helper that fails raises ChildProcessError, which the command line
+reports as a failed run.
 """
 
 from __future__ import annotations
@@ -72,6 +76,23 @@ def write_schedule_csv(path: str | Path, logs: Sequence[RoundLog],
                     fh.write(f"{head}{k},{ind[k]},{stale[k]},{cell}\r\n")
 
 
+def _reprs(values: np.ndarray, last: tuple[np.ndarray, list[str]] | None
+           ) -> tuple[np.ndarray, list[str]]:
+    """The int64 bits and `repr` of each of `values`, reusing the string of
+    every entry whose bits equal `last`'s (bits, not values: 0.0 == -0.0 but
+    they print differently); a row of one bit pattern is formatted once."""
+    bits = values.view(np.int64)
+    if (bits == bits[0]).all():
+        return bits, [repr(float(values[0]))] * bits.size
+    floats = values.tolist()
+    if last is None:
+        return bits, list(map(repr, floats))
+    strings = last[1].copy()
+    for j in np.flatnonzero(bits != last[0]).tolist():
+        strings[j] = repr(floats[j])
+    return bits, strings
+
+
 def _coefficient_lines(logs: Sequence[RoundLog], owners: dict[int, np.ndarray],
                        skip: int = 0) -> Iterator[str]:
     """Lines of `coefficients.csv` after its header, one per (round, block, k)
@@ -80,6 +101,9 @@ def _coefficient_lines(logs: Sequence[RoundLog], owners: dict[int, np.ndarray],
     replayed unformatted."""
     latest: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}  # not yet formatted
     cells: dict[tuple[int, int], list[str]] = {}
+    # the bits and strings of each row's last formatted raw entries; effective
+    # entries are formatted afresh, as a new raw row moves (nearly) all of them
+    raw_texts: dict[tuple[int, int], tuple[np.ndarray, list[str]]] = {}
     for i, log in enumerate(logs):
         for b in sorted(log.coeff_record):
             rows, raw, eff = log.coeff_record[b]
@@ -88,11 +112,13 @@ def _coefficient_lines(logs: Sequence[RoundLog], owners: dict[int, np.ndarray],
                 continue
             idx = np.flatnonzero(owners[b])
             ids = idx.tolist()
+            id_text = list(map(str, ids))
             for k in ids:
                 pair = latest.pop((b, k), None)
                 if pair is not None:
-                    cells[(b, k)] = [f"{kp},{r!r},{e!r}" for kp, r, e in
-                                     zip(ids, pair[0][idx].tolist(), pair[1][idx].tolist())]
+                    raw_text = raw_texts[(b, k)] = _reprs(pair[0][idx], raw_texts.get((b, k)))
+                    eff_text = _reprs(pair[1][idx], None)[1]
+                    cells[(b, k)] = list(map(",".join, zip(id_text, raw_text[1], eff_text)))
                 pre = f"{log.round},{b},{k},"
                 yield pre + ("\r\n" + pre).join(cells[(b, k)]) + "\r\n"
 

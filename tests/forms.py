@@ -1,14 +1,15 @@
 """Call forms the round does not use, built for tests from the forms it does.
 
-`nn_core.loss_and_grad` writes into a caller's gradient workspace, and
-`aggregation.effective_rows` returns the rows of given owner ids. Tests
-that want fresh gradient arrays or a block's whole weight matrix build them
-here.
+`nn_core.loss_and_grad` writes into a caller's gradient workspace,
+`aggregation.effective_rows` returns the rows of given owner ids, and
+`aggregation.softmax_row` takes one participant mask for all its rows.
+Tests that want fresh gradient arrays, a block's whole weight matrix or a
+mask per row build them here.
 """
 
 import numpy as np
 
-from fmmlsim.aggregation import effective_rows
+from fmmlsim.aggregation import effective_rows, softmax_row
 from fmmlsim.nn_core import ParamBlock
 
 
@@ -23,3 +24,8 @@ def owner_matrix(state, block, owners):
     out = np.zeros_like(state.raw[block])
     out[owners] = effective_rows(state, block, owners, np.flatnonzero(owners))
     return out
+
+
+def softmax_rows(raw_rows, masks):
+    """`softmax_row` with one participant mask per row: each row's own call, stacked."""
+    return np.array([softmax_row(row, mask) for row, mask in zip(raw_rows, masks)])

@@ -11,7 +11,7 @@ from fmmlsim.aggregation import (aggregate, block_owners,
                                  estimate_block_gradient, init_coeffs,
                                  masked_renormalize, softmax_row)
 from fmmlsim.errors import AggregationError
-from forms import owner_matrix
+from forms import owner_matrix, softmax_rows
 
 
 def vec_block(values):
@@ -120,7 +120,7 @@ def test_batched_softmax_matches_owner_softmax_then_mask_renormalization():
         masks = (rng.uniform(size=(n_rows, k)) < 0.6) & owners
         for i in range(n_rows):
             masks[i, rng.choice(np.flatnonzero(owners))] = True
-        batched = softmax_row(raw, masks)
+        batched = softmax_rows(raw, masks)
         for i in range(n_rows):
             ref = masked_renormalize(softmax_row(raw[i], owners), masks[i])
             assert (batched[i][ref == 0.0] == 0.0).all()
@@ -462,7 +462,7 @@ def raw_rows_and_masks(draw):
 @given(raw_rows_and_masks())
 def test_rows_lie_on_the_simplex_with_exact_zeros_outside_the_allowed_set(case):
     raw, allowed = case
-    rows = softmax_row(raw, allowed)
+    rows = softmax_rows(raw, allowed)
     assert np.isfinite(rows).all()
     assert (rows >= 0.0).all()
     assert (rows[~allowed] == 0.0).all()

@@ -1,6 +1,8 @@
 """The two-process `coefficients.csv` writer: the bytes of the split path
-equal the single-process formatter's, the split is taken only when it can
-run, and every failure surfaces in the parent with no helper left behind."""
+equal the single-process formatter's, both equal a plain formatter that
+passes every recorded cell through `repr`, the split is taken only when it
+can run, and every failure surfaces in the parent with no helper left
+behind."""
 
 import dataclasses
 import errno
@@ -31,6 +33,25 @@ def single_process_bytes(logs, owners):
     recorded = [log for log in logs if log.coeff_record is not None]
     text = ",".join(COEFFS_HEADER) + "\r\n" + "".join(_coefficient_lines(recorded, owners))
     return text.encode("ascii")
+
+
+def plain_bytes(logs, owners):
+    """`coefficients.csv` as the README defines it, with every cell of every
+    line formatted by `repr` from the row's latest record; nothing is reused."""
+    lines, latest = [",".join(COEFFS_HEADER)], {}
+    for log in logs:
+        if log.coeff_record is None:
+            continue
+        for b in sorted(log.coeff_record):
+            rows, raw, eff = log.coeff_record[b]
+            for i, k in enumerate(rows.tolist()):
+                latest[(b, k)] = (raw[i], eff[i])
+            ids = np.flatnonzero(owners[b]).tolist()
+            for k in ids:
+                r, e = latest[(b, k)]
+                lines.extend(f"{log.round},{b},{k},{kp},{float(r[kp])!r},{float(e[kp])!r}"
+                             for kp in ids)
+    return ("\r\n".join(lines) + "\r\n").encode("ascii")
 
 
 def assert_no_child_left():
@@ -76,6 +97,7 @@ def test_split_writer_bytes_equal_the_single_process_output(tmp_path, run, forks
     assert len(forks) == (1 if rounds >= 2 else 0)
     assert_no_child_left()
     assert (tmp_path / "c.csv").read_bytes() == single_process_bytes(logs, owners)
+    assert (tmp_path / "c.csv").read_bytes() == plain_bytes(logs, owners)
 
 
 def test_split_counts_only_rounds_that_hold_a_snapshot(tmp_path, run, forks):
@@ -102,7 +124,59 @@ def test_single_process_path_when_the_helper_cannot_run(tmp_path, run, monkeypat
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.delattr(os, "fork")
     write_coefficients_csv(tmp_path / "c.csv", logs, owners)
-    assert (tmp_path / "c.csv").read_bytes() == single_process_bytes(logs, owners)
+    assert (tmp_path / "c.csv").read_bytes() == plain_bytes(logs, owners)
+
+
+def logs_of(records, num_devices):
+    """One `RoundLog` per coefficient record, from round 1, with nothing else in it."""
+    zeros = np.zeros(num_devices)
+    return [RoundLog(round=r, gains=zeros, t_download=zeros, t_compute=zeros, t_upload=zeros,
+                     round_time=0.0, scheduled={}, staleness={}, metric_values={},
+                     train_loss=zeros, test_accuracy=zeros, mean_accuracy=0.0,
+                     weight_rows_used=[], coeff_record=record)
+            for r, record in enumerate(records, start=1)]
+
+
+def recorded(rows, raw, eff):
+    return np.array(rows, dtype=np.intp), np.array(raw, dtype=float), np.array(eff, dtype=float)
+
+
+NAN, INF = float("nan"), float("inf")
+# block 1 is owned by devices 0-2 of 4 (column 3 is never written), block 2 by all 4
+SYNTHETIC_OWNERS = {1: np.array([True, True, True, False]), 2: np.ones(4, dtype=bool)}
+SYNTHETIC_RECORDS = [
+    # round 1: every owner row, each of one value
+    {1: recorded([0, 1, 2], np.full((3, 4), 0.25), np.full((3, 4), 1 / 3)),
+     2: recorded([0, 1, 2, 3], np.full((4, 4), 0.25), np.full((4, 4), 0.25))},
+    # an entry at 0.0 and one at -0.0; a row of nan and infinities; a partial change
+    {1: recorded([0, 2], [[0.0, -0.0, 0.5, 7.0], [NAN, INF, -INF, 0.0]],
+                 [[0.5, 0.25, 0.25, 0.0], [NAN, INF, -INF, 0.0]]),
+     2: recorded([3], [[0.25, 0.25, 0.3, 0.25]], [[0.25, 0.25, 0.2, 0.3]])},
+    # the zeros swap signs; a row equal to 0.0 by value but not by bits; the
+    # same row partly changed again in consecutive rounds; a block with no row
+    {1: recorded([0, 1], [[-0.0, 0.0, 0.5, 7.0], [0.0, -0.0, 0.0, 1.0]],
+                 [[0.5, 0.25, 0.25, 0.0], [-0.0, 0.0, 0.0, 0.0]]),
+     2: recorded([3], [[0.25, 0.1, 0.3, 0.25]], [[0.25, 0.25, 0.2, 0.3]])},
+    {1: recorded([0, 1, 2], [[0.0, -0.0, 0.5, 7.0], [0.0, 0.0, 0.0, 1.0], [NAN, INF, -INF, 2.0]],
+                 [[0.5, 0.25, 0.25, 0.0], [0.0, 0.0, 0.0, 0.0], [NAN, -INF, INF, 0.0]]),
+     2: recorded([], np.zeros((0, 4)), np.zeros((0, 4)))},
+]
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "single process"])
+@pytest.mark.parametrize("rounds", [1, 2, 3, 4])
+def test_reused_cells_match_the_plain_formatter_on_signed_zeros_and_non_finite_entries(
+        tmp_path, forks, monkeypatch, split, rounds):
+    if not split:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    logs = logs_of(SYNTHETIC_RECORDS[:rounds], 4)
+    write_coefficients_csv(tmp_path / "c.csv", logs, SYNTHETIC_OWNERS)
+    assert len(forks) == (1 if split and rounds >= 2 else 0)
+    assert_no_child_left()
+    text = (tmp_path / "c.csv").read_bytes()
+    assert text == plain_bytes(logs, SYNTHETIC_OWNERS)
+    if rounds >= 2:
+        assert b",-0.0," in text and b",nan," in text
 
 
 def test_a_failing_helper_makes_the_cli_exit_2(tmp_path, capsys, monkeypatch, forks):
@@ -135,12 +209,7 @@ def test_a_parent_failing_mid_write_raises_and_leaves_no_helper(tmp_path, forks)
     # block 2 has no owners entry: the parent's round 2 raises KeyError, while
     # the helper replays that round without looking its owners up
     broken = {**record, 2: record[1]}
-    zeros = np.zeros(60)
-    logs = [RoundLog(round=r, gains=zeros, t_download=zeros, t_compute=zeros, t_upload=zeros,
-                     round_time=0.0, scheduled={}, staleness={}, metric_values={},
-                     train_loss=zeros, test_accuracy=zeros, mean_accuracy=0.0,
-                     weight_rows_used=[], coeff_record=broken if r == 2 else record)
-            for r in range(1, 7)]
+    logs = logs_of([broken if r == 2 else record for r in range(1, 7)], 60)
     with deadline(20.0), pytest.raises(KeyError):
         write_coefficients_csv(tmp_path / "c.csv", logs, owners)
     assert len(forks) == 1

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -120,6 +121,23 @@ def test_round_batch_gather_matches_the_modulo_gather(regime):
         for b, p in twin.params.items():
             assert np.array_equal(dev.params[b].values, p.values)
         assert dev.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("algorithm", ["proposed", "fedprox"])
+def test_a_deep_copy_steps_like_the_original(algorithm):
+    sim = Simulation(quick_cfg(seed=6, algorithm=algorithm, record_coefficients=True))
+    sim.step()
+    twin = copy.deepcopy(sim)
+    for dev in twin.devices:
+        for b, p in dev.params.items():
+            assert np.shares_memory(p.values, twin.store[b])
+            assert not np.shares_memory(p.values, sim.store[b])
+    for _ in range(3):
+        log, twin_log = sim.step(), twin.step()
+        np.testing.assert_equal(dataclasses.asdict(twin_log), dataclasses.asdict(log))
+        np.testing.assert_equal(twin.store, sim.store)
+        if algorithm == "proposed":
+            np.testing.assert_equal(twin.server.coeffs.raw, sim.server.coeffs.raw)
 
 
 @pytest.fixture
