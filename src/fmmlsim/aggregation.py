@@ -32,6 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import AggregationError
+from .nn_core import ArchSpec
 
 GRADIENT_ESTIMATES = ("descent_normalized", "raw_delta")
 
@@ -60,13 +61,11 @@ class CacheEntry:
 GradCache = dict[int, CacheEntry]  # block -> entry
 
 
-def block_owners(owned_sets: Sequence[Sequence[int]],
-                 num_modalities: int) -> dict[int, np.ndarray]:
-    """(K,) bool owner mask per block: modality m's holders, and everyone for the head M+1."""
-    owners = {m: np.array([m in set(owned) for owned in owned_sets], dtype=bool)
-              for m in range(1, num_modalities + 1)}
-    owners[num_modalities + 1] = np.ones(len(owned_sets), dtype=bool)
-    return owners
+def block_owners(owned_sets: Sequence[Sequence[int]], arch: ArchSpec) -> dict[int, np.ndarray]:
+    """(K,) bool owner mask per block id: the devices whose `arch.device_blocks` hold it."""
+    blocks = [arch.device_blocks(owned) for owned in owned_sets]
+    return {b: np.array([b in held for held in blocks], dtype=bool)
+            for b in range(1, arch.shared_block_id + 1)}
 
 
 def init_coeffs(num_devices: int, block_ids: Sequence[int], lr: float) -> CoefficientState:

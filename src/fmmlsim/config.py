@@ -13,11 +13,12 @@ import json
 import math
 import reprlib
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
 from .aggregation import GRADIENT_ESTIMATES
-from .datagen import PARTITIONS, assign_modalities
+from . import datagen
 from .errors import ConfigError
 from .scheduler import METRIC_KINDS
 
@@ -87,7 +88,7 @@ class RunConfig:
     num_devices: int = _at_least(9, 1)
     num_modalities: int = _at_least(2, 1)
     modality_profile: list[tuple[int, int]] | None = None
-    partition: str = _one_of("noniid1", PARTITIONS)
+    partition: str = _one_of("noniid1", datagen.PARTITIONS)
     algorithm: str = _one_of("proposed", ALGORITHMS)
     fedprox_mu: float = _at_least(0.01, 0)
     data: DataConfig = field(default_factory=DataConfig)
@@ -112,6 +113,14 @@ class RunConfig:
         if self.quota is None:
             return max(1, -(-self.num_devices // 3))
         return self.quota
+
+    @cached_property
+    def modality_sets(self) -> list[tuple[int, ...]]:
+        """Each device's owned modalities by `modality_profile` (None: the
+        default profile), derived on first read and kept, so the fields it reads
+        are not rebound after; a profile that does not fit raises ConfigError."""
+        return datagen.assign_modalities(self.num_devices, self.num_modalities,
+                                         self.modality_profile)
 
 
 # the sections: the fields whose default is a config dataclass of its own
@@ -204,7 +213,7 @@ def validate_config(cfg: RunConfig) -> None:
              f"quota: must lie in 1..{cfg.num_devices}")
     if cfg.modality_profile is not None:
         try:
-            assign_modalities(cfg.num_devices, cfg.num_modalities, cfg.modality_profile)
+            cfg.modality_sets
         except ConfigError as exc:
             raise ConfigError(f"modality_profile: {exc}") from None
 

@@ -8,7 +8,8 @@ distribution its local data follows. The label-skew schemes are named by
 generators take plain values and trust them: the config's field
 declarations check the partition name, class count, noise level, sample
 count and train fraction once, at the config boundary. `assign_modalities`
-alone applies the default modality profile.
+applies a modality profile; `RunConfig.modality_sets`, its one caller, owns
+each device's set, and `ArchSpec.device_blocks` the block list it gives.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ class SampleSet:
 
     features: dict[int, np.ndarray]  # modality -> (n, d_m)
     labels: np.ndarray               # (n,)
-
-    def __len__(self) -> int:
-        return int(self.labels.shape[0])
 
 
 @dataclass

@@ -4,8 +4,9 @@ Each device trains one encoder per modality it owns plus a classifier head
 shared by every device. Parameters live in flat per-block vectors (one block
 per modality encoder, one block for the head) so that blocks can be shipped,
 averaged and diffed without caring about layer layout. A device's model is a
-plain dict of blocks: its owned modalities in ascending order, then the head
-(`ArchSpec.shared_block_id`). A block vector may be a row view of a larger
+plain dict of blocks. `RunConfig.modality_sets` says which modalities each
+device owns, and `ArchSpec.device_blocks` alone turns them into its block
+list (ascending, then the head). A block vector may be a row view of a larger
 array that stacks one block for many devices. A `ParamBlock` checks its
 vector and cuts its layer views from its shapes, the layout's one statement,
 once, when it is built; its fields cannot be rebound, so the views stay
@@ -62,6 +63,10 @@ class ArchSpec:
     @cached_property  # read on every kernel call
     def fusion_width(self) -> int:
         return self.num_modalities * self.feature_len
+
+    def device_blocks(self, owned: Sequence[int]) -> tuple[int, ...]:
+        """A device's blocks: its `owned` modalities in ascending order, then the head."""
+        return (*sorted(owned), self.shared_block_id)
 
     def block_shapes(self, block_id: int) -> tuple[tuple[int, ...], ...]:
         """Layer array shapes of one block, in storage order."""
@@ -144,15 +149,15 @@ def init_full_params(arch: ArchSpec, rng: np.random.Generator) -> dict[int, Para
 
 
 def slice_device_params(full: Mapping[int, ParamBlock], owned: Sequence[int],
-                        shared_id: int) -> dict[int, ParamBlock]:
-    """Copy the blocks a device maintains out of a full parameter set: the
-    owned modalities in ascending order, then the head.
+                        arch: ArchSpec) -> dict[int, ParamBlock]:
+    """Copy the blocks a device maintains (`arch.device_blocks(owned)`) out
+    of a full parameter set.
 
     The copies are standalone vectors; a `Simulation` instead builds each
     device's blocks as rows of its per-block arrays.
     """
     return {b: ParamBlock(b, full[b].values.copy(), full[b].shapes)
-            for b in (*sorted(owned), shared_id)}
+            for b in arch.device_blocks(owned)}
 
 
 @lru_cache(maxsize=16)
@@ -271,5 +276,5 @@ def sgd_step(params: Mapping[int, ParamBlock], grad: Mapping[int, np.ndarray], e
 
 def flops_per_iteration(arch: ArchSpec, owned: Sequence[int], batch_size: int) -> dict[int, int]:
     """Per-block FLOPs of one training iteration at the given batch size."""
-    block_ids = (*sorted(owned), arch.shared_block_id)
-    return {b: FLOPS_PER_PARAM * arch.block_param_count(b) * batch_size for b in block_ids}
+    return {b: FLOPS_PER_PARAM * arch.block_param_count(b) * batch_size
+            for b in arch.device_blocks(owned)}

@@ -164,8 +164,7 @@ class Simulation:
         self.rng_channel = np.random.default_rng(channel_ss)
         self.rng_sched = np.random.default_rng(sched_ss)
 
-        owned_sets = datagen.assign_modalities(
-            cfg.num_devices, cfg.num_modalities, cfg.modality_profile)
+        owned_sets = cfg.modality_sets
         means = datagen.make_class_means(
             data_rng, cfg.data.num_classes, cfg.data.input_dims, cfg.data.mean_separation)
         datasets = []
@@ -179,7 +178,6 @@ class Simulation:
         self.distances = wireless.place_devices(
             np.random.default_rng(place_ss), cfg.num_devices, cfg.link.cell_radius_m)
         full = nn_core.init_full_params(self.arch, np.random.default_rng(init_ss))
-        shared = self.arch.shared_block_id
         # log-uniform slowdown in [1, heterogeneity] per device; exactly 1.0 at
         # heterogeneity 1, where the draws are uniform(0, 0)
         slowdown = np.exp(np.random.default_rng(hw_ss).uniform(
@@ -190,7 +188,7 @@ class Simulation:
             sum(nn_core.flops_per_iteration(self.arch, owned_sets[k], cfg.batch_size).values()),
             cfg.compute.cycles_per_s / float(slowdown[k]), cfg.compute.flops_per_cycle)
             for k in range(cfg.num_devices)])
-        self.owners = agg.block_owners(owned_sets, cfg.num_modalities)
+        self.owners = agg.block_owners(owned_sets, self.arch)
         self.block_ids = sorted(self.owners)
         self.sizes_bits = {b: nn_core.BITS_PER_PARAM * self.arch.block_param_count(b)
                            for b in self.block_ids}
@@ -204,7 +202,7 @@ class Simulation:
         self.devices = []
         for k in range(cfg.num_devices):
             params = self._row_blocks(k, {b: full[b].shapes
-                                          for b in (*sorted(owned_sets[k]), shared)})
+                                          for b in self.arch.device_blocks(owned_sets[k])})
             self.devices.append(DeviceState(k, params, datasets[k], dev_rngs[k]))
         # one gradient block per block id, shared by the devices as they train in turn
         self.grad_workspace = {b: ParamBlock(b, np.zeros(full[b].param_count), full[b].shapes)

@@ -10,11 +10,16 @@ as `null`, so the bytes do not depend on the temporary output directory.
 `tests/test_golden_hashes.py` reruns the same configs and compares. This
 file pins outputs byte for byte: regenerate it only for a change that is
 meant to change them, and say so where the change is recorded.
+
+The hashes also pin the kernel that numpy's bundled OpenBLAS picks for the
+CPU, since kernels differ in the last bits of a product. The script writes
+the kernel it ran under to `tests/golden/blas_core.txt`, beside the hashes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -22,11 +27,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from fmmlsim import desk_config
 from fmmlsim.cli import main
 from fmmlsim.config import RunConfig, config_to_dict
 
 GOLDEN = Path(__file__).parent / "golden" / "output_hashes.json"
+GOLDEN_CORE = GOLDEN.with_name("blas_core.txt")  # the OpenBLAS kernel the hashes were made under
 OUTPUTS = ("rounds.csv", "schedule.csv", "coefficients.csv", "gains.csv", "summary.json")
 
 # The benchmark's `wide_proposed` overrides (K=90, 3 modalities), cut to 5 rounds.
@@ -56,6 +64,19 @@ def golden_runs() -> dict[str, RunConfig]:
     return runs
 
 
+def active_blas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS runs in this process, read through
+    ctypes; None where that library or its `scipy_openblas_get_corename64_`
+    cannot be found."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so*"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def output_hashes(cfg: RunConfig) -> dict[str, str]:
     """Run `cfg` through the CLI; SHA-256 of each output file it wrote."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -75,10 +96,14 @@ def output_hashes(cfg: RunConfig) -> dict[str, str]:
 
 
 def main_() -> int:
+    core = active_blas_core()
+    if core is None:
+        sys.exit("cannot read the active OpenBLAS kernel, so the hashes would pin an unknown one")
     table = {name: output_hashes(cfg) for name, cfg in golden_runs().items()}
     GOLDEN.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN} ({len(table)} runs)")
+    GOLDEN_CORE.write_text(core + "\n")
+    print(f"wrote {GOLDEN} ({len(table)} runs, OpenBLAS kernel {core})")
     return 0
 
 

@@ -223,7 +223,7 @@ class ReferenceRun:
 
     def local_sgd(self, k):
         cfg, params, train = self.cfg, self.params[k], self.data[k].train
-        n = len(train)
+        n = len(train.labels)
         perm = self.rngs[k].permutation(n)
         idx = perm[np.arange(cfg.local_iters * cfg.batch_size) % n]
         anchor = {b: w.copy() for b, w in params.items()}

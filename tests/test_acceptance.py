@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from fmmlsim import desk_config, nn_core
-from fmmlsim.aggregation import (block_owners, coeff_jacobian, init_coeffs,
-                                 masked_renormalize, softmax_row)
+from fmmlsim.aggregation import coeff_jacobian, init_coeffs, masked_renormalize, softmax_row
 from fmmlsim.cli import main
 from fmmlsim.config import config_to_dict
 from fmmlsim.orchestrator import Simulation
@@ -139,10 +138,10 @@ def test_criterion_03_model_gradient_oracle():
             encoder_hidden=3, feature_len=2, classifier_hidden=(3,),
             num_classes=4)
         owned = tuple(range(1, arch.num_modalities + 1))
-        total = sum(arch.block_param_count(b) for b in (*owned, arch.shared_block_id))
+        total = sum(arch.block_param_count(b) for b in arch.device_blocks(owned))
         assert total <= 200
         full = nn_core.init_full_params(arch, np.random.default_rng(trial))
-        params = nn_core.slice_device_params(full, owned, arch.shared_block_id)
+        params = nn_core.slice_device_params(full, owned, arch)
         feats = {m: rng.normal(size=(5, arch.input_dims[m - 1])) for m in owned}
         labels = rng.integers(0, 4, size=5)
         _, grad = nn_core.loss_and_grad(arch, params, feats, labels, out=zero_grads(params))
@@ -206,7 +205,7 @@ def test_criterion_06_coefficient_trend(trend_battery):
     for seed in SEEDS:
         result = trend_battery[("proposed", seed)]
         cfg = result.config
-        owners = block_owners(result.summary["owned_modalities"], cfg.num_modalities)
+        owners = Simulation(cfg).owners
         # round 1 steps no raw row, so its effective rows are the initial ones
         start = init_coeffs(cfg.num_devices, sorted(owners), cfg.coeff_lr)
         first = {b: owner_matrix(start, b, owners[b]) for b in owners}

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from fmmlsim import aggregation as agg
 from fmmlsim.aggregation import (aggregate, block_owners,
                                  build_round_mask, coeff_grad, coeff_jacobian,
                                  coeff_update, effective_rows,
                                  estimate_block_gradient, init_coeffs,
                                  masked_renormalize, softmax_row)
 from fmmlsim.errors import AggregationError
+from fmmlsim.nn_core import ArchSpec
 from forms import owner_matrix, softmax_rows
 
 
@@ -29,13 +29,19 @@ def all_true(n):
     return np.ones(n, dtype=bool)
 
 
+def arch_of(num_modalities):
+    """The smallest architecture with this many modalities; its head is block M+1."""
+    return ArchSpec(input_dims=(1,) * num_modalities, encoder_hidden=1, feature_len=1,
+                    classifier_hidden=(), num_classes=2)
+
+
 # ----------------------------- init -----------------------------
 
 def test_init_uniform():
     state = init_coeffs(9, (1, 2, 3), lr=0.01)
     for b in (1, 2, 3):
         assert np.allclose(state.raw[b], 1.0 / 9)
-    assert block_owners([(1, 2)] * 9, 2)[3].all()
+    assert block_owners([(1, 2)] * 9, arch_of(2))[3].all()
 
 
 def test_init_single_device():
@@ -51,7 +57,7 @@ def test_init_softmax_row_is_uniform():
 
 
 def test_init_respects_ownership():
-    owners = block_owners([(1,), (2,), (1, 2)], 2)
+    owners = block_owners([(1,), (2,), (1, 2)], arch_of(2))
     np.testing.assert_array_equal(owners[1], [True, False, True])
     np.testing.assert_array_equal(owners[2], [False, True, True])
     np.testing.assert_array_equal(owners[3], [True, True, True])
@@ -473,7 +479,7 @@ def test_fedavg_reduction_uniform_weights():
     rng = np.random.default_rng(8)
     n = 7
     state = init_coeffs(n, (1, 2), lr=0.0)
-    owners = block_owners([(1,)] * n, 1)[1]
+    owners = block_owners([(1,)] * n, arch_of(1))[1]
     uploads = {k: vec_block(rng.normal(size=10)) for k in range(n)}
     mask = build_round_mask(np.ones(n, dtype=int), owners)
     row = masked_renormalize(softmax_row(state.raw[1][0], owners), mask[0])

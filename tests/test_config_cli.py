@@ -4,7 +4,6 @@ import math
 import re
 import warnings
 from dataclasses import fields, is_dataclass
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +14,10 @@ from fmmlsim.config import (RunConfig, config_from_dict, config_to_dict, load_co
                             validate_config)
 from fmmlsim.errors import ConfigError
 from fmmlsim.recipes import RECIPE_NAMES
-from fmmlsim.orchestrator import RoundLog, Simulation
+from fmmlsim.orchestrator import Simulation
 from fmmlsim.reporting import (COEFFS_HEADER, GAINS_HEADER, ROUNDS_HEADER, SCHEDULE_HEADER,
-                               write_coefficients_csv, write_gains_csv, write_rounds_csv,
-                               write_schedule_csv)
+                               write_gains_csv, write_rounds_csv, write_schedule_csv)
+from forms import synthetic_log
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -462,39 +461,6 @@ def gains_csv_reference(path, logs, num_devices):
                 writer.writerow([log.round, k, _fmt(log.gains[k])])
 
 
-def coefficients_csv_reference(path, logs, owners):
-    """The coefficient writer as one `csv.writer` row per participant pair of
-    each recorded round's full matrices, rebuilt by replaying the records."""
-    num_devices = len(next(iter(owners.values())))
-    raw = {b: np.full((num_devices, num_devices), np.nan) for b in owners}
-    eff = {b: m.copy() for b, m in raw.items()}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COEFFS_HEADER)
-        for log in logs:
-            if log.coeff_record is None:
-                continue
-            for b, (rows, raw_rows, eff_rows) in log.coeff_record.items():
-                raw[b][rows], eff[b][rows] = raw_rows, eff_rows
-            for b in sorted(log.coeff_record):
-                idx = np.flatnonzero(owners[b])
-                for k in idx:
-                    for kp in idx:
-                        writer.writerow([log.round, b, int(k), int(kp),
-                                         repr(float(raw[b][k, kp])), repr(float(eff[b][k, kp]))])
-
-
-def test_coefficients_csv_bytes_match_the_csv_writer_reference(tmp_path):
-    sim = Simulation(desk_config(seed=2, rounds=3, local_iters=2, record_coefficients=True))
-    result = sim.run()
-    assert any(not owners.all() for owners in sim.owners.values())
-    write_coefficients_csv(tmp_path / "fast.csv", result.logs, sim.owners)
-    coefficients_csv_reference(tmp_path / "ref.csv", result.logs, sim.owners)
-    fast = (tmp_path / "fast.csv").read_bytes()
-    assert fast == (tmp_path / "ref.csv").read_bytes()
-    assert fast.count(b"\r\n") == 1 + 3 * sum(int(o.sum()) ** 2 for o in sim.owners.values())
-
-
 @pytest.mark.parametrize("overrides", [
     {"algorithm": "proposed", "record_gains": True},
     {"algorithm": "fedavg"},
@@ -513,18 +479,6 @@ def test_round_schedule_and_gains_csv_bytes_match_the_csv_writer_references(tmp_
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def synthetic_log(round_, record=None, metric_values=None):
-    """A 4-device RoundLog with what the schedule and coefficient writers
-    read filled in; the other fields are zeros."""
-    zeros = np.zeros(4)
-    return RoundLog(round=round_, gains=zeros, t_download=zeros, t_compute=zeros,
-                    t_upload=zeros, round_time=0.0,
-                    scheduled={1: np.array([1, 0, 1, 0], dtype=np.int8)},
-                    staleness={1: np.array([0, 3, 0, 1])}, metric_values=metric_values or {},
-                    train_loss=zeros, test_accuracy=zeros, mean_accuracy=0.0,
-                    weight_rows_used=[], coeff_record=record)
-
-
 def test_schedule_csv_leaves_the_metric_cell_empty_for_devices_without_one(tmp_path):
     owners = {1: np.array([True, True, True, False])}
     logs = [synthetic_log(1, metric_values={1: {0: 0.25, 2: -0.0}}), synthetic_log(2)]
@@ -533,58 +487,6 @@ def test_schedule_csv_leaves_the_metric_cell_empty_for_devices_without_one(tmp_p
     fast = (tmp_path / "fast.csv").read_bytes()
     assert fast == (tmp_path / "ref.csv").read_bytes()
     assert b"1,1,0,1,0,0.25\r\n1,1,1,0,3,\r\n1,1,2,1,0,-0.0\r\n" in fast
-
-
-# Owners of the synthetic blocks: every device owns block 1; device 1 does not own block 2.
-SYNTHETIC_OWNERS = {1: np.ones(4, dtype=bool), 2: np.array([True, False, True, True])}
-
-
-def _coefficient_scenarios():
-    rng = np.random.default_rng(7)
-    raw, eff = rng.normal(size=(4, 4)), rng.random((4, 4))
-    raw[2, 3] = eff[3, 0] = 0.0
-    signed = raw.copy()
-    signed[2, 3] = -0.0                    # == raw, but not bit-equal
-    eff_moved = eff.copy()
-    eff_moved[0, 2] = np.nextafter(eff[0, 2], 2.0)
-    other_raw, other_eff = rng.normal(size=(4, 4)), rng.random((4, 4))
-    off_owners = raw.copy()
-    off_owners[1, :] = off_owners[:, 1] = 9.0  # only cells of device 1, which block 2 skips
-
-    def rows(r, e, ks):
-        ks = np.array(ks, dtype=np.intp)
-        return ks, r[ks], e[ks]
-
-    def both(r, e, ks=(0, 1, 2, 3)):
-        return {1: rows(r, e, ks), 2: rows(r, e, [k for k in ks if k != 1])}
-
-    return {
-        "row unchanged across rounds": [both(raw, eff), both(raw, eff, ()),
-                                        both(raw.copy(), eff.copy(), (1, 2))],
-        "one cell flips between 0.0 and -0.0": [both(raw, eff), both(signed, eff, (2,)),
-                                                both(raw, eff, (2,)), both(signed, eff, (2,))],
-        "raw unchanged while effective changes": [both(raw, eff), both(raw, eff_moved, (0,)),
-                                                  both(raw, eff, (0,))],
-        "row changes then reverts": [both(raw, eff), both(other_raw, other_eff, (0, 3)),
-                                     both(raw, eff, (0, 3))],
-        "no snapshot between recorded rounds": [both(raw, eff), None,
-                                                both(signed, eff_moved, (0, 2)), None,
-                                                both(raw, eff, (2,))],
-        "block owned by only some devices": [both(raw, eff),
-                                             {1: rows(raw, eff, ()),
-                                              2: rows(off_owners, eff, (0, 2, 3))},
-                                             {2: rows(off_owners, eff_moved, (0,))},
-                                             both(raw, eff, (0, 3))],
-    }
-
-
-@pytest.mark.parametrize("scenario", list(_coefficient_scenarios()))
-def test_coefficients_csv_reuses_only_bit_equal_rows(tmp_path, scenario):
-    records = _coefficient_scenarios()[scenario]
-    logs = [synthetic_log(r, record=rec) for r, rec in enumerate(records, start=1)]
-    write_coefficients_csv(tmp_path / "fast.csv", logs, SYNTHETIC_OWNERS)
-    coefficients_csv_reference(tmp_path / "ref.csv", logs, SYNTHETIC_OWNERS)
-    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_recipe_suites_validate_and_count():

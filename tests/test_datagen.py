@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fmmlsim import datagen
 from fmmlsim.datagen import (PARTITIONS, assign_modalities,
                              default_modality_profile, generate_device_data,
                              make_class_means, partition_labels)
@@ -104,7 +103,7 @@ def test_split_sizes_sum_and_modality_consistency():
     rng = np.random.default_rng(4)
     labels = partition_labels("noniid2", 3, 50, rng)
     ds = generate_device_data(small_means(), 0.5, 0.8, labels, (2,), rng)
-    assert len(ds.train) + len(ds.test) == 50
+    assert len(ds.train.labels) + len(ds.test.labels) == 50
     assert set(ds.train.features) == {2}
     assert set(ds.test.features) == {2}
     assert ds.train.features[2].shape[1] == DIMS[1]
@@ -129,7 +128,7 @@ def test_nearest_centroid_oracle_on_generated_data():
     correct = sum(
         nearest_mean(ds.test.features[1][i], ds.test.features[2][i]) == y
         for i, y in enumerate(ds.test.labels))
-    assert correct / len(ds.test) > 0.95
+    assert correct / len(ds.test.labels) > 0.95
 
 
 def test_seed_determinism_full_pipeline():

@@ -20,7 +20,7 @@ def toy_arch():
 
 def zero_params(arch, owned):
     blocks = {}
-    for b in (*owned, arch.shared_block_id):
+    for b in arch.device_blocks(owned):
         shapes = arch.block_shapes(b)
         blocks[b] = ParamBlock(b, np.zeros(arch.block_param_count(b)), shapes)
     return blocks
@@ -28,7 +28,7 @@ def zero_params(arch, owned):
 
 def random_params(arch, owned, seed=0):
     full = init_full_params(arch, np.random.default_rng(seed))
-    return slice_device_params(full, owned, arch.shared_block_id)
+    return slice_device_params(full, owned, arch)
 
 
 def one_row(sample):
@@ -241,6 +241,17 @@ def test_flops_per_iteration():
     assert counts[2] == 5 * 4 + 5 + 2 * 5 + 2
     assert counts[3] == 4 * 4 + 4 + 6 * 4 + 6  # fused width 4 -> hidden 4 -> 6
     assert flops[1] == 6 * 32
+
+
+@pytest.mark.parametrize("owned, blocks", [((3, 1), (1, 3, 4)), ((2,), (2, 4)),
+                                           ((1, 2, 3), (1, 2, 3, 4))])
+def test_three_modalities_key_flops_and_device_params_by_the_device_blocks(owned, blocks):
+    arch = ArchSpec(input_dims=(3, 4, 2), encoder_hidden=5, feature_len=2,
+                    classifier_hidden=(4,), num_classes=6)
+    assert arch.device_blocks(owned) == blocks
+    assert tuple(flops_per_iteration(arch, owned, 2)) == blocks
+    full = init_full_params(arch, np.random.default_rng(0))
+    assert tuple(slice_device_params(full, owned, arch)) == blocks
 
 
 def test_flops_simple_example():

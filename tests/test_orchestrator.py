@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def quick_cfg(**over):
 def test_single_iteration_matches_one_sgd_step():
     sim = Simulation(quick_cfg(seed=1))
     dev = sim.devices[0]
-    n = len(dev.dataset.train)
+    n = len(dev.dataset.train.labels)
     # duplicate the rng so both paths see the same permutation
     rng_copy = copy.deepcopy(dev.rng)
     expected = copy.deepcopy(dev.params)
@@ -57,7 +58,7 @@ def test_single_iteration_matches_one_sgd_step():
 def test_multi_iteration_update_matches_per_iteration_gather(prox_mu):
     sim = Simulation(quick_cfg(seed=3))
     dev = sim.devices[4]
-    n = len(dev.dataset.train)
+    n = len(dev.dataset.train.labels)
     iters, batch = 5, 32
     assert iters * batch > 2 * n  # batches wrap around the shuffle more than once
     rng_copy = copy.deepcopy(dev.rng)
@@ -89,7 +90,7 @@ def test_multi_iteration_update_matches_per_iteration_gather(prox_mu):
 def local_update_round_gather(arch, device, lr, local_iters, batch_size):
     """Reference: the round's batches gathered as perm[np.arange(L*B) % n] in every case."""
     train = device.dataset.train
-    n = len(train)
+    n = len(train.labels)
     perm = device.rng.permutation(n)
     idx = perm[np.arange(local_iters * batch_size) % n]
     losses = []
@@ -107,7 +108,7 @@ def local_update_round_gather(arch, device, lr, local_iters, batch_size):
                                     "wraps around the shuffle"])
 def test_round_batch_gather_matches_the_modulo_gather(regime):
     sim = Simulation(desk_config(seed=8))
-    n = len(sim.devices[0].dataset.train)
+    n = len(sim.devices[0].dataset.train.labels)
     iters, batch = {"one pass, part of the data": (1, 32),
                     "one pass, all of it": (2, n // 2),
                     "wraps around the shuffle": (12, 32)}[regime]
@@ -440,23 +441,35 @@ def test_set_up_fixes_every_input_the_kernel_trusts(overrides):
     # loss_and_grad, forward_batch and sgd_step check none of these facts
     cfg = desk_config(0, **overrides)
     sim = Simulation(cfg)
-    arch, head = sim.arch, sim.arch.shared_block_id
+    arch = sim.arch
     assigned = datagen.assign_modalities(cfg.num_devices, cfg.num_modalities,
                                          cfg.modality_profile)
     for dev in sim.devices:
         owned = dev.dataset.owned
         assert owned == tuple(sorted(assigned[dev.device_id]))
-        assert tuple(dev.params) == (*owned, head)
+        assert tuple(dev.params) == arch.device_blocks(owned)
         for b, p in dev.params.items():  # the gradient workspace is laid out like each block
             assert p.shapes == sim.grad_workspace[b].shapes == arch.block_shapes(b)
         for split in (dev.dataset.train, dev.dataset.test):
-            n = len(split)
+            n = len(split.labels)
             assert n >= 1
             assert tuple(split.features) == owned
             for m, x in split.features.items():
                 assert x.dtype == np.float64 and x.shape == (n, arch.input_dims[m - 1])
             assert split.labels.dtype == np.int64 and split.labels.shape == (n,)
             assert 0 <= split.labels.min() and split.labels.max() < arch.num_classes
+
+
+def test_a_profile_is_assigned_once_from_the_config_to_set_up():
+    # counted by code object, so a call through any imported name counts too
+    calls = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame.f_code))
+    try:
+        sim = Simulation(config_from_dict({"modality_profile": [[3, 2], [6, 1]]}))
+    finally:
+        sys.setprofile(None)
+    assert calls.count(datagen.assign_modalities.__code__) == 1
+    assert [dev.dataset.owned for dev in sim.devices] == sim.cfg.modality_sets
 
 
 @pytest.mark.parametrize("overrides", [

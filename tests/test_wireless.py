@@ -9,17 +9,12 @@ from fmmlsim.wireless import (compute_latency, cumulative_upload_latency,
                               download_latency, link_rate, mean_gain,
                               path_loss_db, place_devices,
                               sample_round_gains, upload_latency)
-
-
-def sample_gain(rng, distance_m, carrier_ghz):
-    """Reference: one device's Rayleigh amplitude, its mean the path-loss attenuation."""
-    mu = mean_gain(distance_m, carrier_ghz)
-    return float(rng.rayleigh(scale=mu * math.sqrt(2.0 / math.pi)))
+from reference import gain_reference
 
 
 def sample_round_gains_reference(rng, distances, carrier_ghz):
     """Reference: the per-device draw loop `sample_round_gains` replaced."""
-    return np.array([sample_gain(rng, float(d), carrier_ghz) for d in distances])
+    return np.array([gain_reference(rng, float(d), carrier_ghz) for d in distances])
 
 
 def test_path_loss_hand_values():
@@ -43,14 +38,14 @@ def test_rayleigh_mean_matches_attenuation():
     rng = np.random.default_rng(0)
     d, f = 60.0, 2.6
     mu = mean_gain(d, f)
-    draws = np.array([sample_gain(rng, d, f) for _ in range(100_000)])
+    draws = np.array([gain_reference(rng, d, f) for _ in range(100_000)])
     assert (draws >= 0).all()
     assert abs(draws.mean() - mu) / mu < 0.01
 
 
 def test_gain_sampling_reproducible():
-    a = [sample_gain(np.random.default_rng(5), 30.0, 2.6) for _ in range(1)]
-    b = [sample_gain(np.random.default_rng(5), 30.0, 2.6) for _ in range(1)]
+    a = [gain_reference(np.random.default_rng(5), 30.0, 2.6) for _ in range(1)]
+    b = [gain_reference(np.random.default_rng(5), 30.0, 2.6) for _ in range(1)]
     assert a == b
     r1 = sample_round_gains(np.random.default_rng(7), np.array([10.0, 20.0]), 2.6)
     r2 = sample_round_gains(np.random.default_rng(7), np.array([10.0, 20.0]), 2.6)
@@ -141,7 +136,7 @@ def test_dimensional_walkthrough_full_round():
     link = LinkConfig()
     rng = np.random.default_rng(3)
     d = place_devices(rng, 1, link.cell_radius_m)[0]
-    g = sample_gain(rng, float(d), link.carrier_ghz)
+    g = gain_reference(rng, float(d), link.carrier_ghz)
     down = link_rate(link.server_power_w, g, link.bandwidth_hz, link.noise_density)
     up = link_rate(link.device_power_w, g, link.bandwidth_hz, link.noise_density)
     sizes = {1: 13_056, 2: 8_896}
