@@ -132,7 +132,6 @@ def generate_device_data(class_means: Sequence[np.ndarray], noise_std: float,
     class_means[m - 1] is modality m's (C, d_m) matrix of class centres
     (`make_class_means`).
     """
-    owned = tuple(sorted(owned))
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.shape[0]
     features = {}

@@ -472,6 +472,14 @@ def test_a_profile_is_assigned_once_from_the_config_to_set_up():
     assert [dev.dataset.owned for dev in sim.devices] == sim.cfg.modality_sets
 
 
+@pytest.mark.parametrize("profile", [None, [[3, 2], [6, 1]]], ids=["default", "profile"])
+def test_each_dataset_keeps_the_configs_modality_set(profile):
+    # RunConfig.modality_sets owns the ascending order; set-up passes its tuples on as they are
+    sim = Simulation(desk_config(0, modality_profile=profile))
+    for k, dev in enumerate(sim.devices):
+        assert dev.dataset.owned is sim.cfg.modality_sets[k]
+
+
 @pytest.mark.parametrize("overrides", [
     {},
     {"num_devices": 12, "num_modalities": 3, "data": {"input_dims": [16, 24, 12]}},

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fmmlsim.errors import SchedulingError
 from fmmlsim.scheduler import schedule_block, schedule_round, scheduling_metric
+from reference import schedule_round_reference
 
 
 def test_metric_ratio_values():
@@ -134,38 +135,6 @@ def test_schedule_round_random_selection_respects_quota_and_ownership():
     assert ind[2].sum() == 1
 
 
-def brute_force_lines_5_to_9(owners, self_w, t_down, t_cmp, sizes, up_rates,
-                             quota, threshold, staleness0, kind, alpha):
-    """Straight-line transliteration of the per-block selection loop."""
-    num_devices = len(t_down)
-    blocks = sorted(owners)
-    ind = {b: [0] * num_devices for b in blocks}
-    stale = {b: list(staleness0[b]) for b in blocks}
-    for b in blocks:
-        eligible = [k for k in range(num_devices) if owners[b][k]]
-        vals = {}
-        for k in eligible:
-            up_bits = sizes[b] + sum(sizes[bp] * ind[bp][k] for bp in blocks if bp < b)
-            total = t_down[k] + t_cmp[k] + up_bits / up_rates[k]
-            if kind == "ratio":
-                vals[k] = (1 - self_w[b][k]) / total
-            else:
-                vals[k] = (1 - self_w[b][k]) - alpha * total
-        order = sorted(eligible, key=lambda k: (-vals[k], k))
-        chosen = set(order[:min(quota, len(eligible))])
-        for k in eligible:
-            if k in chosen:
-                ind[b][k] = 1
-                stale[b][k] = 0
-            else:
-                stale[b][k] += 1
-        for k in eligible:
-            if stale[b][k] >= threshold:
-                ind[b][k] = 1
-                stale[b][k] = 0
-    return ind, stale
-
-
 def random_instance(rng):
     num_devices = int(rng.integers(2, 7))
     num_mod = int(rng.integers(1, 4))
@@ -193,17 +162,20 @@ def random_instance(rng):
 
 
 def test_schedule_round_matches_brute_force_small_case():
-    rng = np.random.default_rng(123)
-    inst = random_instance(rng)
     (owners, self_w, t_down, t_cmp, sizes, up_rates, quota, threshold,
-     staleness0, kind, alpha) = inst
-    ind, stale, _, _ = schedule_round(
-        self_w, t_down, t_cmp, sizes, up_rates, owners,
-        kind, alpha, staleness0, quota, threshold)
-    bf_ind, bf_stale = brute_force_lines_5_to_9(*inst)
-    for b in owners:
-        np.testing.assert_array_equal(ind[b], bf_ind[b])
-        np.testing.assert_array_equal(stale[b], bf_stale[b])
+     staleness0, kind, alpha) = random_instance(np.random.default_rng(123))
+    # the drawn instance, then one whose devices are all alike: each block's
+    # metrics then tie unless earlier blocks' uploads set them apart
+    alike = ({b: np.where(owners[b], 0.5, 0.0) for b in owners},
+             *(np.full_like(a, a[0]) for a in (t_down, t_cmp, up_rates)))
+    for self_w, t_down, t_cmp, up_rates in [(self_w, t_down, t_cmp, up_rates), alike]:
+        args = (self_w, t_down, t_cmp, sizes, up_rates, owners, kind, alpha, staleness0, quota,
+                threshold)
+        ind, stale, _, _ = schedule_round(*args)
+        ref_ind, ref_stale, _ = schedule_round_reference(*args)
+        for b in owners:
+            np.testing.assert_array_equal(ind[b], ref_ind[b])
+            np.testing.assert_array_equal(stale[b], ref_stale[b])
 
 
 @settings(max_examples=200, deadline=None)
