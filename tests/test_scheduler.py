@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fmmlsim.errors import SchedulingError
 from fmmlsim.scheduler import schedule_block, schedule_round, scheduling_metric
-from reference import schedule_round_reference
 
 
 def test_metric_ratio_values():
@@ -133,49 +132,6 @@ def test_schedule_round_random_selection_respects_quota_and_ownership():
         owners, "ratio", 0.0, staleness, 1, 10, rng=rng)
     assert ind[1].sum() == 1 and ind[1][2] == 0
     assert ind[2].sum() == 1
-
-
-def random_instance(rng):
-    num_devices = int(rng.integers(2, 7))
-    num_mod = int(rng.integers(1, 4))
-    blocks = list(range(1, num_mod + 2))
-    owners = {}
-    for b in blocks[:-1]:
-        row = rng.uniform(size=num_devices) < 0.7
-        if not row.any():
-            row[int(rng.integers(num_devices))] = True
-        owners[b] = row
-    owners[blocks[-1]] = np.ones(num_devices, dtype=bool)
-    self_w = {b: np.where(owners[b], rng.uniform(size=num_devices), 0.0) for b in blocks}
-    t_down = rng.uniform(0.0, 3.0, size=num_devices)
-    t_cmp = rng.uniform(0.1, 5.0, size=num_devices)
-    sizes = {b: int(rng.integers(100, 10000)) for b in blocks}
-    up_rates = rng.uniform(50.0, 5000.0, size=num_devices)
-    quota = int(rng.integers(1, num_devices + 1))
-    threshold = int(rng.integers(1, 6))
-    staleness0 = {b: rng.integers(0, threshold, size=num_devices).astype(np.int64)
-                  for b in blocks}
-    kind = "ratio" if rng.uniform() < 0.5 else "linear"
-    alpha = float(rng.uniform(0.0, 0.5))
-    return (owners, self_w, t_down, t_cmp, sizes, up_rates, quota, threshold,
-            staleness0, kind, alpha)
-
-
-def test_schedule_round_matches_brute_force_small_case():
-    (owners, self_w, t_down, t_cmp, sizes, up_rates, quota, threshold,
-     staleness0, kind, alpha) = random_instance(np.random.default_rng(123))
-    # the drawn instance, then one whose devices are all alike: each block's
-    # metrics then tie unless earlier blocks' uploads set them apart
-    alike = ({b: np.where(owners[b], 0.5, 0.0) for b in owners},
-             *(np.full_like(a, a[0]) for a in (t_down, t_cmp, up_rates)))
-    for self_w, t_down, t_cmp, up_rates in [(self_w, t_down, t_cmp, up_rates), alike]:
-        args = (self_w, t_down, t_cmp, sizes, up_rates, owners, kind, alpha, staleness0, quota,
-                threshold)
-        ind, stale, _, _ = schedule_round(*args)
-        ref_ind, ref_stale, _ = schedule_round_reference(*args)
-        for b in owners:
-            np.testing.assert_array_equal(ind[b], ref_ind[b])
-            np.testing.assert_array_equal(stale[b], ref_stale[b])
 
 
 @settings(max_examples=200, deadline=None)
