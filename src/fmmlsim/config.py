@@ -230,8 +230,12 @@ def read_config_file(path: str | Path) -> Any:
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad text, JSON or number, or nesting too deep
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # what is left: a number longer than int() converts
+        raise ConfigError("config is not valid JSON: an integer has too many digits") from exc
+    except RecursionError as exc:
+        raise ConfigError("config is not valid JSON: nested too deeply") from exc
 
 
 def load_config(path: str | Path) -> RunConfig:

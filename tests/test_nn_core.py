@@ -305,7 +305,7 @@ def test_param_block_rejects_wrong_length_non_vector_and_non_finite_values():
             ParamBlock(1, vals, shapes)
 
 
-def test_block_layout_accepts_every_shapes_value_a_block_takes():
+def test_param_block_views_accept_every_shapes_value_a_block_takes():
     # a matrix, a vector and a scalar layer: the views cut 0:6, 6:8 and 8:9
     block = ParamBlock(1, np.arange(9.0), ((2, 3), (2,), ()))
     w, bias, scale = block.arrays()
@@ -319,7 +319,7 @@ def test_block_layout_accepts_every_shapes_value_a_block_takes():
 
 
 @pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])
-def test_block_layout_partitions_every_block(hidden):
+def test_param_block_views_partition_every_block(hidden):
     arch = ArchSpec(input_dims=(5, 7, 3), encoder_hidden=6, feature_len=4,
                     classifier_hidden=hidden, num_classes=5)
     full = init_full_params(arch, np.random.default_rng(0))

@@ -1,9 +1,9 @@
 """Whole rounds of `Simulation` against the per-device reference of `reference.py`.
 
-Each case runs six rounds of both from one set-up. Parameters and raw
-weights must agree within 1e-12 relative: the reference sums in another
-order and reaches the weights through the two-stage transform. Schedules,
-staleness, latencies, round times and accuracies must be equal.
+Each of the 20 cases runs six rounds of both from one set-up. Parameters
+and raw weights must agree within 1e-12 relative: the reference sums in
+another order and reaches the weights through the two-stage transform.
+Schedules, staleness, latencies, round times and accuracies must be equal.
 """
 
 import numpy as np
@@ -27,6 +27,11 @@ CASES = {
     "desk_random_scheduler": dict(algorithm="fedavg", baseline_scheduler="random"),
     # at the desk's alpha of 0 every round-1 metric ties, so the tie-break decides
     "desk_linear": dict(metric="linear"),
+    # every case above wraps the 240-row shuffle once (12 x 32 rows); these take
+    # the other local-SGD regimes: part of one pass, all of it, and two wraps
+    "desk_one_pass": dict(local_iters=2, batch_size=64),
+    "desk_full_batch": dict(local_iters=1, batch_size=240),
+    "desk_fedprox_wraps_twice": dict(algorithm="fedprox", fedprox_mu=0.3, local_iters=20),
 }
 
 
