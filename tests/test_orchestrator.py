@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmmlsim import aggregation as agg
-from fmmlsim import config_to_dict, datagen, desk_config, nn_core, wireless
+from fmmlsim import config_to_dict, datagen, desk_config, nn_core, orchestrator, wireless
 from fmmlsim.cli import main
 from fmmlsim.config import ALGORITHMS, config_from_dict
 from fmmlsim.errors import StalledLinkError
@@ -32,6 +32,98 @@ def quick_cfg(**over):
     return desk_config(**base)
 
 
+def test_single_iteration_matches_one_sgd_step():
+    sim = Simulation(quick_cfg(seed=1))
+    dev = sim.devices[0]
+    n = len(dev.dataset.train.labels)
+    # duplicate the rng so both paths see the same permutation
+    rng_copy = copy.deepcopy(dev.rng)
+    expected = copy.deepcopy(dev.params)
+    mean_loss = local_update_phase(
+        sim.arch, dev, lr=0.1, local_iters=1, batch_size=n, prox_mu=0.0,
+        grad_out=zero_grads(dev.params))
+    perm = rng_copy.permutation(n)
+    feats = {m: dev.dataset.train.features[m][perm] for m in dev.dataset.owned}
+    loss, grad = nn_core.loss_and_grad(sim.arch, expected, feats,
+                                       dev.dataset.train.labels[perm],
+                                       out=zero_grads(expected))
+    nn_core.sgd_step(expected, grad, 0.1)
+    assert mean_loss == pytest.approx(loss)
+    for b in expected:
+        np.testing.assert_array_equal(dev.params[b].values,
+                                      expected[b].values)
+
+
+@pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+def test_multi_iteration_update_matches_per_iteration_gather(prox_mu):
+    sim = Simulation(quick_cfg(seed=3))
+    dev = sim.devices[4]
+    n = len(dev.dataset.train.labels)
+    iters, batch = 5, 32
+    assert iters * batch > 2 * n  # batches wrap around the shuffle more than once
+    rng_copy = copy.deepcopy(dev.rng)
+    anchor = copy.deepcopy(dev.params)
+    mean_loss = local_update_phase(
+        sim.arch, dev, lr=0.1, local_iters=iters, batch_size=batch, prox_mu=prox_mu,
+        grad_out=zero_grads(dev.params))
+
+    # reference: gather each iteration's batch from the shuffle on its own
+    perm = rng_copy.permutation(n)
+    params, losses = copy.deepcopy(anchor), []
+    for i in range(iters):
+        idx = perm[np.arange(i * batch, (i + 1) * batch) % n]
+        feats = {m: dev.dataset.train.features[m][idx] for m in dev.dataset.owned}
+        loss, grad = nn_core.loss_and_grad(sim.arch, params, feats,
+                                           dev.dataset.train.labels[idx],
+                                           out=zero_grads(params))
+        if prox_mu > 0.0:
+            grad = {b: g + prox_mu * (params[b].values - anchor[b].values)
+                    for b, g in grad.items()}
+        nn_core.sgd_step(params, grad, 0.1)
+        losses.append(loss)
+    assert mean_loss == float(np.mean(losses))
+    for b in params:
+        assert np.array_equal(dev.params[b].values, params[b].values)
+    assert dev.rng.bit_generator.state == rng_copy.bit_generator.state
+
+
+def local_update_round_gather(arch, device, lr, local_iters, batch_size):
+    """Reference: the round's batches gathered as perm[np.arange(L*B) % n] in every case."""
+    train = device.dataset.train
+    n = len(train.labels)
+    perm = device.rng.permutation(n)
+    idx = perm[np.arange(local_iters * batch_size) % n]
+    losses = []
+    for i in range(local_iters):
+        rows = idx[i * batch_size:(i + 1) * batch_size]
+        feats = {m: train.features[m][rows] for m in device.dataset.owned}
+        loss, grad = nn_core.loss_and_grad(arch, device.params, feats, train.labels[rows],
+                                           out=zero_grads(device.params))
+        nn_core.sgd_step(device.params, grad, lr)
+        losses.append(loss)
+    return float(np.add.reduce(losses) / local_iters)
+
+
+@pytest.mark.parametrize("regime", ["one pass, part of the data", "one pass, all of it",
+                                    "wraps around the shuffle"])
+def test_round_batch_gather_matches_the_modulo_gather(regime):
+    sim = Simulation(desk_config(seed=8))
+    n = len(sim.devices[0].dataset.train.labels)
+    iters, batch = {"one pass, part of the data": (1, 32),
+                    "one pass, all of it": (2, n // 2),
+                    "wraps around the shuffle": (12, 32)}[regime]
+    assert (iters * batch <= n) == (regime != "wraps around the shuffle")
+    for dev in sim.devices[:3]:
+        twin = copy.deepcopy(dev)
+        loss = local_update_phase(sim.arch, dev, 0.05, iters, batch, 0.0,
+                                  zero_grads(dev.params))
+        ref = local_update_round_gather(sim.arch, twin, 0.05, iters, batch)
+        assert loss == ref
+        for b, p in twin.params.items():
+            assert np.array_equal(dev.params[b].values, p.values)
+        assert dev.rng.bit_generator.state == twin.rng.bit_generator.state
+
+
 @pytest.mark.parametrize("algorithm", ["proposed", "fedprox"])
 def test_a_deep_copy_steps_like_the_original(algorithm):
     sim = Simulation(quick_cfg(seed=6, algorithm=algorithm, record_coefficients=True))
@@ -47,6 +139,51 @@ def test_a_deep_copy_steps_like_the_original(algorithm):
         np.testing.assert_equal(twin.store, sim.store)
         if algorithm == "proposed":
             np.testing.assert_equal(twin.server.coeffs.raw, sim.server.coeffs.raw)
+
+
+@pytest.fixture
+def post_sgd(monkeypatch):
+    """Each device's blocks right after its local SGD in the latest round."""
+    record = {}
+    update = orchestrator.local_update_phase
+
+    def recording(arch, device, *args, **kwargs):
+        loss = update(arch, device, *args, **kwargs)
+        record[device.device_id] = {b: p.values.copy() for b, p in device.params.items()}
+        return loss
+
+    monkeypatch.setattr(orchestrator, "local_update_phase", recording)
+    return record
+
+
+def check_round_installs(sim, log, post_sgd):
+    """Scheduled blocks hold the device's aggregate; every other block its post-SGD value."""
+    for b, ind in log.scheduled.items():
+        ks = np.flatnonzero(ind).tolist()
+        expected = {}
+        if ks and sim.cfg.algorithm == "proposed":
+            entry = sim.server.cache[b]
+            np.testing.assert_array_equal(entry.uploaders, ks)
+            expected = dict(zip(ks, entry.aggregated))
+        elif ks:
+            # a sequential sum of the uploads, as the plain mean is formed
+            mean = sum(post_sgd[k][b] for k in ks) / len(ks)
+            expected = {k: mean for k in ks}
+        for k in np.flatnonzero(sim.owners[b]).tolist():
+            want = expected.get(k, post_sgd[k][b])
+            np.testing.assert_array_equal(sim.devices[k].params[b].values, want)
+
+
+def test_local_only_never_touches_server(post_sgd):
+    sim = Simulation(quick_cfg(seed=2, algorithm="local"))
+    for _ in range(3):
+        log = sim.step()
+        assert all(ind.sum() == 0 for ind in log.scheduled.values())
+        assert log.t_download.max() == 0.0
+        assert log.t_upload.max() == 0.0
+        assert set(post_sgd) == set(range(sim.cfg.num_devices))
+        check_round_installs(sim, log, post_sgd)
+    assert sim.server.cache == {}
 
 
 def test_local_update_descends_on_average():
@@ -65,6 +202,88 @@ def test_local_update_descends_on_average():
     assert np.mean(drops) > 0
 
 
+def test_fedavg_full_quota_unifies_shared_block():
+    sim = Simulation(quick_cfg(seed=3, algorithm="fedavg", quota=9))
+    sim.step()
+    shared = sim.arch.shared_block_id
+    ref = sim.devices[0].params[shared].values
+    for dev in sim.devices[1:]:
+        np.testing.assert_array_equal(dev.params[shared].values, ref)
+
+
+def test_downloads_match_server_blocks(post_sgd):
+    for algorithm in ("proposed", "fedavg"):
+        sim = Simulation(quick_cfg(seed=4, algorithm=algorithm, quota=3))
+        for _ in range(3):
+            log = sim.step()
+            check_round_installs(sim, log, post_sgd)
+
+
+def test_unscheduled_server_blocks_frozen(post_sgd):
+    sim = Simulation(quick_cfg(seed=5, algorithm="proposed", quota=2, rounds=5))
+    for _ in range(5):
+        log = sim.step()
+        assert any((sim.owners[b] & (ind == 0)).any() for b, ind in log.scheduled.items())
+        check_round_installs(sim, log, post_sgd)
+
+
+def is_store_row(values, sim, b, k):
+    """`values` is the very memory of device k's row in block b's store."""
+    row = sim.store[b][sim.store_row[b][k]]
+    return (values.base is sim.store[b] and values.shape == row.shape
+            and values.__array_interface__["data"] == row.__array_interface__["data"])
+
+
+@pytest.mark.parametrize("algorithm", ["proposed", "fedprox", "local"])
+def test_every_device_block_is_a_row_of_its_store(algorithm):
+    sim = Simulation(quick_cfg(seed=9, algorithm=algorithm, num_modalities=3,
+                               data={"input_dims": [4, 5, 3]}))
+    for b in sim.block_ids:
+        assert sim.store[b].shape == (int(sim.owners[b].sum()), sim.arch.block_param_count(b))
+        assert sim.sizes_bits[b] == nn_core.BITS_PER_PARAM * sim.arch.block_param_count(b)
+    for _ in range(2):
+        for dev in sim.devices:
+            for b, p in dev.params.items():
+                assert sim.owners[b][dev.device_id]
+                assert is_store_row(p.values, sim, b, dev.device_id)
+                assert all(np.shares_memory(a, p.values) for a in p.arrays())
+        for _ in range(3):
+            sim.step()
+
+
+@pytest.mark.parametrize("algorithm", ["proposed", "fedavg"])
+def test_aggregation_writes_only_the_uploaders_store_rows(post_sgd, algorithm):
+    sim = Simulation(quick_cfg(seed=10, algorithm=algorithm, quota=2))
+    for _ in range(3):
+        log = sim.step()
+        for b, ind in log.scheduled.items():
+            owners = np.flatnonzero(sim.owners[b])
+            before = np.stack([post_sgd[k][b] for k in owners.tolist()])
+            uploaded = ind[owners] != 0
+            store = sim.store[b]
+            assert np.array_equal(store[~uploaded], before[~uploaded])
+            if algorithm == "proposed" and uploaded.any():
+                assert np.array_equal(store[uploaded], sim.server.cache[b].aggregated)
+            elif uploaded.any():
+                mean = sum(before[uploaded]) / int(uploaded.sum())
+                assert all(np.array_equal(row, mean) for row in store[uploaded])
+
+
+def test_a_deep_copy_of_device_params_detaches_from_the_store():
+    sim = Simulation(quick_cfg(seed=11))
+    dev = sim.devices[2]
+    clone = copy.deepcopy(dev.params)
+    stored = {b: sim.store[b].copy() for b in sim.block_ids}
+    for b, p in clone.items():
+        assert not np.shares_memory(p.values, sim.store[b])
+        assert all(np.shares_memory(a, p.values) for a in p.arrays())
+        assert not any(np.shares_memory(a, sim.store[b]) for a in p.arrays())
+        p.arrays()[0][...] += 1.0
+        p.values[:] *= 2.0
+    for b in sim.block_ids:
+        assert np.array_equal(sim.store[b], stored[b])
+
+
 def test_zero_rounds_returns_initial_state():
     result = run_training(quick_cfg(seed=6, rounds=0))
     assert result.logs == []
@@ -81,6 +300,13 @@ def test_same_seed_gives_identical_runs():
         for blk in da.params:
             assert np.array_equal(da.params[blk].values,
                                   db.params[blk].values)
+
+
+def test_round_time_is_max_of_device_totals():
+    sim = Simulation(quick_cfg(seed=8))
+    log = sim.step()
+    totals = log.t_download + log.t_compute + log.t_upload
+    assert log.round_time == pytest.approx(totals.max())
 
 
 @pytest.mark.parametrize("seed", [0, 1009])
@@ -132,6 +358,15 @@ def test_simulated_training_time_sums_rounds():
     assert simulated_training_time([fake(1.5), fake(2.0)]) == 3.5
 
 
+def test_fedprox_differs_from_fedavg():
+    a = run_training(quick_cfg(seed=10, algorithm="fedavg", fedprox_mu=0.0))
+    b = run_training(quick_cfg(seed=10, algorithm="fedprox", fedprox_mu=0.5))
+    diff = max(
+        np.abs(da.params[blk].values - db.params[blk].values).max()
+        for da, db in zip(a.devices, b.devices) for blk in da.params)
+    assert diff > 0
+
+
 def test_evaluate_personalized_chance_level_for_zero_model():
     sim = Simulation(quick_cfg(seed=11))
     for dev in sim.devices:
@@ -143,6 +378,24 @@ def test_evaluate_personalized_chance_level_for_zero_model():
         expected = float((dev.dataset.test.labels == 0).mean())
         assert acc == pytest.approx(expected)
     assert mean_acc == pytest.approx(np.mean(accs))
+
+
+def test_random_baseline_scheduler_runs_and_differs():
+    a = run_training(quick_cfg(seed=14, algorithm="fedavg", quota=2))
+    b = run_training(quick_cfg(seed=14, algorithm="fedavg", quota=2,
+                               baseline_scheduler="random"))
+    scheds_a = [log.scheduled for log in a.logs]
+    scheds_b = [log.scheduled for log in b.logs]
+    same = all(np.array_equal(sa[blk], sb[blk])
+               for sa, sb in zip(scheds_a, scheds_b) for blk in sa)
+    assert not same
+    # ownership still respected under random selection
+    for res in (a, b):
+        for log in res.logs:
+            for blk, ind in log.scheduled.items():
+                for k in np.flatnonzero(ind):
+                    owned = set(res.summary["owned_modalities"][k])
+                    assert blk in owned or blk == res.config.num_modalities + 1
 
 
 @pytest.mark.parametrize("algorithm, baseline_scheduler, draws", [
@@ -386,3 +639,20 @@ def test_round_latency_follows_the_schedule(seed, num_devices, num_modalities, a
         for b in sim.block_ids:
             assert (log.staleness[b] < threshold).all()
         previous = log.scheduled
+
+
+@pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+def test_local_update_into_the_workspace_matches_the_fresh_path(prox_mu):
+    sim = Simulation(quick_cfg(seed=3))
+    for ws in sim.grad_workspace.values():
+        ws.values[:] = 7.5  # what an earlier device left behind, never a gradient
+    owned = [dev.dataset.owned for dev in sim.devices[2:5]]
+    assert len(owned[0]) > len(owned[1]) and owned[1] != owned[2]
+    for dev in sim.devices[2:5]:  # fewer modalities after more, then the other one
+        twin = copy.deepcopy(dev)
+        loss = local_update_phase(sim.arch, dev, 0.05, 5, 32, prox_mu=prox_mu,
+                                  grad_out=sim.grad_workspace)
+        assert loss == local_update_phase(sim.arch, twin, 0.05, 5, 32, prox_mu=prox_mu,
+                                          grad_out=zero_grads(twin.params))
+        for b, p in twin.params.items():
+            assert np.array_equal(dev.params[b].values, p.values)
