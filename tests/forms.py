@@ -3,21 +3,30 @@
 `nn_core.loss_and_grad` writes into a caller's gradient workspace,
 `aggregation.effective_rows` returns the rows of given owner ids, and
 `aggregation.softmax_row` takes one participant mask for all its rows.
-Tests that want fresh gradient arrays, a block's whole weight matrix or a
-mask per row build them here, and so do the writer tests that want a
-`RoundLog` no round produced.
+Tests that want fresh gradient arrays, the loss as a function of one
+block, a block's whole weight matrix or a mask per row build them here, and
+so do the writer tests that want a `RoundLog` no round produced.
 """
 
 import numpy as np
 
 from fmmlsim.aggregation import effective_rows, softmax_row
-from fmmlsim.nn_core import ParamBlock
+from fmmlsim.nn_core import ParamBlock, loss_and_grad
 from fmmlsim.orchestrator import RoundLog
 
 
 def zero_grads(params):
     """A zeroed gradient workspace over `params`: one block per block, laid out alike."""
     return {b: ParamBlock(b, np.zeros(p.param_count), p.shapes) for b, p in params.items()}
+
+
+def block_loss(arch, params, b, feats, labels):
+    """The kernel's loss as a function of block `b`'s flat values, the other
+    blocks held fixed."""
+    def loss(values):
+        shifted = {**params, b: ParamBlock(b, values, params[b].shapes)}
+        return loss_and_grad(arch, shifted, feats, labels, out=zero_grads(shifted))[0]
+    return loss
 
 
 def owner_matrix(state, block, owners):

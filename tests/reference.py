@@ -5,7 +5,8 @@ distances, compute times and the states of its random generators) and runs
 its own loop, one device and one row at a time:
 
 - a per-layer forward and backward pass of each device's model, with plain
-  SGD, and the FedProx pull toward the round-start parameters;
+  SGD, the FedProx pull toward the round-start parameters and the round's
+  mean train loss;
 - per-device channel draws, link rates, latencies and scheduling (the
   per-device references below, which `test_round_oracles.py` also checks
   the array code against);
@@ -18,6 +19,11 @@ its own loop, one device and one row at a time:
 Of `src/` it uses only the set-up, `ArchSpec`'s block layout and the three
 aggregation references above (`coeff_jacobian` takes its softmax from
 `softmax_row`); none of `Simulation.step`'s own code.
+
+The tests also check parts of `src/` against the pieces one at a time: the
+kernel against `forward` and `loss_and_grad`, the scheduler against
+`schedule_round_reference`, and gradients and Jacobians against
+`central_difference`.
 """
 
 import copy
@@ -27,6 +33,21 @@ import numpy as np
 
 from fmmlsim.aggregation import build_round_mask, coeff_jacobian, masked_renormalize
 from fmmlsim.errors import SchedulingError, StalledLinkError
+
+# ----------------------------- finite differences -----------------------------
+
+
+def central_difference(fn, x, step):
+    """`(fn(x + step e_i) - fn(x - step e_i)) / 2 step`, one column per entry of
+    `x`: the gradient of a scalar `fn`, the Jacobian of a vector one."""
+    columns = []
+    for i in range(x.shape[0]):
+        hi, lo = x.copy(), x.copy()
+        hi[i] += step
+        lo[i] -= step
+        columns.append((np.asarray(fn(hi)) - np.asarray(fn(lo))) / (2 * step))
+    return np.stack(columns, axis=-1)
+
 
 # ----------------------------- latency and scheduling -----------------------------
 
@@ -227,14 +248,16 @@ class ReferenceRun:
         perm = self.rngs[k].permutation(n)
         idx = perm[np.arange(cfg.local_iters * cfg.batch_size) % n]
         anchor = {b: w.copy() for b, w in params.items()}
+        losses = np.empty(cfg.local_iters)
         for i in range(cfg.local_iters):
             rows = idx[i * cfg.batch_size:(i + 1) * cfg.batch_size]
             feats = {m: x[rows] for m, x in train.features.items()}
-            _, grads = loss_and_grad(self.arch, params, feats, train.labels[rows])
+            losses[i], grads = loss_and_grad(self.arch, params, feats, train.labels[rows])
             for b, g in grads.items():
                 if cfg.algorithm == "fedprox":
                     g = g + cfg.fedprox_mu * (params[b] - anchor[b])
                 params[b] = params[b] - cfg.lr * g
+        return np.add.reduce(losses) / cfg.local_iters
 
     def self_weights(self):
         if self.cfg.algorithm != "proposed":
@@ -275,11 +298,11 @@ class ReferenceRun:
         return coeff_jacobian(raw_then, mask_row, self.owners[b]).T @ inner
 
     def step(self):
-        """One round; returns its schedule, staleness, latencies and accuracies."""
+        """One round; returns its schedule, staleness, latencies, train losses
+        and accuracies."""
         cfg, link = self.cfg, self.cfg.link
         gains = [gain_reference(self.rng_channel, d, link.carrier_ghz) for d in self.distances]
-        for k in range(self.K):
-            self.local_sgd(k)
+        train_loss = np.array([self.local_sgd(k) for k in range(self.K)])
         down = [rate_reference(link.server_power_w, g, link.bandwidth_hz, link.noise_density)
                 for g in gains]
         up = [rate_reference(link.device_power_w, g, link.bandwidth_hz, link.noise_density)
@@ -316,6 +339,7 @@ class ReferenceRun:
             "t_download": t_down,
             "t_upload": t_up,
             "round_time": float((t_down + self.t_compute + t_up).max()),
+            "train_loss": train_loss,
             "test_accuracy": np.array([accuracy(self.arch, self.params[k], self.data[k].test)
                                        for k in range(self.K)]),
         }

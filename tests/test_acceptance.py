@@ -17,7 +17,8 @@ from fmmlsim.config import config_to_dict
 from fmmlsim.orchestrator import Simulation
 from fmmlsim.scheduler import schedule_round
 from fmmlsim.wireless import mean_gain, path_loss_db, sample_round_gains
-from forms import owner_matrix, zero_grads
+from forms import block_loss, owner_matrix, zero_grads
+from reference import central_difference, schedule_round_reference
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -116,13 +117,7 @@ def test_criterion_02_jacobian_oracle():
         own = int(np.flatnonzero(parts)[0])
         mask[own] = 1
         jac = coeff_jacobian(raw, mask, parts)
-        fd = np.zeros((n, n))
-        step = 1e-5
-        for i in range(n):
-            hi, lo = raw.copy(), raw.copy()
-            hi[i] += step
-            lo[i] -= step
-            fd[:, i] = (composed(hi, mask, parts) - composed(lo, mask, parts)) / (2 * step)
+        fd = central_difference(lambda r: composed(r, mask, parts), raw, 1e-5)
         rel = np.abs(fd - jac).max() / max(np.abs(jac).max(), 1e-12)
         worst = max(worst, rel)
     report(2, worst < 1e-5, f"100 random instances (K <= 6), max relative error {worst:.2e}")
@@ -145,27 +140,12 @@ def test_criterion_03_model_gradient_oracle():
         feats = {m: rng.normal(size=(5, arch.input_dims[m - 1])) for m in owned}
         labels = rng.integers(0, 4, size=5)
         _, grad = nn_core.loss_and_grad(arch, params, feats, labels, out=zero_grads(params))
-        step = 1e-4
         for b, block in params.items():
-            an = grad[b]
-            for i in range(block.values.shape[0]):
-                if abs(an[i]) <= 1e-6:
-                    continue
-                hi = block.values.copy()
-                hi[i] += step
-                lo = block.values.copy()
-                lo[i] -= step
-                blocks_hi = dict(params)
-                blocks_hi[b] = nn_core.ParamBlock(b, hi, block.shapes)
-                blocks_lo = dict(params)
-                blocks_lo[b] = nn_core.ParamBlock(b, lo, block.shapes)
-                lhi, _ = nn_core.loss_and_grad(
-                    arch, blocks_hi, feats, labels, out=zero_grads(blocks_hi))
-                llo, _ = nn_core.loss_and_grad(
-                    arch, blocks_lo, feats, labels, out=zero_grads(blocks_lo))
-                fd = (lhi - llo) / (2 * step)
-                worst = max(worst, abs(fd - an[i]) / abs(an[i]))
-                checked += 1
+            fd = central_difference(block_loss(arch, params, b, feats, labels), block.values, 1e-4)
+            keep = np.abs(grad[b]) > 1e-6
+            for an, d in zip(grad[b][keep], fd[keep]):
+                worst = max(worst, abs(d - an) / abs(an))
+            checked += int(keep.sum())
     report(3, checked > 100 and worst < 1e-4,
            f"{checked} coordinates on nets <= 200 params, max relative error {worst:.2e}")
 
@@ -261,35 +241,6 @@ def test_criterion_08_metric_comparison(metric_battery):
            f"ratio accuracy {acc_ratio:.4f} vs best linear {best_linear:.4f}")
 
 
-def brute_force_schedule(owners, self_w, t_down, t_cmp, sizes, up_rates,
-                         quota, threshold, staleness0, kind, alpha):
-    num_devices = len(t_down)
-    blocks = sorted(owners)
-    ind = {b: [0] * num_devices for b in blocks}
-    stale = {b: list(staleness0[b]) for b in blocks}
-    for b in blocks:
-        eligible = [k for k in range(num_devices) if owners[b][k]]
-        vals = {}
-        for k in eligible:
-            up_bits = sizes[b] + sum(sizes[bp] * ind[bp][k] for bp in blocks if bp < b)
-            total = t_down[k] + t_cmp[k] + up_bits / up_rates[k]
-            vals[k] = ((1 - self_w[b][k]) / total if kind == "ratio"
-                       else (1 - self_w[b][k]) - alpha * total)
-        order = sorted(eligible, key=lambda k: (-vals[k], k))
-        chosen = set(order[:min(quota, len(eligible))])
-        for k in eligible:
-            if k in chosen:
-                ind[b][k] = 1
-                stale[b][k] = 0
-            else:
-                stale[b][k] += 1
-        for k in eligible:
-            if stale[b][k] >= threshold:
-                ind[b][k] = 1
-                stale[b][k] = 0
-    return ind, stale
-
-
 def test_criterion_09_scheduler_exactness():
     rng = np.random.default_rng(21)
     mismatches = 0
@@ -319,12 +270,12 @@ def test_criterion_09_scheduler_exactness():
         ind, stale, _, _ = schedule_round(
             self_w, t_down, t_cmp, sizes, up_rates, owners,
             kind, alpha, staleness0, quota, threshold)
-        bf_ind, bf_stale = brute_force_schedule(
-            owners, self_w, t_down, t_cmp, sizes, up_rates, quota, threshold,
-            staleness0, kind, alpha)
+        ref_ind, ref_stale, _ = schedule_round_reference(
+            self_w, t_down, t_cmp, sizes, up_rates, owners,
+            kind, alpha, staleness0, quota, threshold)
         for b in blocks:
-            if (not np.array_equal(ind[b], bf_ind[b])
-                    or not np.array_equal(stale[b], bf_stale[b])):
+            if (not np.array_equal(ind[b], ref_ind[b])
+                    or not np.array_equal(stale[b], ref_stale[b])):
                 mismatches += 1
     report(9, mismatches == 0,
            f"1000 random instances (K <= 6, M <= 3) against the straight-line "

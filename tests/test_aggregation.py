@@ -12,6 +12,7 @@ from fmmlsim.aggregation import (aggregate, block_owners,
 from fmmlsim.errors import AggregationError
 from fmmlsim.nn_core import ArchSpec
 from forms import owner_matrix, softmax_rows
+from reference import central_difference
 
 
 def vec_block(values):
@@ -241,18 +242,6 @@ def composed_weights(raw_row, mask_row, participants):
     return masked_renormalize(softmax_row(raw_row, participants), mask_row)
 
 
-def fd_jacobian(raw_row, mask_row, participants, step=1e-5):
-    n = raw_row.shape[0]
-    out = np.zeros((n, n))
-    for i in range(n):
-        plus, minus = raw_row.copy(), raw_row.copy()
-        plus[i] += step
-        minus[i] -= step
-        out[:, i] = (composed_weights(plus, mask_row, participants)
-                     - composed_weights(minus, mask_row, participants)) / (2 * step)
-    return out
-
-
 def test_jacobian_uniform_two_devices_closed_form():
     jac = coeff_jacobian(np.zeros(2), np.ones(2), all_true(2))
     np.testing.assert_allclose(jac, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-12)
@@ -287,7 +276,7 @@ def test_jacobian_matches_finite_differences():
         if not (mask * participants).any():
             mask[np.flatnonzero(participants)[0]] = 1
         jac = coeff_jacobian(row, mask, participants)
-        fd = fd_jacobian(row, mask, participants)
+        fd = central_difference(lambda r: composed_weights(r, mask, participants), row, 1e-5)
         scale = max(np.abs(jac).max(), 1e-12)
         assert np.abs(fd - jac).max() / scale < 1e-6
 

@@ -4,26 +4,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fmmlsim import nn_core
 from fmmlsim.errors import NumericOverflowError, ShapeMismatchError
 from fmmlsim.nn_core import (ArchSpec, ParamBlock,
                              forward_batch, loss_and_grad, sgd_step,
                              flops_per_iteration,
                              init_full_params, slice_device_params)
-from forms import zero_grads
+import reference
+from forms import block_loss, zero_grads
 
 
 def toy_arch():
     return ArchSpec(input_dims=(3, 4), encoder_hidden=5, feature_len=2,
                     classifier_hidden=(4,), num_classes=6)
-
-
-def zero_params(arch, owned):
-    blocks = {}
-    for b in arch.device_blocks(owned):
-        shapes = arch.block_shapes(b)
-        blocks[b] = ParamBlock(b, np.zeros(arch.block_param_count(b)), shapes)
-    return blocks
 
 
 def random_params(arch, owned, seed=0):
@@ -36,13 +28,24 @@ def one_row(sample):
     return {m: np.asarray(x, dtype=float).reshape(1, -1) for m, x in sample.items()}
 
 
+def perturb(params, rng):
+    """Move every value off its initial one, so the biases are nonzero too."""
+    for p in params.values():
+        p.values[:] += rng.normal(scale=0.3, size=p.values.shape)
+
+
+def values(params):
+    """The flat values of each block, as `reference` takes a device's model."""
+    return {b: p.values for b, p in params.items()}
+
+
 def random_features(arch, owned, batch, rng):
     return {m: rng.normal(size=(batch, arch.input_dims[m - 1])) for m in owned}
 
 
 def test_zero_params_give_zero_scores():
     arch = toy_arch()
-    params = zero_params(arch, (1, 2))
+    params = zero_grads(random_params(arch, (1, 2)))
     sample = {1: np.ones(3), 2: np.ones(4)}
     assert np.array_equal(forward_batch(arch, params, one_row(sample))[0], np.zeros(6))
 
@@ -93,7 +96,7 @@ def test_forward_matches_independent_dense_oracle():
 
 def test_uniform_scores_give_log_c_loss():
     arch = toy_arch()
-    params = zero_params(arch, (1, 2))
+    params = zero_grads(random_params(arch, (1, 2)))
     rng = np.random.default_rng(0)
     feats = random_features(arch, (1, 2), 8, rng)
     loss, _ = loss_and_grad(arch, params, feats, rng.integers(0, 6, size=8),
@@ -101,20 +104,11 @@ def test_uniform_scores_give_log_c_loss():
     assert loss == pytest.approx(np.log(6.0), rel=1e-12)
 
 
-def central_difference_grad(arch, params, feats, labels, step=1e-4):
-    fd = {}
-    for b, block in params.items():
-        g = np.zeros_like(block.values)
-        for i in range(block.values.shape[0]):
-            for sign in (1.0, -1.0):
-                vals = block.values.copy()
-                vals[i] += sign * step
-                shifted = {bb: (ParamBlock(bb, vals, block.shapes) if bb == b else pb)
-                           for bb, pb in params.items()}
-                loss, _ = loss_and_grad(arch, shifted, feats, labels, out=zero_grads(shifted))
-                g[i] += sign * loss / (2.0 * step)
-        fd[b] = g
-    return fd
+def central_difference_grad(arch, params, feats, labels):
+    """The finite-difference gradient of the kernel's loss, one array per block."""
+    return {b: reference.central_difference(block_loss(arch, params, b, feats, labels),
+                                            p.values, 1e-4)
+            for b, p in params.items()}
 
 
 def test_gradient_matches_finite_differences():
@@ -186,15 +180,12 @@ def test_loss_nonnegative_and_deterministic():
 
 
 def test_sgd_step_arithmetic():
-    arch = ArchSpec(input_dims=(1,), encoder_hidden=1, feature_len=1,
-                    classifier_hidden=(), num_classes=2)
     shapes = ((2,),)
     p = {1: ParamBlock(1, np.array([1.0, 2.0]), shapes),
          2: ParamBlock(2, np.zeros(2), shapes)}
     g = {1: np.array([0.5, -1.0]), 2: np.zeros(2)}
     sgd_step(p, g, 0.1)
     np.testing.assert_allclose(p[1].values, [0.95, 2.1])
-    assert arch.num_classes == 2  # keep arch referenced
 
 
 def test_sgd_zero_grad_and_two_step_linearity():
@@ -257,11 +248,9 @@ def test_three_modalities_key_flops_and_device_params_by_the_device_blocks(owned
 def test_flops_simple_example():
     arch = ArchSpec(input_dims=(9,), encoder_hidden=5, feature_len=5,
                     classifier_hidden=(), num_classes=5)
-    # encoder block: 5*9+5 + 5*5+5 = 80 params... construct a 100-param block
-    # via the head: fused 5 -> 5 classes: 5*5+5 = 30. Check formula directly:
     flops = flops_per_iteration(arch, (1,), 1)
     assert flops[1] == 6 * arch.block_param_count(1)
-    assert flops[2] == 6 * 30
+    assert flops[2] == 6 * (5 * 5 + 5)  # the head maps 5 fused features to 5 classes
 
 
 def test_structure_preserved_by_sgd():
@@ -341,46 +330,11 @@ def test_arrays_are_writable_views_of_values():
     assert block.values[7] == -2.0
 
 
-def concatenated_loss_and_grad(arch, params, features, labels):
-    """Reference gradient assembly: each layer's gradient is computed on its
-    own and the block is packed with np.concatenate."""
-    labels = np.asarray(labels)
-    scores, enc_cache, layers, acts = nn_core._forward_cached(arch, params, features)
-    batch = scores.shape[0]
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    loss = float(-(shifted[np.arange(batch), labels] - log_norm).mean())
-    d = np.exp(shifted - log_norm[:, None])
-    d[np.arange(batch), labels] -= 1.0
-    d /= batch
-    grads_head = [None] * (2 * len(layers))
-    grads_head[-2] = d.T @ acts[-1]
-    grads_head[-1] = d.sum(axis=0)
-    d = d @ layers[-1][0]
-    for i in range(len(layers) - 2, -1, -1):
-        d = d * (1.0 - acts[i + 1] * acts[i + 1])
-        grads_head[2 * i] = d.T @ acts[i]
-        grads_head[2 * i + 1] = d.sum(axis=0)
-        d = d @ layers[i][0]
-    f = arch.feature_len
-    head = arch.shared_block_id
-    grads = {head: np.concatenate([g.ravel() for g in grads_head])}
-    for m in sorted(params.keys() - {head}):
-        _, _, w2, _ = params[m].arrays()
-        x, h = enc_cache[m]
-        dfeat = d[:, (m - 1) * f: m * f]
-        gw2 = dfeat.T @ h
-        gb2 = dfeat.sum(axis=0)
-        dpre = (dfeat @ w2) * (1.0 - h * h)
-        gw1 = dpre.T @ x
-        gb1 = dpre.sum(axis=0)
-        grads[m] = np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
-    return loss, grads
-
-
 @pytest.mark.parametrize("owned", [(2,), (1, 3), (1, 2, 3)])
 @pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])
 def test_loss_and_grad_is_bit_identical_to_concatenated_assembly(owned, hidden):
+    # `reference.loss_and_grad` takes each layer's gradient on its own and packs
+    # each block with np.concatenate
     # two class counts at the same batch sizes, back to back in one process:
     # a kernel cache keyed on too little hands the second the first's entry
     for classes in (6, 3):
@@ -388,48 +342,32 @@ def test_loss_and_grad_is_bit_identical_to_concatenated_assembly(owned, hidden):
                         classifier_hidden=hidden, num_classes=classes)
         params = random_params(arch, owned, seed=len(owned))
         rng = np.random.default_rng(21)
+        perturb(params, rng)
         for batch in (1, 32):
             feats = random_features(arch, owned, batch, rng)
             labels = rng.integers(0, arch.num_classes, size=batch)
             loss, grad = loss_and_grad(arch, params, feats, labels, out=zero_grads(params))
-            ref_loss, ref_grad = concatenated_loss_and_grad(arch, params, feats, labels)
+            ref_loss, ref_grad = reference.loss_and_grad(arch, values(params), feats, labels)
             assert loss == ref_loss
             assert set(grad) == set(ref_grad)
             for b, g in ref_grad.items():
                 assert np.array_equal(grad[b], g)
 
 
-def matmul_forward(arch, params, features):
-    """Reference forward pass: every product through `@`, no buffer reused."""
-    f = arch.feature_len
-    batch = len(next(iter(features.values())))
-    fused = np.zeros((batch, arch.fusion_width))
-    head = arch.shared_block_id
-    for m in sorted(params.keys() - {head}):
-        w1, b1, w2, b2 = params[m].arrays()
-        h = np.tanh(features[m] @ w1.T + b1)
-        fused[:, (m - 1) * f: m * f] = h @ w2.T + b2
-    arrs = params[head].arrays()
-    a = fused
-    for v, u in zip(arrs[0:-2:2], arrs[1:-2:2]):
-        a = np.tanh(a @ v.T + u)
-    return a @ arrs[-2].T + arrs[-1]
-
-
 @pytest.mark.parametrize("owned", [(2,), (1, 3), (1, 2, 3)])
 @pytest.mark.parametrize("hidden", [(), (16,), (16, 8)])
 def test_forward_batch_is_bit_identical_to_matmul_reference(owned, hidden):
+    # `reference.forward` takes every product through `@` and reuses no buffer
     for classes in (6, 3):  # two class counts at the same batch sizes, as above
         arch = ArchSpec(input_dims=(16, 24, 12), encoder_hidden=16, feature_len=8,
                         classifier_hidden=hidden, num_classes=classes)
         params = random_params(arch, owned, seed=len(owned) + 7)
         rng = np.random.default_rng(22)
-        for p in params.values():  # nonzero biases too
-            p.values[:] += rng.normal(scale=0.3, size=p.values.shape)
+        perturb(params, rng)
         for batch in (1, 32, 60):
             feats = random_features(arch, owned, batch, rng)
             scores = forward_batch(arch, params, feats)
-            want = matmul_forward(arch, params, feats)
+            want = reference.forward(arch, values(params), feats)[0]
             assert scores.shape == (batch, arch.num_classes)
             assert scores.tobytes() == want.tobytes()
 
@@ -498,12 +436,13 @@ def test_loss_and_grad_into_a_workspace_matches_the_fresh_path(owned, hidden):
     params = random_params(arch, owned, seed=len(owned))
     out = dirty_workspace(arch)
     rng = np.random.default_rng(33)
+    perturb(params, rng)
     for batch in (32, 1):  # the second call must overwrite every value of the first
         feats = random_features(arch, owned, batch, rng)
         labels = rng.integers(0, arch.num_classes, size=batch)
         loss, grad = loss_and_grad(arch, params, feats, labels, out=out)
         fresh_loss, fresh = loss_and_grad(arch, params, feats, labels, out=zero_grads(params))
-        ref_loss, ref = concatenated_loss_and_grad(arch, params, feats, labels)
+        ref_loss, ref = reference.loss_and_grad(arch, values(params), feats, labels)
         assert loss == fresh_loss == ref_loss
         assert list(grad) == list(params)
         for b in params:

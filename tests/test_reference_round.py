@@ -1,8 +1,9 @@
 """Whole rounds of `Simulation` against the per-device reference of `reference.py`.
 
-Each of the 20 cases runs six rounds of both from one set-up. Parameters
-and raw weights must agree within 1e-12 relative: the reference sums in
-another order and reaches the weights through the two-stage transform.
+Each of the 20 cases runs six rounds of both from one set-up. Parameters,
+raw weights and each device's mean train loss must agree within 1e-12
+relative: the reference sums in another order and reaches the weights
+through the two-stage transform.
 Schedules, staleness, latencies, round times and accuracies must be equal.
 """
 
@@ -53,6 +54,7 @@ def test_rounds_match_the_per_device_reference(case):
         assert np.array_equal(log.t_upload, want["t_upload"]), t
         assert log.round_time == want["round_time"], t
         assert np.array_equal(log.test_accuracy, want["test_accuracy"]), t
+        assert_close(log.train_loss, want["train_loss"], t)
         for dev, params in zip(sim.devices, ref.params):
             for b, p in dev.params.items():
                 assert_close(p.values, params[b], (t, dev.device_id, b))
