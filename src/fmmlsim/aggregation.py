@@ -1,27 +1,12 @@
 """Learned per-device aggregation weights over uploaded parameter blocks.
 
-The server keeps one unconstrained K-by-K weight matrix per block. Row k is
-turned into aggregation weights for device k by one softmax over the devices
-that uploaded the block this round; every other entry is exactly zero. This
-equals a softmax over the owners followed by a renormalization over the
-round's uploaders, but takes one pass per row and cannot lose the whole row
-to underflow. A block is aggregated for all its uploaders in one product,
-`rows[:, uploaders] @ U`, with `U` the (uploaders, P_b) rows of the
-uploaders' flat block vectors, gathered by the caller in one indexing step
-from the array that holds the block for every device; aggregates and
-gradient estimates are plain float64 arrays. The raw matrices are trained by
-gradient descent through the softmax, using its closed-form vector-Jacobian
-product, O(K) per row; the loss gradient at the aggregated point is
-estimated from the parameter delta the device uploads one round later. The
-weight update of a block runs once for all its devices with a fresh upload:
-one stacked gradient estimate, one stacked product with `U` and one descent
-step on their raw rows.
-
-The round loop's functions check nothing per call. `scheduler.schedule_block`
-alone decides who uploads a block, and its indicators are zero off the
-owners; `Simulation.step` gathers `U` one row per uploader. The tests'
-references `masked_renormalize` and `coeff_jacobian` spell out the two-stage
-transform and its Jacobian, and check their masks.
+The server keeps one unconstrained K-by-K weight matrix per block. Row k
+becomes device k's aggregation weights by one softmax over the devices that
+uploaded the block this round; every other entry is exactly zero. The raw
+rows descend along the softmax's closed-form vector-Jacobian product, with
+the loss gradient estimated from the delta a device uploads one round
+later. The round loop's functions check nothing per call:
+`scheduler.schedule_block` alone decides who uploads a block.
 """
 
 from __future__ import annotations
@@ -47,10 +32,8 @@ class CoefficientState:
 
 @dataclass
 class CacheEntry:
-    """One block's aggregation, retained for the next round's weight update.
-
-    Row i of `rows` and `aggregated` belongs to the device `uploaders[i]`.
-    """
+    """One block's aggregation, kept for the next round's weight update; row i
+    of `rows` and `aggregated` belongs to the device `uploaders[i]`."""
 
     uploaders: np.ndarray  # (n,) devices that uploaded the block, ascending
     U: np.ndarray          # (n, P_b) their uploaded flat values, same order
@@ -75,16 +58,12 @@ def init_coeffs(num_devices: int, block_ids: Sequence[int], lr: float) -> Coeffi
 
 
 def softmax_row(raw_rows: np.ndarray, participants: np.ndarray) -> np.ndarray:
-    """Softmax of each row restricted to its participating devices; exactly zero elsewhere.
+    """Softmax of each row over the participating devices; exactly zero elsewhere.
 
-    raw_rows is one (K,) row or an (n, K) stack; participants is a (K,) mask
-    shared by every row. Every row needs a participant: the round loop's
-    masks hold each row's own device (the uploaders in `Simulation.step`,
-    the owners in `effective_rows`). Only the participating entries are
-    exponentiated, into a zero-filled row. Subtracting each row's largest
-    participating entry guards against overflow and leaves that entry at
-    exp(0) = 1, so no row can underflow to zero; each row sums to one over
-    its participants.
+    raw_rows is one (K,) row or an (n, K) stack; participants is a (K,) bool
+    mask shared by every row, and each row needs one (the round loop's masks
+    hold its own device). Each row's largest participating entry is exp(0)
+    before the division, so no row underflows to zero.
     """
     z = raw_rows[..., participants]
     e = np.zeros_like(raw_rows)
@@ -94,7 +73,8 @@ def softmax_row(raw_rows: np.ndarray, participants: np.ndarray) -> np.ndarray:
 
 
 def masked_renormalize(soft_row: np.ndarray, mask_row: np.ndarray) -> np.ndarray:
-    """Zero out masked entries and rescale the rest back onto the simplex."""
+    """Zero the masked entries and rescale the rest back onto the simplex;
+    raises AggregationError when the mask removes all weight."""
     soft_row = np.asarray(soft_row, dtype=np.float64)
     masked = np.asarray(mask_row, dtype=np.float64) * soft_row
     total = masked.sum()
@@ -104,12 +84,8 @@ def masked_renormalize(soft_row: np.ndarray, mask_row: np.ndarray) -> np.ndarray
 
 
 def build_round_mask(indicators: np.ndarray, participants: np.ndarray) -> np.ndarray:
-    """Upload mask matrix for one block and round.
-
-    Off-diagonal (k, k') is 1 only when both devices uploaded (and own the
-    block); the diagonal is always 1, so a device that skipped the round
-    keeps its own parameters with weight one.
-    """
+    """(K, K) int8 upload mask of one block and round: (k, k') is 1 when both
+    devices uploaded and own the block, and the diagonal is always 1."""
     active = np.asarray(indicators, dtype=bool) & np.asarray(participants, dtype=bool)
     mask = np.outer(active, active).astype(np.int8)
     np.fill_diagonal(mask, 1)
@@ -117,14 +93,11 @@ def build_round_mask(indicators: np.ndarray, participants: np.ndarray) -> np.nda
 
 
 def aggregate(rows: np.ndarray, uploaders: np.ndarray, U: np.ndarray) -> CacheEntry:
-    """Convex combination of the uploaded blocks for every weight row at once.
+    """Every weight row's convex combination of the uploads, as one CacheEntry.
 
-    rows is an (n, K) stack of weight rows; uploaders are the devices that
-    uploaded, ascending, and U is the (len(uploaders), P_b) stack of their
-    flat block vectors in that order. Nothing is checked: the rows must be
-    zero off the uploaders, as `softmax_row` over the uploaders makes them,
-    and `Simulation.step` gathers U one row per uploader. The entry keeps U
-    as given (not a copy), and row i of its `aggregated` is
+    rows is an (n, K) stack, zero off `uploaders` (ascending); U is the
+    (len(uploaders), P_b) stack of their flat blocks in that order, kept
+    without a copy; nothing is checked. Row i of `aggregated` is
     rows[i, uploaders] @ U.
     """
     return CacheEntry(uploaders=uploaders, U=U, rows=rows, aggregated=rows[:, uploaders] @ U)
@@ -132,12 +105,9 @@ def aggregate(rows: np.ndarray, uploaders: np.ndarray, U: np.ndarray) -> CacheEn
 
 def coeff_jacobian(raw_row: np.ndarray, mask_row: np.ndarray,
                    participants: np.ndarray) -> np.ndarray:
-    """Jacobian D of the effective weights w.r.t. the raw row.
-
-    D[j, i] = d(effective_j) / d(raw_i), chained through the softmax and the
-    mask renormalization. Rows of masked-out devices are zero and every
-    column sums to zero because the effective weights always sum to one.
-    """
+    """Jacobian D[j, i] = d(effective_j) / d(raw_i) through the softmax and the
+    mask renormalization; masked-out rows are zero and every column sums to
+    zero. Raises AggregationError when the mask removes all weight."""
     soft = softmax_row(raw_row, participants)
     p = np.asarray(participants, dtype=bool)
     m = np.asarray(mask_row, dtype=np.float64) * p
@@ -152,17 +122,12 @@ def coeff_jacobian(raw_row: np.ndarray, mask_row: np.ndarray,
 
 def estimate_block_gradient(w_prev: np.ndarray, w_new: np.ndarray, eta: float,
                             num_iters: int, mode: str) -> np.ndarray:
-    """Loss-gradient proxy at the previously aggregated block.
+    """Loss-gradient proxy at the previously aggregated block, elementwise.
 
-    A device that starts from w_prev and runs num_iters steps of step size
-    eta accumulates roughly -eta*num_iters times the average gradient, so
-    (w_prev - w_new) / (eta * num_iters) points along the gradient and keeps
-    the weight update a descent step. "raw_delta" exposes the unscaled
-    difference w_new - w_prev instead, for ablation. Both are elementwise:
-    w_prev and w_new are one flat block each or two (n, P_b) stacks of
-    them, of one shape: `update_weights` takes one row of each per stepped
-    device. The config's field declarations check that mode is a
-    GRADIENT_ESTIMATES name and that eta and num_iters are positive.
+    w_prev and w_new are one flat block each or two (n, P_b) stacks of one
+    shape. "descent_normalized" gives (w_prev - w_new) / (eta * num_iters),
+    along the mean gradient of num_iters steps of size eta; "raw_delta"
+    gives w_new - w_prev. The config checks mode, eta and num_iters.
     """
     if mode == "raw_delta":
         return w_new - w_prev
@@ -170,18 +135,10 @@ def estimate_block_gradient(w_prev: np.ndarray, w_new: np.ndarray, eta: float,
 
 
 def coeff_grad(entry: CacheEntry, sel: np.ndarray, est: np.ndarray) -> np.ndarray:
-    """Gradients of the losses of devices `entry.uploaders[sel]` w.r.t. their raw rows.
-
-    est is the (len(sel), P_b) stack of estimated loss gradients at those
-    devices' aggregates. A device's loss sees its raw row only through its
-    aggregated block sum_k row_k U_k, so with inner_k = U_k . g (g its
-    estimated gradient, zero for devices that did not upload) the chain
-    rule through the masked softmax gives the closed-form vector-Jacobian
-    product row * (inner - row . inner), one row per device. It equals
-    coeff_jacobian(...).T @ inner in O(K) instead of O(K^3). The products
-    are stacked `matmul`s of the per-device vector products, so each row is
-    bit-equal to computing that device alone.
-    """
+    """(len(sel), K) gradients of the losses of devices `entry.uploaders[sel]`
+    w.r.t. their raw rows, given est, the (len(sel), P_b) estimated loss
+    gradients at their aggregates: row * (inner - row . inner), where
+    inner_k = U_k . g for each uploader k and zero elsewhere."""
     rows = entry.rows[sel]
     inner = np.zeros_like(rows)
     inner[:, entry.uploaders] = (entry.U[None] @ est[:, :, None])[:, :, 0]
@@ -191,11 +148,9 @@ def coeff_grad(entry: CacheEntry, sel: np.ndarray, est: np.ndarray) -> np.ndarra
 
 def coeff_update(state: CoefficientState,
                  grads: Mapping[int, tuple[np.ndarray, np.ndarray]]) -> CoefficientState:
-    """Descend the provided rows; everything else stays untouched.
-
-    grads maps a block to (devices, gradient rows): one distinct device per
-    row of the (n, K) gradient, whose raw row in that block takes one step.
-    """
+    """Step each given raw row by -lr times its gradient; the rest stay as they
+    are. grads maps a block to (devices, (n, K) gradient rows), one distinct
+    device per row."""
     for b, (ks, grad) in grads.items():
         state.raw[b][ks] -= state.lr * grad
     return state
@@ -204,14 +159,12 @@ def coeff_update(state: CoefficientState,
 def update_weights(state: CoefficientState, prev: GradCache, fresh: GradCache,
                    indicators: Mapping[int, np.ndarray], eta: float, num_iters: int,
                    mode: str) -> dict[int, np.ndarray]:
-    """One descent step on the raw rows that last round's aggregation can teach.
+    """One descent step on the raw rows last round's aggregation can teach.
 
-    prev holds last round's aggregation of each block, fresh this round's.
-    Each device that aggregated a block last round and uploads it again this
-    round (its indicator is set) learns from the delta between its fresh
-    upload and its previous aggregate: one stacked gradient estimate and one
-    `coeff_grad` per block, then one `coeff_update` for all blocks. Returns
-    the stepped devices of each block that has any, ascending.
+    prev and fresh hold last and this round's aggregation of each block. A
+    device that aggregated a block last round and uploads it again this
+    round learns from its fresh upload against its previous aggregate.
+    Returns the stepped devices of each block that has any, ascending.
     """
     grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for b, entry in prev.items():

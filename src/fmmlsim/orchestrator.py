@@ -1,28 +1,21 @@
-"""Round loop: local updates, scheduling, aggregation, weight learning, timing.
+"""Round loop: `Simulation.step` runs the phases `PHASES` names, in that order.
 
-One round runs, in order: channel realization, local SGD on every device,
-download/compute latency accounting, per-block upload scheduling, weighted
-aggregation of each block over its uploaders, aggregation-weight updates
-from the previous round's retained material, the effective weight rows of
-the raw rows they stepped (of every owner in round 1), cache refresh, and
-downloads back to the scheduled devices. A block's parameters live in one
-array for all devices that hold it (`Simulation.store`), a row per holder;
-a device's model is a dict of ParamBlocks over its rows, trained in place,
+A block's parameters live in one array for all devices that hold it
+(`Simulation.store`), a row per holder; `store_row[b][k]` is owner k's row.
+A device's model is a dict of ParamBlocks over its rows, trained in place,
 its gradients written into one workspace block per block id
 (`grad_workspace`). Uploads of a block are one row gather from its array,
 downloads one row scatter back into it. The server keeps the aggregation
 weights, the last round's aggregation, the bits each device shipped in it
 (the scheduler's count, downloaded next round) and staleness counters, not
-the models. A `proposed` round's log can record the weight rows it
-recomputed; replayed from round 1 they give every round's matrices.
-Rounds are synchronous: the round wall time is the slowest device's
-download + compute + upload.
+the models.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +25,11 @@ from . import datagen, nn_core, scheduler, wireless
 from .config import RunConfig, config_to_dict
 from .errors import FmmlError, NumericOverflowError
 from .nn_core import ArchSpec, ParamBlock
+
+# The phases of `Simulation.step` in the order it runs them, and of the seconds
+# in `RoundLog.phase_s`. Scheduling also counts the upload of what it schedules.
+PHASES = ("channel", "local_sgd", "latency", "scheduling", "aggregation",
+          "coefficient_update", "evaluation", "snapshot")
 
 
 @dataclass
@@ -70,6 +68,8 @@ class RoundLog:
     # raw rows the round stepped (all in round 1) and their (n, K) rows after
     # it; None unless `proposed` runs with `record_coefficients` on
     coeff_record: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None
+    # (len(PHASES),) wall seconds of each phase of the round; no output file holds it
+    phase_s: np.ndarray | None = None
 
 
 @dataclass
@@ -242,47 +242,72 @@ class Simulation:
     # ----------------------------- one round -----------------------------
 
     def step(self) -> RoundLog:
-        cfg = self.cfg
-        K = cfg.num_devices
-        t = self.server.round + 1
+        """Run one round, phase by phase in `PHASES` order, timing each."""
+        marks = [perf_counter()]
         gains = wireless.sample_round_gains(self.rng_channel, self.distances,
-                                            cfg.link.carrier_ghz)
+                                            self.cfg.link.carrier_ghz)
+        marks.append(perf_counter())
+        train_loss = self._local_sgd()
+        marks.append(perf_counter())
+        t_down, up_rates = self._latency(gains)
+        marks.append(perf_counter())
+        indicators, staleness, metric_values, bits, t_up = self._scheduling(t_down, up_rates)
+        marks.append(perf_counter())
+        new_cache, rows_used = self._aggregation(indicators)
+        marks.append(perf_counter())
+        record = self._coefficient_update(indicators, new_cache)
+        marks.append(perf_counter())
+        accs, mean_acc = evaluate_personalized(self.arch, self.devices)
+        marks.append(perf_counter())
+        log = self._snapshot(gains, t_down, t_up, bits, indicators, staleness, metric_values,
+                             train_loss, accs, mean_acc, rows_used, record)
+        log.phase_s = np.diff([*marks, perf_counter()])
+        return log
 
-        # local updates
+    def _local_sgd(self) -> np.ndarray:
+        """Each device's mean train loss of its local SGD; FedProx adds its pull."""
+        cfg = self.cfg
         mu = cfg.fedprox_mu if cfg.algorithm == "fedprox" else 0.0
-        train_loss = np.zeros(K)
-        for dev in self.devices:
-            train_loss[dev.device_id] = local_update_phase(
-                self.arch, dev, cfg.lr, cfg.local_iters, cfg.batch_size, prox_mu=mu,
-                grad_out=self.grad_workspace)
+        return np.array([local_update_phase(self.arch, dev, cfg.lr, cfg.local_iters, cfg.batch_size,
+                                            prox_mu=mu, grad_out=self.grad_workspace)
+                         for dev in self.devices])
 
-        # latency inputs for this round; a device downloads the blocks it
-        # uploaded last round, as many bits as the scheduler counted then
+    def _latency(self, gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(download times, upload rates); a device downloads the blocks it
+        uploaded last round, as many bits as the scheduler counted then."""
+        link = self.cfg.link
         down_rates = np.array([wireless.link_rate(
-            cfg.link.server_power_w, g, cfg.link.bandwidth_hz, cfg.link.noise_density)
-            for g in gains.tolist()])
+            link.server_power_w, g, link.bandwidth_hz, link.noise_density) for g in gains.tolist()])
         up_rates = np.array([wireless.link_rate(
-            cfg.link.device_power_w, g, cfg.link.bandwidth_hz, cfg.link.noise_density)
-            for g in gains.tolist()])
-        t_down = wireless.download_latency(self.server.bits, down_rates)
-        t_cmp = self.t_compute.copy()
+            link.device_power_w, g, link.bandwidth_hz, link.noise_density) for g in gains.tolist()])
+        return wireless.download_latency(self.server.bits, down_rates), up_rates
 
-        # scheduling
+    def _scheduling(self, t_down: np.ndarray, up_rates: np.ndarray):
+        """(indicators, staleness, metric values, bits, upload times): each
+        block's uploaders, the counters and metrics `scheduler.schedule_round`
+        returns, and the time each device takes to ship its bits. `local`
+        uploads nothing; a baseline may schedule at random, `proposed` never."""
+        cfg, K = self.cfg, self.cfg.num_devices
         if cfg.algorithm == "local":
             indicators = {b: np.zeros(K, dtype=np.int8) for b in self.block_ids}
             staleness = {b: self.server.staleness[b].copy() for b in self.block_ids}
             metric_values: dict[int, dict[int, float]] = {b: {} for b in self.block_ids}
             bits = np.zeros(K, np.int64)
         else:
-            # baselines may schedule at random; `proposed` always uses the metric
             at_random = cfg.algorithm != "proposed" and cfg.baseline_scheduler == "random"
             indicators, staleness, metric_values, bits = scheduler.schedule_round(
-                self.self_weights, t_down, t_cmp, self.sizes_bits, up_rates,
+                self.self_weights, t_down, self.t_compute, self.sizes_bits, up_rates,
                 self.owners, cfg.metric, cfg.alpha, self.server.staleness, cfg.effective_quota(),
                 cfg.staleness_threshold, rng=self.rng_sched if at_random else None)
+        return indicators, staleness, metric_values, bits, wireless.upload_latency(bits, up_rates)
 
-        # aggregation: each block over this round's uploads, one row gather U
-        # from its store; the download is one row scatter back into the same rows
+    def _aggregation(self, indicators: dict[int, np.ndarray]):
+        """(cache entries, weight rows used), both empty unless `proposed`.
+
+        Each block's uploads are one row gather U from its store, and the
+        aggregates one row scatter back into the same rows: `proposed`
+        weighs U by each uploader's softmax row over the uploaders, the
+        baselines take its plain mean."""
         new_cache: agg.GradCache = {}
         rows_used: list[tuple[int, int, np.ndarray, np.ndarray]] = []
         for b in self.block_ids:
@@ -291,54 +316,55 @@ class Simulation:
                 continue
             store, at = self.store[b], self.store_row[b][ks]
             U = store[at]
-            if cfg.algorithm == "proposed":
-                # each uploader's row is a softmax over this round's uploaders, all owners
+            if self.cfg.algorithm == "proposed":
                 uploading = indicators[b] != 0
                 rows = agg.softmax_row(self.server.coeffs.raw[b][ks], uploading)
-                entry = agg.aggregate(rows, ks, U)
-                new_cache[b] = entry
+                new_cache[b] = entry = agg.aggregate(rows, ks, U)
                 used_mask = uploading.astype(np.int8)
-                for i, k in enumerate(ks.tolist()):
-                    rows_used.append((b, k, entry.rows[i], used_mask))
+                rows_used.extend((b, k, entry.rows[i], used_mask)
+                                 for i, k in enumerate(ks.tolist()))
                 store[at] = entry.aggregated
             else:
                 # not read: perfbench pins this call count until ROADMAP item 1 lands
                 agg.build_round_mask(indicators[b], self.owners[b])
-                # plain unweighted mean over this round's uploaders
                 total = np.zeros(store.shape[1])
                 for u in U:
                     total += u
                 store[at] = total / len(ks)
+        return new_cache, rows_used
 
-        # aggregation-weight update from the previous round's retained material
-        # and this round's fresh uploads, then new effective rows for the rows
-        # it stepped, or for every owner in round 1, which steps none
-        record = {} if cfg.algorithm == "proposed" and cfg.record_coefficients else None
-        if cfg.algorithm == "proposed":
-            stepped = agg.update_weights(
-                self.server.coeffs, self.server.cache, new_cache, indicators, cfg.lr,
-                cfg.local_iters, mode=cfg.gradient_estimate) if cfg.coeff_lr > 0.0 else {}
-            self.server.cache = new_cache
-            for b in self.block_ids:
-                ks = (np.flatnonzero(self.owners[b]) if t == 1
-                      else stepped.get(b, np.zeros(0, np.intp)))
-                eff = agg.effective_rows(self.server.coeffs, b, self.owners[b], ks)
-                self.self_weights[b][ks] = eff[np.arange(ks.size), ks]
-                if record is not None:
-                    record[b] = (ks, self.server.coeffs.raw[b][ks], eff)
+    def _coefficient_update(self, indicators: dict[int, np.ndarray], new_cache: agg.GradCache):
+        """`proposed` only: step the raw rows last round's aggregation can teach,
+        keep this round's for the next, and take the effective rows of the rows
+        it stepped (of every owner in round 1, which steps none) into the
+        scheduler's self-weights. Returns the coefficient record, or None."""
+        cfg = self.cfg
+        if cfg.algorithm != "proposed":
+            return None
+        stepped = agg.update_weights(
+            self.server.coeffs, self.server.cache, new_cache, indicators, cfg.lr,
+            cfg.local_iters, mode=cfg.gradient_estimate) if cfg.coeff_lr > 0.0 else {}
+        self.server.cache = new_cache
+        record = {} if cfg.record_coefficients else None
+        for b in self.block_ids:
+            ks = (np.flatnonzero(self.owners[b]) if self.server.round == 0
+                  else stepped.get(b, np.zeros(0, np.intp)))
+            eff = agg.effective_rows(self.server.coeffs, b, self.owners[b], ks)
+            self.self_weights[b][ks] = eff[np.arange(ks.size), ks]
+            if record is not None:
+                record[b] = (ks, self.server.coeffs.raw[b][ks], eff)
+        return record
 
-        # realized upload time: all blocks the device shipped this round
-        t_up = wireless.upload_latency(bits, up_rates)
-        round_time = float((t_down + t_cmp + t_up).max())
-
-        self.server.bits = bits
-        self.server.staleness = staleness
-        self.server.round = t
-
-        accs, mean_acc = evaluate_personalized(self.arch, self.devices)
+    def _snapshot(self, gains, t_down, t_up, bits, indicators, staleness, metric_values,
+                  train_loss, accs, mean_acc, rows_used, record) -> RoundLog:
+        """Keep the bits, staleness and round count the next round reads, and
+        return the round's log."""
+        self.server.bits, self.server.staleness = bits, staleness
+        self.server.round += 1
         return RoundLog(
-            round=t, gains=gains, t_download=t_down, t_compute=t_cmp,
-            t_upload=t_up, round_time=round_time, scheduled=indicators,
+            round=self.server.round, gains=gains, t_download=t_down,
+            t_compute=self.t_compute.copy(), t_upload=t_up,
+            round_time=float((t_down + self.t_compute + t_up).max()), scheduled=indicators,
             staleness=staleness, metric_values=metric_values, train_loss=train_loss,
             test_accuracy=accs, mean_accuracy=mean_acc,
             weight_rows_used=rows_used, coeff_record=record)

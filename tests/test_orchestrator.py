@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import sys
+from time import perf_counter, sleep
 
 import numpy as np
 import pytest
@@ -135,6 +136,7 @@ def test_a_deep_copy_steps_like_the_original(algorithm):
             assert not np.shares_memory(p.values, sim.store[b])
     for _ in range(3):
         log, twin_log = sim.step(), twin.step()
+        log.phase_s = twin_log.phase_s = None  # wall-clock seconds, not a result of the round
         np.testing.assert_equal(dataclasses.asdict(twin_log), dataclasses.asdict(log))
         np.testing.assert_equal(twin.store, sim.store)
         if algorithm == "proposed":
@@ -604,6 +606,37 @@ def test_step_builds_no_param_blocks(monkeypatch, algorithm):
     assert builds == []
     nn_core.ParamBlock(1, np.zeros(1), ((1,),))
     assert builds == [1]  # the counter sees a build
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_phase_seconds_are_finite_and_sum_to_the_steps_wall_time(algorithm):
+    sim = Simulation(quick_cfg(seed=18, algorithm=algorithm))
+    gaps = []
+    for _ in range(3):
+        start = perf_counter()
+        log = sim.step()
+        wall = perf_counter() - start
+        assert log.phase_s.shape == (len(orchestrator.PHASES),)
+        assert np.isfinite(log.phase_s).all() and (log.phase_s >= 0.0).all()
+        gaps.append(abs(log.phase_s.sum() - wall) / wall)
+    assert min(gaps) <= 0.05  # the best of 3 rounds, so that a preemption cannot fail it
+
+
+@pytest.mark.parametrize("phase, name", [("evaluation", "evaluate_personalized"),
+                                         ("local_sgd", "local_update_phase")])
+def test_each_phase_name_times_its_own_code(monkeypatch, phase, name):
+    run = getattr(orchestrator, name)
+
+    def slowed(*args, **kwargs):
+        sleep(0.03)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, name, slowed)
+    sim = Simulation(quick_cfg(seed=19, algorithm="proposed"))
+    slow = [[orchestrator.PHASES[i] for i in np.flatnonzero(sim.step().phase_s >= 0.03)]
+            for _ in range(2)]
+    assert all(phase in names for names in slow)
+    assert [phase] in slow  # in one of 2 rounds, so that a preemption cannot fail it
 
 
 @settings(max_examples=30, deadline=None)
