@@ -66,13 +66,15 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before the run
         sim = Simulation(cfg)
         result = sim.run()
+        # first, so a non-finite summary value (ValueError) leaves no file in out_dir
+        summary_json = reporting.summary_text(result.summary)
         reporting.write_rounds_csv(out_dir / "rounds.csv", result.logs, cfg.num_devices)
         reporting.write_schedule_csv(out_dir / "schedule.csv", result.logs, sim.owners)
         reporting.write_coefficients_csv(out_dir / "coefficients.csv", result.logs, sim.owners)
         if cfg.record_gains:
             reporting.write_gains_csv(out_dir / "gains.csv", result.logs, cfg.num_devices)
-        reporting.write_summary_json(out_dir / "summary.json", result.summary)
-    except (FmmlError, OSError, ValueError) as exc:  # ValueError: a non-finite summary value
+        (out_dir / "summary.json").write_text(summary_json)
+    except (FmmlError, OSError, ValueError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
 

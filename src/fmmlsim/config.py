@@ -188,7 +188,8 @@ def _build(cls, payload: dict, path: str):
         elif value is not None or kind == spec.type:
             accepts, what, form = _TYPE_CHECKS[kind]
             value = form(value) if form else value
-            _require(accepts(value), f"{where}{name}: must be {what}, got {reprlib.repr(value)}")
+            if not accepts(value):
+                raise ConfigError(f"{where}{name}: must be {what}, got {reprlib.repr(value)}")
             if "range" in spec.metadata:
                 in_range, what = spec.metadata["range"]
                 _require(in_range(value), f"{where}{name}: must be {what}")

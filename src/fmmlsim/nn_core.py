@@ -2,25 +2,25 @@
 
 Each device trains one encoder per modality it owns plus a classifier head
 shared by every device. Parameters live in flat per-block vectors (one block
-per modality encoder, one block for the head) so that blocks can be shipped,
-averaged and diffed without caring about layer layout. A device's model is a
-plain dict of blocks. `RunConfig.modality_sets` says which modalities each
-device owns, and `ArchSpec.device_blocks` alone turns them into its block
-list (ascending, then the head). A block vector may be a row view of a larger
-array that stacks one block for many devices. A `ParamBlock` checks its
-vector and cuts its layer views from its shapes, the layout's one statement,
-once, when it is built; its fields cannot be rebound, so the views stay
-valid for its lifetime. Gradients are flat arrays keyed by block, written
-through the views of a caller's workspace of gradient blocks, and `sgd_step`
-updates the block vectors in place, so the views, and the rows they belong
-to, follow. Every matrix product whose output is contiguous calls `a.dot(b)`,
-`np.dot`'s BLAS product without its Python dispatch and the cheapest call per
-product at these sizes; the rest use `np.matmul(..., out=)`. The classifier
-always consumes a fixed-width concatenation of all modality feature slots;
-slots for modalities a device does not own stay zero, which keeps the head
-block structurally identical across devices. The kernel trusts what set-up
-fixes before round 1: each device's block set, the width of each modality's
-features and the label range. It checks only for non-finite values.
+per modality encoder, one for the head), so blocks can be shipped, averaged
+and diffed without caring about layer layout; a device's model is a plain
+dict of blocks, keyed as `ArchSpec.device_blocks` lists them. A block
+vector may be a row view of a larger array that stacks one block for many
+devices. A `ParamBlock` checks its vector and cuts its layer views from its
+shapes once, when it is built.
+
+Every block, encoder or head, runs one dense stack forward and back: tanh
+after every layer but the last, whose output an encoder writes into its
+slot of the fused features and the head into fresh class scores. The head
+reads all modality slots; those of modalities a device does not own stay
+zero, so the head block has one shape on every device. A call reads the
+batch and each block's layer views once and writes only arrays it
+allocates, plus, in `loss_and_grad`, the views of a workspace of gradient
+blocks; `sgd_step` updates the block vectors in place. A matrix product
+whose output is contiguous calls `a.dot(b)`, the cheapest BLAS call at these
+sizes; the rest use `np.matmul(..., out=)`. The kernel trusts what set-up
+fixes before round 1 (each device's block set, each modality's feature
+width and the label range) and checks only for non-finite values.
 """
 
 from __future__ import annotations
@@ -168,41 +168,62 @@ def _pick_base(batch: int, classes: int) -> np.ndarray:
     return base
 
 
-def _forward_cached(arch: ArchSpec, params: Mapping[int, ParamBlock],
-                    features: Mapping[int, np.ndarray]):
+def _dense_forward(x: np.ndarray, views: Sequence[np.ndarray],
+                   out: np.ndarray | None = None) -> list[np.ndarray]:
+    """One block's dense stack on the batch x through its layer views: the
+    last layer writes into `out`, or a fresh array. Returns each layer's
+    input, then the output."""
+    acts = [x]
+    for i in range(0, len(views) - 2, 2):
+        x = x.dot(views[i].T)
+        x += views[i + 1]
+        np.tanh(x, out=x)
+        acts.append(x)
+    out = x.dot(views[-2].T) if out is None else np.matmul(x, views[-2].T, out=out)
+    out += views[-1]
+    acts.append(out)
+    return acts
+
+
+def _dense_backward(d: np.ndarray, views: Sequence[np.ndarray], acts: Sequence[np.ndarray],
+                    grads: Sequence[np.ndarray], input_grad: bool = False) -> np.ndarray | None:
+    """Write one block's gradient views from d, the loss gradient at its
+    output, and the views and layer inputs of its `_dense_forward`; returns
+    the gradient at its input if `input_grad`."""
+    for i in range(len(views) - 2, 0, -2):
+        a = acts[i // 2]
+        d.T.dot(a, out=grads[i])
+        np.add.reduce(d, axis=0, out=grads[i + 1])
+        d = d.dot(views[i])
+        d *= 1.0 - a * a
+    d.T.dot(acts[0], out=grads[0])
+    np.add.reduce(d, axis=0, out=grads[1])
+    return d.dot(views[0]) if input_grad else None
+
+
+def _forward(arch: ArchSpec, params: Mapping[int, ParamBlock],
+             features: Mapping[int, np.ndarray]):
+    """Class scores and one (block id, layer views, layer inputs) per block,
+    the encoders in the order of `features`, then the head."""
     f = arch.feature_len
     fused = np.zeros((next(iter(features.values())).shape[0], arch.fusion_width))
-    enc_cache = {}
+    blocks = []
     for m, x in features.items():
-        w1, b1, w2, b2 = params[m].arrays()
-        h = x.dot(w1.T)
-        h += b1
-        np.tanh(h, out=h)
-        feat = fused[:, (m - 1) * f: m * f]
-        np.matmul(h, w2.T, out=feat)
-        feat += b2
-        enc_cache[m] = (x, h)
-    arrs = params[arch.shared_block_id].arrays()
-    layers = list(zip(arrs[0::2], arrs[1::2]))
-    acts = [fused]
-    a = fused
-    for v, u in layers[:-1]:
-        a = a.dot(v.T)
-        a += u
-        np.tanh(a, out=a)
-        acts.append(a)
-    scores = a.dot(arrs[-2].T)
-    scores += arrs[-1]
+        views = params[m].arrays()
+        blocks.append((m, views, _dense_forward(x, views, fused[:, (m - 1) * f: m * f])))
+    views = params[arch.shared_block_id].arrays()
+    acts = _dense_forward(fused, views)
+    blocks.append((arch.shared_block_id, views, acts))
+    scores = acts[-1]
     if not np.logical_and.reduce(np.isfinite(scores), axis=None):
         raise NumericOverflowError("non-finite class scores")
-    return scores, enc_cache, layers, acts
+    return scores, blocks
 
 
 def forward_batch(arch: ArchSpec, params: Mapping[int, ParamBlock],
                   features: Mapping[int, np.ndarray]) -> np.ndarray:
     """Class scores, shape (B, C)."""
-    scores, _, _, _ = _forward_cached(arch, params, features)
-    return scores
+    return _forward(arch, params, features)[0]
 
 
 def loss_and_grad(arch: ArchSpec, params: Mapping[int, ParamBlock],
@@ -219,7 +240,7 @@ def loss_and_grad(arch: ArchSpec, params: Mapping[int, ParamBlock],
     modality blocks of params, and labels holds B ints in 0..C-1. Non-finite
     class scores raise NumericOverflowError.
     """
-    scores, enc_cache, layers, acts = _forward_cached(arch, params, features)
+    scores, blocks = _forward(arch, params, features)
     batch = scores.shape[0]
 
     # each row's label entry, as an index into the flat (B*C) score buffer
@@ -235,28 +256,11 @@ def loss_and_grad(arch: ArchSpec, params: Mapping[int, ParamBlock],
     flat[picks] -= 1.0
     d /= batch
 
-    gviews = out[arch.shared_block_id].arrays()
-    d.T.dot(acts[-1], out=gviews[-2])
-    np.add.reduce(d, axis=0, out=gviews[-1])
-    d = d.dot(layers[-1][0])
-    for i in range(len(layers) - 2, -1, -1):
-        a = acts[i + 1]
-        d *= 1.0 - a * a
-        d.T.dot(acts[i], out=gviews[2 * i])
-        np.add.reduce(d, axis=0, out=gviews[2 * i + 1])
-        d = d.dot(layers[i][0])
-
+    *encoders, (head, views, acts) = blocks
+    d = _dense_backward(d, views, acts, out[head].arrays(), input_grad=True)
     f = arch.feature_len
-    for m, (x, h) in enc_cache.items():
-        w2 = params[m].arrays()[2]
-        gw1, gb1, gw2, gb2 = out[m].arrays()
-        dfeat = d[:, (m - 1) * f: m * f]
-        dfeat.T.dot(h, out=gw2)
-        np.add.reduce(dfeat, axis=0, out=gb2)
-        dpre = dfeat.dot(w2)
-        dpre *= 1.0 - h * h
-        dpre.T.dot(x, out=gw1)
-        np.add.reduce(dpre, axis=0, out=gb1)
+    for m, views, acts in encoders:
+        _dense_backward(d[:, (m - 1) * f: m * f], views, acts, out[m].arrays())
     return loss, {b: out[b].values for b in params}
 
 

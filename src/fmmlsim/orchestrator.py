@@ -98,21 +98,23 @@ def local_update_phase(arch: ArchSpec, device: DeviceState, lr: float,
     perm = device.rng.permutation(n)
     # the round's batches in one `take` (fancy indexing's rows, at less call cost)
     # per owned modality, the keys of train.features; iteration i reads rows
-    # [i*B, (i+1)*B) of the shuffle, wrapped when the round needs more than n rows
+    # [i*B, (i+1)*B) of the shuffle, wrapped when the round needs more than n rows.
+    # The takes are a list, not a generator: one here leaves the garbage
+    # collector's allocation count higher after each call, which moves its
+    # full collections.
     need = local_iters * batch_size
     idx = perm[:need] if need <= n else perm[np.arange(need) % n]
-    round_feats = {m: x.take(idx, axis=0) for m, x in train.features.items()}
-    round_labels = train.labels.take(idx)
+    batches = zip(*[x.take(idx, axis=0).reshape(local_iters, batch_size, -1)
+                    for x in train.features.values()])
+    labels = train.labels.take(idx).reshape(local_iters, batch_size)
     params = device.params
     anchor = {b: p.values.copy() for b, p in params.items()} if prox_mu > 0.0 else None
     losses = np.empty(local_iters)
     try:
         with np.errstate(over="raise"):
-            for i in range(local_iters):
-                rows = slice(i * batch_size, (i + 1) * batch_size)
-                feats = {m: x[rows] for m, x in round_feats.items()}
-                loss, grad = nn_core.loss_and_grad(arch, params, feats, round_labels[rows],
-                                                   out=grad_out)
+            for i, xs in enumerate(batches):
+                loss, grad = nn_core.loss_and_grad(arch, params, dict(zip(train.features, xs)),
+                                                   labels[i], out=grad_out)
                 if anchor is not None:
                     for b, g in grad.items():
                         g += prox_mu * (params[b].values - anchor[b])

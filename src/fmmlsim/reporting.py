@@ -199,8 +199,11 @@ def write_gains_csv(path: str | Path, logs: Sequence[RoundLog], num_devices: int
                           for k, g in zip(range(num_devices), log.gains.tolist()))
 
 
+def summary_text(summary: dict) -> str:
+    """The text of `summary.json`, strict JSON: a NaN or infinity raises ValueError."""
+    return json.dumps(summary, indent=2, allow_nan=False) + "\n"
+
+
 def write_summary_json(path: str | Path, summary: dict) -> None:
-    """Strict JSON: a NaN or infinite value raises ValueError before the file is opened."""
-    text = json.dumps(summary, indent=2, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    """`summary_text(summary)`, which raises before the file is opened."""
+    Path(path).write_text(summary_text(summary))

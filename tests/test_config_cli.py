@@ -1,5 +1,6 @@
 import csv
 import json
+import reprlib
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def test_cli_writes_no_summary_with_a_non_finite_value(tmp_path, capsys, monkeyp
     code = main(["--config", str(tmp_path / "base.json"), "--out", str(tmp_path / "out")])
     assert code == 2
     assert capsys.readouterr().err.startswith("run failed:")
-    assert not (tmp_path / "out" / "summary.json").exists()
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_cli_summary_bytes_do_not_depend_on_the_out_dir(tmp_path):
@@ -224,6 +225,16 @@ def test_schedule_csv_leaves_the_metric_cell_empty_for_devices_without_one(tmp_p
     fast = (tmp_path / "fast.csv").read_bytes()
     assert fast == (tmp_path / "ref.csv").read_bytes()
     assert b"1,1,0,1,0,0.25\r\n1,1,1,0,3,\r\n1,1,2,1,0,-0.0\r\n" in fast
+
+
+def test_a_valid_payload_formats_no_error_message(monkeypatch):
+    payload = config_to_dict(desk_config())
+
+    def no_repr(value):
+        raise AssertionError("reprlib.repr called for a value that passed its check")
+
+    monkeypatch.setattr(reprlib, "repr", no_repr)
+    assert config_from_dict(payload) == desk_config()
 
 
 def test_recipe_suites_validate_and_count():

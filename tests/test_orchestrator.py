@@ -13,7 +13,7 @@ from fmmlsim import aggregation as agg
 from fmmlsim import config_to_dict, datagen, desk_config, nn_core, orchestrator, wireless
 from fmmlsim.cli import main
 from fmmlsim.config import ALGORITHMS, config_from_dict
-from fmmlsim.errors import StalledLinkError
+from fmmlsim.errors import NumericOverflowError, StalledLinkError
 from fmmlsim.orchestrator import (RoundLog, Simulation, evaluate_personalized,
                                   local_update_phase, run_training,
                                   simulated_training_time)
@@ -380,6 +380,25 @@ def test_evaluate_personalized_chance_level_for_zero_model():
         expected = float((dev.dataset.test.labels == 0).mean())
         assert acc == pytest.approx(expected)
     assert mean_acc == pytest.approx(np.mean(accs))
+
+
+def overflowing_head(device: int) -> Simulation:
+    """A desk set-up whose device `device` holds 1e308 in every head entry."""
+    sim = Simulation(desk_config())
+    head = sim.arch.shared_block_id
+    sim.store[head][sim.store_row[head][device]] = 1e308
+    return sim
+
+
+def test_a_local_sgd_overflow_names_its_device():
+    with pytest.raises(NumericOverflowError, match="^device 4: local SGD overflow"):
+        overflowing_head(4).step()
+
+
+def test_an_evaluation_overflow_names_its_device():
+    sim = overflowing_head(4)
+    with pytest.raises(NumericOverflowError, match="^device 4: evaluation overflow"):
+        evaluate_personalized(sim.arch, sim.devices)
 
 
 def test_random_baseline_scheduler_runs_and_differs():

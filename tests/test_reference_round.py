@@ -1,6 +1,6 @@
 """Whole rounds of `Simulation` against the per-device reference of `reference.py`.
 
-Each of the 20 cases runs six rounds of both from one set-up. Parameters,
+Each of the 22 cases runs six rounds of both from one set-up. Parameters,
 raw weights and each device's mean train loss must agree within 1e-12
 relative: the reference sums in another order and reaches the weights
 through the two-stage transform.
@@ -33,6 +33,10 @@ CASES = {
     "desk_one_pass": dict(local_iters=2, batch_size=64),
     "desk_full_batch": dict(local_iters=1, batch_size=240),
     "desk_fedprox_wraps_twice": dict(algorithm="fedprox", fedprox_mu=0.3, local_iters=20),
+    # every case above keeps the default head of one hidden layer
+    "desk_head_without_hidden_layer": dict(arch={"classifier_hidden": []}),
+    "k12_head_with_two_hidden_layers": dict(arch={"classifier_hidden": [16, 8]},
+                                            **THREE_MODALITIES),
 }
 
 
