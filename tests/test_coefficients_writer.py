@@ -1,24 +1,22 @@
-"""The two-process `coefficients.csv` writer: its bytes equal a plain
-`csv.writer` reference that formats every cell with `repr` and reuses
-nothing, on both the split and the single-process path; the split is taken
-only when it can run, and every failure surfaces in the parent with no
-helper left behind."""
+"""The `coefficients.csv` writer and the float formatter of every CSV
+writer: the file's bytes equal a plain `csv.writer` reference that formats
+every cell with `repr` and reuses nothing, the formatter gives `repr`'s text
+for every float64, and a failing write is a failed run."""
 
 import csv
 import dataclasses
-import errno
 import io
-import os
-import signal
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fmmlsim import desk_config
 from fmmlsim.cli import main
 from fmmlsim.orchestrator import Simulation
-from fmmlsim.reporting import COEFFS_HEADER, write_coefficients_csv
+from fmmlsim.reporting import COEFFS_HEADER, _float_texts, write_coefficients_csv
 from forms import synthetic_log
 
 ROUND_COUNTS = (0, 1, 2, 3, 5)
@@ -57,76 +55,19 @@ def coefficients_csv_reference(logs, owners):
     return text.getvalue().encode("ascii")
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Two usable CPUs whatever the host has; the list of fork calls made."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    calls = []
-    real_fork = os.fork
-
-    def counted_fork():
-        calls.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return calls
-
-
-@contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in this process if the block runs past `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("rounds", ROUND_COUNTS)
-def test_split_writer_bytes_equal_the_reference(tmp_path, run, forks, rounds):
+def test_split_writer_bytes_equal_the_reference(tmp_path, run, rounds):
     logs, owners = run
     logs = logs[:rounds]
     write_coefficients_csv(tmp_path / "c.csv", logs, owners)
-    assert len(forks) == (1 if rounds >= 2 else 0)
-    assert_no_child_left()
     text = (tmp_path / "c.csv").read_bytes()
     assert text == coefficients_csv_reference(logs, owners)
     assert text.count(b"\r\n") == 1 + rounds * sum(int(o.sum()) ** 2 for o in owners.values())
 
 
-def test_split_counts_only_rounds_that_hold_a_snapshot(tmp_path, run, forks):
+def test_split_counts_only_rounds_that_hold_a_snapshot(tmp_path, run):
     logs, owners = run
     logs = [logs[0], dataclasses.replace(logs[1], coeff_record=None), logs[2]]
-    write_coefficients_csv(tmp_path / "c.csv", logs, owners)
-    assert len(forks) == 1
-    assert_no_child_left()
-    assert (tmp_path / "c.csv").read_bytes() == coefficients_csv_reference(logs, owners)
-
-
-def _no_fork():
-    raise AssertionError("forked on a host that cannot run the helper")
-
-
-@pytest.mark.parametrize("host", ["one usable CPU", "no os.fork"])
-def test_single_process_path_when_the_helper_cannot_run(tmp_path, run, monkeypatch, host):
-    logs, owners = run
-    if host == "one usable CPU":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(os, "fork", _no_fork)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.delattr(os, "fork")
     write_coefficients_csv(tmp_path / "c.csv", logs, owners)
     assert (tmp_path / "c.csv").read_bytes() == coefficients_csv_reference(logs, owners)
 
@@ -187,53 +128,66 @@ def _coefficient_scenarios():
     }
 
 
-@pytest.mark.parametrize("split", [True, False], ids=["split", "single process"])
 @pytest.mark.parametrize("scenario", list(_coefficient_scenarios()))
-def test_coefficients_csv_reuses_only_bit_equal_cells(tmp_path, forks, monkeypatch, split,
-                                                      scenario):
-    if not split:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+def test_coefficients_csv_reuses_only_bit_equal_cells(tmp_path, scenario):
     logs = [synthetic_log(r, record=rec)
             for r, rec in enumerate(_coefficient_scenarios()[scenario], start=1)]
     write_coefficients_csv(tmp_path / "c.csv", logs, BLOCK_2_SKIPS_DEVICE_1)
-    assert len(forks) == (1 if split else 0)
-    assert_no_child_left()
     text = (tmp_path / "c.csv").read_bytes()
     assert text == coefficients_csv_reference(logs, BLOCK_2_SKIPS_DEVICE_1)
 
 
-def test_a_failing_helper_makes_the_cli_exit_2(tmp_path, capsys, monkeypatch, forks):
-    parent = os.getpid()
-    real_write = os.write
-
-    def write_fails_in_the_helper(fd, data):
-        if os.getpid() != parent:
-            raise OSError(errno.EIO, "injected write failure")
-        return real_write(fd, data)
-
-    monkeypatch.setattr(os, "write", write_fails_in_the_helper)
+def test_a_failing_write_makes_the_cli_exit_2(tmp_path, capsys):
+    (tmp_path / "out" / "coefficients.csv").mkdir(parents=True)
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"seed": 2, "rounds": 3, "local_iters": 1, "record_coefficients": true}')
     assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("run failed:") and "helper exited with code 1" in err
+    assert err.startswith("run failed:") and "coefficients.csv" in err
     assert "Traceback" not in err
-    assert len(forks) == 1
-    assert_no_child_left()
 
 
-def test_a_parent_failing_mid_write_raises_and_leaves_no_helper(tmp_path, forks):
-    # 60 owners, every row recorded each round: each round's rows are about
-    # 160 kB, more than a pipe holds, so the helper is blocked on the pipe or
-    # about to be when the parent fails
+def test_a_parent_failing_mid_write_raises_and_leaves_no_helper(tmp_path):
     owners = {1: np.ones(60, dtype=bool)}
     rng = np.random.default_rng(3)
     record = {1: (np.arange(60), rng.normal(size=(60, 60)), rng.random((60, 60)))}
-    # block 2 has no owners entry: the parent's round 2 raises KeyError, while
-    # the helper replays that round without looking its owners up
+    # block 2 has no owners entry: round 2 raises KeyError after round 1's rows
     broken = {**record, 2: record[1]}
     logs = [synthetic_log(r, record=broken if r == 2 else record) for r in range(1, 7)]
-    with deadline(20.0), pytest.raises(KeyError):
+    with pytest.raises(KeyError):
         write_coefficients_csv(tmp_path / "c.csv", logs, owners)
-    assert len(forks) == 1
-    assert_no_child_left()
+
+
+def _repr_texts(values):
+    return [repr(float(x)) for x in np.ravel(values)]
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+                  elements=st.floats(allow_nan=True, allow_infinity=True,
+                                     allow_subnormal=True)))
+def test_float_texts_are_the_reprs(values):
+    assert _float_texts(values) == _repr_texts(values)
+
+
+def _ulps(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+_EDGE_GRID = np.arange(24.0).reshape(4, 6) / 7
+EDGE_ARRAYS = {
+    "empty": np.array([]),
+    "signed zeros": np.array([0.0, -0.0, -0.0, 0.0]),
+    "1e-4 at one ulp": np.array(_ulps(1e-4) + _ulps(-1e-4)),
+    "1e16 at one ulp": np.array(_ulps(1e16) + _ulps(-1e16)),
+    "smallest subnormal": np.array([5e-324, -5e-324]),
+    "largest double": np.array([np.finfo(np.float64).max, -np.finfo(np.float64).max]),
+    "nan and infinities": np.array([np.nan, np.inf, -np.inf, 1.5]),
+    "non-contiguous column view": _EDGE_GRID[:, 3],
+    "two-dimensional, in C order": _EDGE_GRID * 1e-5,
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_ARRAYS))
+def test_float_texts_of_edge_arrays_are_the_reprs(name):
+    values = EDGE_ARRAYS[name]
+    assert _float_texts(values) == _repr_texts(values)

@@ -203,6 +203,8 @@ def gains_csv_reference(path, logs, num_devices):
     {"algorithm": "proposed", "record_gains": True},
     {"algorithm": "fedavg"},
     {"algorithm": "local"},  # no scheduler metrics: every metric cell is empty
+    {"algorithm": "proposed", "record_gains": True, "num_devices": 90, "quota": 30},
+    {"algorithm": "local", "record_gains": True, "num_devices": 90, "quota": 30},
 ])
 def test_round_schedule_and_gains_csv_bytes_match_the_csv_writer_references(tmp_path, overrides):
     cfg = desk_config(seed=2, rounds=3, local_iters=2, **overrides)
