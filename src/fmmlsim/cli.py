@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import argparse
 import re
-import reprlib
 import sys
 from pathlib import Path
 
 from .config import ALGORITHMS, config_from_dict, read_config_file
-from .errors import ConfigError, FmmlError
+from .errors import ABRIDGE_AT, ConfigError, FmmlError, abridged
 from .orchestrator import Simulation
 from .scheduler import METRIC_KINDS
 from . import reporting
@@ -20,9 +19,10 @@ class _Parser(argparse.ArgumentParser):
         # argparse quotes a rejected value whole and lists unrecognized tokens bare;
         # a long one is abridged as config values are, and what follows it (the
         # choices --help lists, the other tokens) is dropped
-        value = re.search(r"'([^']{31,})'|\"([^\"]{31,})\"|(\S{31,})", message)
+        long = f"{{{ABRIDGE_AT},}}"
+        value = re.search(rf"'([^']{long})'|\"([^\"]{long})\"|(\S{long})", message)
         if value:
-            message = message[:value.start()] + reprlib.repr(value[1] or value[2] or value[3])
+            message = message[:value.start()] + abridged(value[1] or value[2] or value[3])
         raise ConfigError(message)
 
 
@@ -74,7 +74,9 @@ def main(argv=None) -> int:
         if cfg.record_gains:
             reporting.write_gains_csv(out_dir / "gains.csv", result.logs, cfg.num_devices)
         (out_dir / "summary.json").write_text(summary_json)
-    except (FmmlError, OSError, ValueError) as exc:
+    # an accepted value can still be too large to run: a Python int past a
+    # float or a C long, or an array beyond any address space
+    except (FmmlError, OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from typing import Any
 
 from .aggregation import GRADIENT_ESTIMATES
 from . import datagen
-from .errors import ConfigError
+from .errors import ConfigError, abridged
 from .scheduler import METRIC_KINDS
 
 ALGORITHMS = ("proposed", "fedavg", "local", "fedprox")
@@ -178,7 +178,7 @@ def _build(cls, payload: dict, path: str):
     where = f"{path}." if path else ""
     unknown = sorted(set(payload) - set(declared))
     if unknown:
-        raise ConfigError(f"unknown key {where}{unknown[0]}")
+        raise ConfigError(f"unknown key {where}{abridged(unknown[0])}")
     kwargs = {}
     for name, value in payload.items():
         spec = declared[name]
@@ -211,7 +211,7 @@ def validate_config(cfg: RunConfig) -> None:
     _require(len(cfg.data.input_dims) == cfg.num_modalities,
              "data.input_dims: needs one entry per modality")
     _require(cfg.quota is None or 1 <= cfg.quota <= cfg.num_devices,
-             f"quota: must lie in 1..{cfg.num_devices}")
+             f"quota: must lie in 1..{abridged(cfg.num_devices)}")
     if cfg.modality_profile is not None:
         try:
             cfg.modality_sets

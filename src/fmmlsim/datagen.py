@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, abridged
 
 
 # Label-skew styles by name: noniid1 gives each device a 3-category support;
@@ -88,16 +88,19 @@ def assign_modalities(num_devices: int, num_modalities: int,
     profile = default_modality_profile(num_devices, num_modalities) if profile is None else profile
     counts = [int(c) for c, _ in profile]
     if sum(counts) != num_devices or any(c < 0 for c in counts):
-        raise ConfigError(f"profile group sizes {counts} do not partition {num_devices} devices")
+        raise ConfigError(f"profile group sizes {abridged(counts)} do not partition "
+                          f"{abridged(num_devices)} devices")
     owned: list[tuple[int, ...]] = []
     for count, size in profile:
         if not 1 <= size <= num_modalities:
-            raise ConfigError(f"profile modality count {size} outside 1..{num_modalities}")
+            raise ConfigError(f"profile modality count {abridged(size)} outside "
+                              f"1..{num_modalities}")
         combos = list(combinations(range(1, num_modalities + 1), size))
         owned.extend(combos[i % len(combos)] for i in range(count))
     covered = set().union(*owned) if owned else set()
     if covered != set(range(1, num_modalities + 1)):
-        raise ConfigError(f"profile leaves modalities {sorted(set(range(1, num_modalities + 1)) - covered)} unowned")
+        unowned = sorted(set(range(1, num_modalities + 1)) - covered)
+        raise ConfigError(f"profile leaves modalities {abridged(unowned)} unowned")
     return owned
 
 

@@ -1,16 +1,22 @@
 """The command line's exit-code contract, one table row per input.
 
 `ROWS` is the one list of which input gives which exit: 0 success, 1 config
-error, 2 runtime error. `check_row` runs a row's config file and flags
-through `cli.main` in an empty directory and asserts the whole contract:
-the exit code and the start of stderr (`config error:` or `run failed:`
-when the code is not 0, nothing on stderr when it is); no traceback, with
-warnings raised as errors; a one-line error, under 100 bytes where the
-input echoes a long value; nothing made by a config error, not even the
-`--out` directory, no file written by a failed run, and no
-`Simulation.run` call for a failure reported before any round runs; and,
-for a run that exits 0, a `summary.json` of strict JSON that echoes each
-flag's value and no `nan` or `inf` in any CSV cell.
+error, 2 runtime error, and `check_row` is the one place that runs the
+command line to check an exit (CI only runs the installed script once).
+`check_row` runs a row's config file and flags through `cli.main` in an
+empty directory and asserts the whole contract: the exit code and the start
+of stderr (`config error:` or `run failed:` when the code is not 0, nothing
+on stderr when it is); no traceback, with warnings raised as errors; a
+one-line error, under 100 bytes where the input echoes a long value;
+nothing made by a config error, not even the `--out` directory, no file
+written by a failed run; no `Simulation.run` call for a failure reported
+before any round runs, and one for every other row that gets past its
+config. For a run that exits 0 it asserts a `summary.json` of strict JSON
+that echoes each flag's value, has a null `config.out_dir` and a `seed`,
+`algo` and `rounds` equal to its config's; exactly the output files the
+config asks for, `gains.csv` only with `record_gains`; each CSV's header;
+each CSV's data-line count from the rounds, K and the owners of each block
+(`data_lines`); and no `nan` or `inf` in any CSV cell.
 """
 
 import contextlib
@@ -264,11 +270,74 @@ ROWS = {
     # a flag replaces an invalid file value before validation
     "flag_replaces_rounds": Row(patched(rounds=-1), ("--rounds", "1")),
     "flag_replaces_quota": Row(patched(quota=12), ("--khat", "3")),
+    # runs that exit 0: with both traces on, with no round, with every other
+    # flag, and from a written noniid3 config with a profile
+    "record_gains_and_coefficients": Row(patched(record_gains=True, record_coefficients=True),
+                                         ("--seed", "1")),
+    "flag_rounds_0": Row(patched(), ("--rounds", "0")),
+    "flag_every_run_setting": Row(patched(), ("--algo", "local", "--khat", "2", "--metric",
+                                              "linear", "--alpha", "0.01", "--ath", "4")),
+    "noniid3_with_a_profile": Row(patched(partition="noniid3",
+                                          modality_profile=[[3, 2], [6, 1]])),
+    # accepted values too large to run: set-up fails on a Python int past a
+    # float or a C long, or on an array beyond any 64-bit address space
+    "num_devices_401_digits": Row(
+        patched(num_devices=10 ** 400), code=2,
+        err="run failed: integer division result too large for a float", before_run=True),
+    "local_iters_401_digits": Row(patched(local_iters=10 ** 400), code=2,
+                                  err="run failed: int too large to convert to float",
+                                  before_run=True),
+    "batch_size_401_digits": Row(patched(batch_size=10 ** 400), code=2,
+                                 err="run failed: int too large to convert to float",
+                                 before_run=True),
+    "data.samples_per_device_401_digits": Row(
+        patched(data={"samples_per_device": 10 ** 400}), code=2,
+        err="run failed: Python int too large to convert to C long", before_run=True),
+    "data.input_dims_1e17": Row(patched(data={"input_dims": [10 ** 17, 16]}), code=2,
+                                err="run failed: Unable to allocate 4.16 EiB", before_run=True),
+    # a long key or relation operand is echoed abridged
+    "unknown_key_5000_chars": rejected("unknown key 'xxx",
+                                       **{"x" * 5000: 1})._replace(short_error=True),
+    "unknown_section_key_5000_chars": rejected(
+        "unknown key data.'xxx", data={"x" * 5000: 1})._replace(short_error=True),
+    "profile_group_401_digits": rejected(
+        "modality_profile: profile group sizes [1000...00000] do not partition 9 devices",
+        modality_profile=[[10 ** 400, 1]])._replace(short_error=True),
+    "quota_above_401_digit_devices": rejected(
+        "quota: must lie in 1..1000", num_devices=10 ** 400,
+        quota=10 ** 401)._replace(short_error=True),
+}
+
+# each CSV's documented header
+CSV_HEADERS = {
+    "rounds.csv": "round,device,t_download_s,t_compute_s,t_upload_s,round_time_s,train_loss,"
+                  "test_accuracy,mean_accuracy",
+    "schedule.csv": "round,block,device,indicator,staleness,metric",
+    "coefficients.csv": "round,block,k,k_prime,raw,effective",
+    "gains.csv": "round,device,gain",
 }
 
 
 def _no_constants(name):
     raise ValueError(f"summary.json holds {name}")
+
+
+def data_lines(summary):
+    """Each CSV's data-line count for the run `summary.json` describes: one
+    line per round and device in `rounds.csv` and `gains.csv`, per round and
+    owner of each block in `schedule.csv`, and per round and owner pair of
+    each block in `coefficients.csv` when `proposed` records them. The head
+    block's owners are all K devices, a modality block's its devices."""
+    config, rounds = summary["config"], summary["rounds"]
+    k = config["num_devices"]
+    owners = [k, *(sum(m in owned for owned in summary["owned_modalities"])
+                   for m in range(1, config["num_modalities"] + 1))]
+    coefficients = config["record_coefficients"] and config["algorithm"] == "proposed"
+    lines = {"rounds.csv": rounds * k, "schedule.csv": rounds * sum(owners),
+             "coefficients.csv": rounds * sum(n * n for n in owners) if coefficients else 0}
+    if config["record_gains"]:
+        lines["gains.csv"] = rounds * k
+    return lines
 
 
 def check_row(row: Row, where: Path):
@@ -290,6 +359,8 @@ def check_row(row: Row, where: Path):
     assert "Traceback" not in err
     if row.before_run or code == 1:
         assert not runs
+    else:  # a mislabelled set-up failure fails here
+        assert runs
     if code:
         assert err.startswith("config error: " if code == 1 else "run failed: ")
         assert err.count("\n") == 1 and err.endswith("\n"), err
@@ -308,9 +379,17 @@ def check_row(row: Row, where: Path):
     for key, value in flags.items():
         if value is not None and key not in ("config", "out_dir"):
             assert summary["config"][key] == value, key
+    config = summary["config"]
+    assert config["out_dir"] is None
+    assert [summary["seed"], summary["algo"], summary["rounds"]] == \
+        [config["seed"], config["algorithm"], config["rounds"]]
+    lines = data_lines(summary)
+    assert sorted(p.name for p in (where / "out").iterdir()) == sorted([*lines, "summary.json"])
     for path in (where / "out").glob("*.csv"):
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
+        assert [",".join(rows[0]), len(rows) - 1] == \
+            [CSV_HEADERS[path.name], lines[path.name]], path.name
         for cells in rows[1:]:
             for cell in cells:
                 assert cell == "" or math.isfinite(float(cell)), (path.name, cells)

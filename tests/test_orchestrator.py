@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import json
 import sys
 from time import perf_counter, sleep
 
@@ -10,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fmmlsim import aggregation as agg
-from fmmlsim import config_to_dict, datagen, desk_config, nn_core, orchestrator, wireless
-from fmmlsim.cli import main
+from fmmlsim import datagen, desk_config, nn_core, orchestrator, wireless
 from fmmlsim.config import ALGORITHMS, config_from_dict
 from fmmlsim.errors import NumericOverflowError, StalledLinkError
 from fmmlsim.orchestrator import (RoundLog, Simulation, evaluate_personalized,
@@ -600,13 +598,6 @@ def test_realized_upload_on_a_stalled_link_raises(device_zero_gain):
     sim = Simulation(stalled_upload_cfg())
     with pytest.raises(StalledLinkError, match="uplink"):
         sim.step()
-
-
-def test_cli_reports_a_stalled_link_as_a_run_failure(device_zero_gain, tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config_to_dict(stalled_upload_cfg())))
-    assert main(["--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "run failed:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algorithm", ["proposed", "fedavg", "fedprox", "local"])
